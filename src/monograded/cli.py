@@ -4,7 +4,8 @@ JSON is the canonical output; csv and table renderings are derived from the
 same document.  Every document embeds the resolved run configuration and a
 schema version, so identical configurations produce byte-identical output.
 
-Exit codes: 0 success, 1 computation failure, 2 usage error, 3 reproduction
+Exit codes: 0 success, 1 computation failure, 2 usage error (malformed ring,
+ideal, window or semigroup input gives a JSON error document), 3 reproduction
 mismatch.
 """
 
@@ -14,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from . import bounds, cohomology, filtration, hilbert, semigroup
 from .errors import ComputationError
@@ -21,6 +23,19 @@ from .monomials import MonomialIdeal, parse_ideal
 
 SCHEMA = "monograded/1"
 SEED_ENV = "MONOGRADED_SEED"
+
+
+class UsageError(Exception):
+    """Malformed command-line input: reported as a JSON error document, exit 2."""
+
+
+@contextmanager
+def _parsing_input():
+    """Turn a ValueError raised while parsing command-line input into a UsageError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def default_seed() -> int:
@@ -78,8 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_window(text: str | None, default: tuple[int, int]) -> tuple[int, int]:
     if not text:
         return default
-    lo, hi = text.split(":")
-    return int(lo), int(hi)
+    try:
+        lo, hi = text.split(":")
+        return int(lo), int(hi)
+    except ValueError:
+        raise UsageError(f"--window must be lo:hi with integer bounds, got {text!r}") from None
 
 
 def require_ring_ideal(args) -> MonomialIdeal:
@@ -88,7 +106,8 @@ def require_ring_ideal(args) -> MonomialIdeal:
     names = tuple(s.strip() for s in args.ring.split(",") if s.strip())
     if not names:
         raise ComputationError("the ring needs at least one variable")
-    return parse_ideal(args.ideal, names)
+    with _parsing_input():
+        return parse_ideal(args.ideal, names)
 
 
 # -- subcommand handlers --------------------------------------------------
@@ -167,10 +186,11 @@ def run_reduction(args) -> dict:
 def run_verify(args) -> dict:
     seed = args.corpus_seed if args.corpus_seed is not None else default_seed()
     if args.ideal is not None and args.semigroup:
-        S = semigroup.NumericalSemigroup(
-            int(g) for g in args.semigroup.split(",") if g.strip()
-        )
-        E = semigroup.SemigroupIdeal(S, tuple(int(g) for g in args.ideal.split(",")))
+        with _parsing_input():
+            S = semigroup.NumericalSemigroup(
+                int(g) for g in args.semigroup.split(",") if g.strip()
+            )
+            E = semigroup.SemigroupIdeal(S, tuple(int(g) for g in args.ideal.split(",")))
         reports = [bounds.verify_prop_3_1(E, "cli-instance")]
         return {
             "reports": [r.to_dict() for r in reports],
@@ -435,10 +455,10 @@ def main(argv=None) -> int:
             doc["mismatches"] = mismatches
             sys.stdout.write(render(doc, args.format))
             return 3 if mismatches else 0
-    except ComputationError as exc:
+    except (UsageError, ComputationError) as exc:
         doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
         sys.stdout.write(render_json(doc))
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
     sys.stdout.write(render(doc, args.format))
     return 0
 

@@ -1,20 +1,24 @@
 """Graded local cohomology of monomial quotients at the maximal homogeneous ideal.
 
 For R = k[x_1..x_k]/I with I monomial, the Cech complex on the variables is
-Z^k-graded, and the degree-a component depends only on the orthant class of a:
-the set T of strictly negative coordinates together with the remaining
-coordinates clamped below the maximal generator exponents.  Each class is a
-finite complex of vector spaces indexed by variable subsets; its cohomology is
-computed by exact integer rank computations, and closed-form composition
-counts convert per-class data into the graded lengths h^i(R)_n, the
-a-invariant, depth, and the binomial-weighted invariant EG(R).
+Z^k-graded.  Its degree-a component depends only on the set T of negative
+coordinates of a and, for each j outside T, on which interval between
+consecutive distinct exponents of x_j among the generators holds a_j; it is
+zero once some a_j reaches the largest such exponent rho_j (Y. Takayama,
+"Combinatorial characterizations of generalized Cohen-Macaulay monomial
+ideals", 2005).  The table enumerates these breakpoint classes and computes
+each distinct complex once, by exact integer rank computations.  A class
+weighs its dimensions by prod_j (x^lo_j + ... + x^hi_j), whose coefficients
+count its multidegrees by the sum of their coordinates outside T; closed-form
+composition counts turn the weighted sums into the graded lengths h^i(R)_n,
+the a-invariant, depth, and the binomial-weighted invariant EG(R).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 from .errors import ZeroRing
 from .monomials import MonomialIdeal
@@ -22,27 +26,20 @@ from .monomials import MonomialIdeal
 
 @dataclass(frozen=True)
 class OrthantClass:
-    """An equivalence class of multidegrees: negative support T plus clamped
-    values for the coordinates outside T."""
+    """A class of multidegrees: negative support T plus the value of every
+    coordinate outside T."""
 
     negative: frozenset[int]
     clamped: tuple  # entry j is None for j in T, else an int in [0, rho_j - 1]
 
-    @property
-    def clamp_sum(self) -> int:
-        return sum(v for v in self.clamped if v is not None)
 
-    def degree_count(self, n: int) -> int:
-        """Number of multidegrees in the class with total degree n."""
-        t = len(self.negative)
-        s = self.clamp_sum - n
-        if t == 0:
-            return 1 if n == self.clamp_sum else 0
-        return comb(s - 1, t - 1) if s >= t else 0
-
-    @property
-    def max_degree(self) -> int:
-        return self.clamp_sum - len(self.negative)
+def _compositions(t_size: int, clamp_sum: int, n: int) -> int:
+    """Multidegrees of total degree n with t_size given negative coordinates
+    whose other coordinates sum to clamp_sum."""
+    s = clamp_sum - n
+    if t_size == 0:
+        return 1 if s == 0 else 0
+    return comb(s - 1, t_size - 1) if s >= t_size else 0
 
 
 def integer_rank(rows: list[list[int]]) -> int:
@@ -73,89 +70,66 @@ def integer_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def _class_dims(k: int, gen_exps: list[tuple[int, ...]], t_mask: int, a_vec: tuple[int, ...]):
-    """Cohomology dimensions (h^0..h^k) of the degree-a Cech complex.
+def _extend_kill_masks(kill_masks: tuple[int, ...], gen_exps, j: int, a_j: int) -> tuple[int, ...]:
+    """Kill masks after coordinate j takes the value a_j (-1 for j in T): bit j
+    is set for each generator g with g_j > a_j."""
+    bit = 1 << j
+    return tuple(m | bit if exps[j] > a_j else m for m, exps in zip(kill_masks, gen_exps))
 
-    a_vec holds the clamped value for coordinates outside T and -1 inside T.
-    A subset F carries a basis element iff T is inside F and no generator g has
-    g_j <= a_j for every j outside F; the differentials are the alternating-sign
-    inclusion maps.
+
+def _class_dims(k: int, t_mask: int, kill_masks) -> tuple[int, ...]:
+    """Cohomology dimensions (h^0..h^k) of one degree's Cech complex.
+
+    A generator's kill mask holds the coordinates j with g_j > a_j; the
+    generator kills a subset F exactly when its kill mask lies inside F.  F
+    carries a basis element iff T is inside F and no generator kills it; the
+    differentials are the alternating-sign inclusion maps.
     """
-    # kill_masks[g]: coordinates where the comparison g_j <= a_j fails; the
-    # generator kills F exactly when all of them lie inside F.
-    kill_masks = []
-    for exps in gen_exps:
-        m = 0
-        for j in range(k):
-            if exps[j] > a_vec[j]:
-                m |= 1 << j
-        kill_masks.append(m)
-
     alive_by_card: list[list[int]] = [[] for _ in range(k + 1)]
-    any_alive = False
     for f_mask in range(1 << k):
-        if t_mask & ~f_mask:
-            continue
-        if any((m & ~f_mask) == 0 for m in kill_masks):
-            continue
-        alive_by_card[bin(f_mask).count("1")].append(f_mask)
-        any_alive = True
-    if not any_alive:
-        return None
+        if not t_mask & ~f_mask and all(m & ~f_mask for m in kill_masks):
+            alive_by_card[bin(f_mask).count("1")].append(f_mask)
 
     ranks = [0] * (k + 1)  # rank of d_i : C^i -> C^(i+1)
     for i in range(k):
         source, target = alive_by_card[i], alive_by_card[i + 1]
-        if not source or not target:
-            continue
-        index = {mask: pos for pos, mask in enumerate(target)}
-        rows = []
-        for f_mask in source:
-            row = [0] * len(target)
-            nonzero = False
-            for j in range(k):
-                bit = 1 << j
-                if f_mask & bit:
-                    continue
-                pos = index.get(f_mask | bit)
-                if pos is not None:
-                    sign = -1 if bin(f_mask & (bit - 1)).count("1") % 2 else 1
-                    row[pos] = sign
-                    nonzero = True
-            if nonzero:
-                rows.append(row)
-        ranks[i] = integer_rank(rows)
-
-    dims = []
-    for i in range(k + 1):
-        below = ranks[i - 1] if i > 0 else 0
-        dims.append(len(alive_by_card[i]) - ranks[i] - below)
-    return tuple(dims)
+        if source and target:
+            # F -> F + {j} carries the sign (-1)^#{coordinates of F below j}
+            ranks[i] = integer_rank([
+                [(-1) ** bin(f & ((g ^ f) - 1)).count("1") if f & g == f else 0 for g in target]
+                for f in source
+            ])
+    return tuple(
+        len(alive_by_card[i]) - ranks[i] - (ranks[i - 1] if i else 0) for i in range(k + 1)
+    )
 
 
 def cech_class_cohomology(ideal: MonomialIdeal, cls: OrthantClass) -> tuple[int, ...]:
     """Dimensions (h^0..h^k) of the per-degree Cech complex at one orthant class."""
     if ideal.is_unit:
         raise ZeroRing("the zero ring has no local cohomology")
-    k = ideal.k
-    t_mask = 0
-    for j in cls.negative:
-        t_mask |= 1 << j
-    a_vec = tuple(-1 if j in cls.negative else cls.clamped[j] for j in range(k))
     gen_exps = [g.exps for g in ideal.gens]
-    dims = _class_dims(k, gen_exps, t_mask, a_vec)
-    return dims if dims is not None else (0,) * (k + 1)
+    kill_masks = (0,) * len(gen_exps)
+    for j in range(ideal.k):
+        a_j = -1 if j in cls.negative else cls.clamped[j]
+        kill_masks = _extend_kill_masks(kill_masks, gen_exps, j, a_j)
+    return _class_dims(ideal.k, sum(1 << j for j in cls.negative), kill_masks)
 
 
 class CohomologyTable:
-    """All nonzero orthant classes of a monomial quotient with derived invariants."""
+    """The nonzero local cohomology of a monomial quotient, by clamp sum and
+    negative-support size, with derived invariants."""
 
     __slots__ = ("k", "rho", "classes", "dim", "depth")
 
     def __init__(self, k: int, rho: tuple[int, ...], classes):
         self.k = k
         self.rho = rho
-        # classes: list of (clamp_sum, t_size, dims) for classes with some h^i > 0
+        # classes: (clamp_sum, t_size, dims) with some dims[i] > 0, where dims[i]
+        # sums h^i over the orthant classes with |T| = t_size whose coordinates
+        # outside T sum to clamp_sum.  One entry per orthant class is valid too:
+        # h is linear in the dims, and the other invariants only ask which dims
+        # are nonzero.
         self.classes = classes
         top = 0
         bottom = k
@@ -167,18 +141,11 @@ class CohomologyTable:
         self.dim = top
         self.depth = bottom
 
-    @staticmethod
-    def _count(t_size: int, clamp_sum: int, n: int) -> int:
-        s = clamp_sum - n
-        if t_size == 0:
-            return 1 if s == 0 else 0
-        return comb(s - 1, t_size - 1) if s >= t_size else 0
-
     def h(self, i: int, n: int) -> int:
         if i < 0 or i > self.k:
             return 0
         return sum(
-            dims[i] * self._count(t_size, clamp_sum, n)
+            dims[i] * _compositions(t_size, clamp_sum, n)
             for clamp_sum, t_size, dims in self.classes
             if dims[i]
         )
@@ -202,42 +169,68 @@ class CohomologyTable:
         """h^i(R)_n = 0 for every i once n exceeds this value."""
         return sum(r - 1 for r in self.rho)
 
-    def table(self, lo: int, hi: int) -> dict[int, dict[int, int]]:
-        out: dict[int, dict[int, int]] = {}
-        for i in range(self.k + 1):
-            row = {n: self.h(i, n) for n in range(lo, hi + 1)}
-            if any(row.values()):
-                out[i] = row
-        return out
-
 
 @lru_cache(maxsize=256)
 def cohomology_table(ideal: MonomialIdeal) -> CohomologyTable:
-    """Compute every orthant class of R/I and keep those with nonzero cohomology."""
+    """Compute the breakpoint classes of R/I and aggregate those with nonzero
+    cohomology by clamp sum and negative-support size."""
     if ideal.is_unit:
         raise ZeroRing("the zero ring has no local cohomology")
     k = ideal.k
     rho = ideal.max_exponents()
     gen_exps = [g.exps for g in ideal.gens]
 
-    classes = []
-    # Per coordinate: membership in T (encoded -1) or a clamped value.
-    options = [[-1] + list(range(rho[j])) for j in range(k)]
+    # A polynomial in the clamp sum is packed into one integer, coefficient s
+    # in bits [s*width, (s+1)*width): products and sums of the class weights
+    # become single integer operations.  No coefficient exceeds the number of
+    # orthant classes, prod(rho_j + 1).
+    width = prod(r + 1 for r in rho).bit_length()
+    # Per coordinate: (lo, packed x^lo + ... + x^hi) for each interval between
+    # consecutive distinct positive exponents of x_j, the last ending at rho_j - 1.
+    intervals = []
+    for j in range(k):
+        cuts = sorted({exps[j] for exps in gen_exps if exps[j]})
+        intervals.append([
+            (lo, sum(1 << (v * width) for v in range(lo, hi + 1)))
+            for lo, hi in zip([0] + cuts[:-1], [c - 1 for c in cuts])
+        ])
 
-    def recurse(j: int, t_mask: int, a_prefix: list[int]):
+    # (T mask, inclusion-minimal kill masks, which alone decide the complex)
+    # -> (|T|, dims), or None when the complex is exact.
+    memo: dict = {}
+    # (|T|, dims) -> packed multiplicity of each clamp sum.
+    weights: dict = {}
+
+    def recurse(j: int, t_mask: int, kill_masks: tuple[int, ...], weight: int):
         if j == k:
-            dims = _class_dims(k, gen_exps, t_mask, tuple(a_prefix))
-            if dims is not None and any(dims):
-                clamp_sum = sum(v for v in a_prefix if v >= 0)
-                t_size = bin(t_mask).count("1")
-                classes.append((clamp_sum, t_size, dims))
+            minimal = frozenset(m for m in kill_masks if not any(o & m == o != m for o in kill_masks))
+            key = (t_mask, minimal)
+            if key not in memo:
+                dims = _class_dims(k, t_mask, minimal)
+                memo[key] = (bin(t_mask).count("1"), dims) if any(dims) else None
+            entry = memo[key]
+            if entry is not None:
+                weights[entry] = weights.get(entry, 0) + weight
             return
-        for choice in options[j]:
-            a_prefix.append(choice)
-            recurse(j + 1, t_mask | (1 << j) if choice < 0 else t_mask, a_prefix)
-            a_prefix.pop()
+        recurse(j + 1, t_mask | (1 << j), _extend_kill_masks(kill_masks, gen_exps, j, -1), weight)
+        for lo, run in intervals[j]:
+            recurse(j + 1, t_mask, _extend_kill_masks(kill_masks, gen_exps, j, lo), weight * run)
 
-    recurse(0, 0, [])
+    recurse(0, 0, (0,) * len(gen_exps), 1)
+
+    totals: dict[tuple[int, int], list[int]] = {}
+    digit = (1 << width) - 1
+    for (t_size, dims), packed in weights.items():
+        clamp_sum = 0
+        while packed:
+            count = packed & digit
+            if count:
+                total = totals.setdefault((clamp_sum, t_size), [0] * (k + 1))
+                for i, dim in enumerate(dims):
+                    total[i] += count * dim
+            packed >>= width
+            clamp_sum += 1
+    classes = [(s, t, tuple(dims)) for (s, t), dims in sorted(totals.items())]
     return CohomologyTable(k, rho, classes)
 
 

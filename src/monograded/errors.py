@@ -39,3 +39,7 @@ class CertificateFailed(ComputationError):
 
 class ReconstructionFailed(ComputationError):
     """A sequence did not stabilize to a rational function within the data given."""
+
+
+class NonIntegralValue(ComputationError):
+    """A polynomial that must be integer-valued took a non-integer value."""

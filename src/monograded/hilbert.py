@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import ZeroRing, ReconstructionFailed
+from .errors import NonIntegralValue, ReconstructionFailed, ZeroRing
 from .monomials import Monomial, MonomialIdeal
 
 # -- integer polynomials as coefficient lists (zero polynomial = []) -----
@@ -273,7 +273,8 @@ class HilbertData:
 
     def polynomial_value(self, n: int) -> int:
         value = poly_value(self.hilbert_polynomial, n)
-        assert value.denominator == 1
+        if value.denominator != 1:
+            raise NonIntegralValue(f"the Hilbert polynomial takes the value {value} at n = {n}")
         return int(value)
 
 

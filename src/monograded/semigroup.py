@@ -217,24 +217,14 @@ def length_between_sg(larger: SemigroupIdeal, smaller: SemigroupIdeal) -> int:
     return length_sg(smaller) - length_sg(larger)
 
 
-def rr_sg(a: SemigroupIdeal, power: int = 1, max_steps: int = 64) -> SemigroupIdeal:
-    """Ratliff-Rush closure of E^power: stable value of (E^(power+n) : E^n)."""
-    powers = [ideal_power_sg(a, 0)]
-
-    def pw(n):
-        while len(powers) <= n:
-            powers.append(ideal_product_sg(powers[-1], a))
-        return powers[n]
-
-    current = pw(power)
-    for n in range(1, max_steps):
-        nxt = colon_sg(pw(power + n), pw(n))
-        if nxt == current:
-            confirm = colon_sg(pw(power + n + 1), pw(n + 1))
-            if confirm == current:
-                return current
-        current = nxt
-    raise ComputationError(f"Ratliff-Rush chain did not stabilize in {max_steps} steps")
+def rr_sg(a: SemigroupIdeal, power: int = 1) -> SemigroupIdeal:
+    """Ratliff-Rush closure of E^power: the union of the increasing chain
+    (E^(power+n) : E^n).  From n = r = reduction_number_sg(E) on,
+    E^(n+1) = j + E^n, so the chain is constant and its value at n = max(r, 1)
+    is the closure; an earlier repeat can be a plateau that still grows."""
+    n = max(reduction_number_sg(a)[0], 1)
+    stable = ideal_power_sg(a, n)
+    return colon_sg(ideal_product_sg(stable, ideal_power_sg(a, power)), stable)
 
 
 def multiplicity_sg(a: SemigroupIdeal) -> int:

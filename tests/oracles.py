@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import product
 
+from monograded.cohomology import CohomologyTable, OrthantClass, cech_class_cohomology
 from monograded.monomials import Monomial, MonomialIdeal
 
 
@@ -63,3 +64,16 @@ def fraction_rank(rows: list[list]) -> int:
                 rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def exhaustive_cohomology_table(ideal: MonomialIdeal) -> CohomologyTable:
+    """The cohomology table with one entry per orthant class: every negative
+    support T and every value 0..rho_j - 1 of each coordinate outside T."""
+    rho = ideal.max_exponents()
+    classes = []
+    for clamped in product(*([None, *range(r)] for r in rho)):
+        negative = frozenset(j for j, v in enumerate(clamped) if v is None)
+        dims = cech_class_cohomology(ideal, OrthantClass(negative, clamped))
+        if any(dims):
+            classes.append((sum(v for v in clamped if v is not None), len(negative), dims))
+    return CohomologyTable(ideal.k, rho, classes)

@@ -158,6 +158,32 @@ def test_computation_error_exit_1():
     assert doc["error"]["type"] == "InfiniteLength"
 
 
+def assert_usage_error(argv, message):
+    code, out = run_cli(argv)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "UsageError"
+    assert message in error["message"]
+
+
+def test_malformed_window_is_usage_error():
+    assert_usage_error(["hilbert", "--ring", "x,y", "--ideal", "x^2, y", "--window", "3"], "lo:hi")
+
+
+def test_unknown_variable_is_usage_error():
+    assert_usage_error(["cohomology", "--ring", "x,y", "--ideal", "x^2, q"], "unknown variable 'q'")
+
+
+def test_non_coprime_semigroup_is_usage_error():
+    assert_usage_error(
+        ["verify", "--semigroup", "4,6", "--ideal", "4,6", "--bound", "prop3.1"], "gcd 2"
+    )
+
+
+def test_negative_exponent_is_usage_error():
+    assert_usage_error(["hilbert", "--ring", "x,y", "--ideal", "x^-1, y"], "x^-1")
+
+
 def test_missing_ring_is_computation_error():
     code, out = run_cli(["hilbert"])
     assert code == 1

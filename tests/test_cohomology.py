@@ -18,7 +18,7 @@ from monograded.errors import ZeroRing
 from monograded.hilbert import hilbert_data, serre_difference_table
 from monograded.monomials import Monomial, MonomialIdeal, parse_ideal
 
-from oracles import fraction_rank
+from oracles import exhaustive_cohomology_table, fraction_rank
 
 XY = ("x", "y")
 ABCD = ("a", "b", "c", "d")
@@ -233,3 +233,39 @@ def test_eg_invariant_definition():
         expected = sum(comb(d - 1, q) * table.h(q, 1 - q) for q in range(d))
         assert eg_invariant(ideal) == expected
     assert depth(N_IDEAL) == 1
+
+
+def oracle_ideals():
+    """Seeded ideals in 2-5 variables of every shape the breakpoint classes
+    must handle, with exponents small enough for the exhaustive oracle."""
+    rng = random.Random(2005)
+    for k in (2, 3, 4, 5):
+        top = 5 if k <= 3 else 3
+        for _ in range(4):
+            yield random_m_primary_ideal(rng, k, top)
+        for _ in range(6):
+            # not m-primary: generators with zero exponents, some variables free
+            count = rng.randint(1, 4)
+            gens = [tuple(rng.randint(0, top) * (rng.random() < 0.6) for _ in range(k))
+                    for _ in range(count)]
+            gens = [g for g in gens if any(g)] or [(top,) + (0,) * (k - 1)]
+            yield MonomialIdeal(k, [Monomial(g) for g in gens])
+        yield MonomialIdeal(k, [Monomial(tuple(rng.randint(1, top) for _ in range(k)))])
+        powers = rng.sample(range(k), rng.randint(1, k))
+        yield MonomialIdeal(k, [
+            Monomial(tuple(rng.randint(1, top) if i == j else 0 for i in range(k))) for j in powers
+        ])
+        yield MonomialIdeal.zero(k)
+
+
+def test_breakpoint_table_matches_exhaustive_enumeration():
+    for ideal in oracle_ideals():
+        table = cohomology_table(ideal)
+        oracle = exhaustive_cohomology_table(ideal)
+        assert (table.dim, table.depth) == (oracle.dim, oracle.depth), ideal
+        assert table.a_invariant == oracle.a_invariant, ideal
+        assert table.eg_invariant == oracle.eg_invariant, ideal
+        rho_sum = sum(table.rho)
+        for i in range(ideal.k + 1):
+            for n in range(-rho_sum - ideal.k - 1, rho_sum + 2):
+                assert table.h(i, n) == oracle.h(i, n), (ideal, i, n)

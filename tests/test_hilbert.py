@@ -1,9 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from monograded.errors import ZeroRing
+from monograded.errors import ComputationError, NonIntegralValue, ZeroRing
 from monograded.bounds import random_m_primary_ideal
 from monograded.hilbert import (
     binomial_poly,
@@ -152,6 +153,15 @@ def test_polynomial_integer_valued_at_negatives():
     for n in range(-6, 6):
         value = poly_value(data.hilbert_polynomial, n)
         assert value.denominator == 1
+
+
+def test_non_integral_polynomial_value_raises():
+    # n/2 is not integer-valued; the check must not be an assert, which -O drops
+    data = replace(hilbert_data(N_IDEAL), hilbert_polynomial=(Fraction(0), Fraction(1, 2)))
+    assert data.polynomial_value(2) == 1
+    with pytest.raises(NonIntegralValue) as excinfo:
+        data.polynomial_value(1)
+    assert isinstance(excinfo.value, ComputationError)
 
 
 def test_binomial_poly_matches_comb():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from monograded.errors import ComputationError
-from monograded.bounds import random_semigroup_ideal
+from monograded.bounds import random_semigroup_ideal, verify_prop_3_1
 from monograded.filtration import multiplicity_samuel, ratliff_rush, reduction_number
 from monograded.monomials import MonomialIdeal
 from monograded.semigroup import (
@@ -123,6 +123,19 @@ def test_prop31_chain_random():
         ell = length_between_sg(ideal, inner)
         assert ell >= 1
         assert r <= e - (ell - 1) <= e
+
+
+def test_rr_closure_past_a_plateau():
+    # (I^(2+n) : I^n) is equal for n = 2..6 and grows at n = 7, so the first
+    # repeat of the chain is not the Ratliff-Rush closure.
+    ideal = SemigroupIdeal(NumericalSemigroup((10, 13, 15)), (38, 39))
+    chain = [colon_sg(ideal_power_sg(ideal, 2 + n), ideal_power_sg(ideal, n)) for n in range(2, 8)]
+    assert chain[0] == chain[4] != chain[5]
+    r, _ = reduction_number_sg(ideal)
+    assert rr_sg(ideal, 2) == colon_sg(ideal_power_sg(ideal, r + 5), ideal_power_sg(ideal, r + 3))
+    report = verify_prop_3_1(ideal)
+    assert report.witness["middle"] == 15
+    assert report.status != "violated"
 
 
 def test_colengths_eventually_linear_with_slope_e():
