@@ -30,8 +30,8 @@ from .cohomology import (
     h,
 )
 from .truncation import (
-    IdealSubspace,
     PolyElement,
+    PolyProduct,
     TruncatedAlgebra,
     certified_truncation,
     contains_mod,
@@ -52,6 +52,7 @@ from .filtration import (
     reduction_number,
     reduction_number_wrt,
     vv_cm_certificate,
+    vv_levels,
 )
 from .semigroup import (
     NumericalSemigroup,

@@ -13,16 +13,8 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from . import cohomology, filtration, hilbert, semigroup
-from .errors import ComputationError
+from .errors import ComputationError, NotCertified
 from .monomials import Monomial, MonomialIdeal
-from .truncation import (
-    PolyElement,
-    TruncatedAlgebra,
-    certified_truncation,
-    ideal_image,
-    monomial_image_dim,
-    poly_product_generators,
-)
 
 HOLDS = "holds"
 SHARP = "sharp"
@@ -58,6 +50,11 @@ class BoundReport:
             "gap": self.gap,
             "witness": self.witness,
         }
+
+
+def _require_certified(t: int, max_truncation: int) -> None:
+    if t >= max_truncation:
+        raise NotCertified(f"no truncation certificate up to degree {max_truncation}")
 
 
 def _status_le(lhs: int, rhs: int) -> str:
@@ -197,30 +194,31 @@ def verify_prop_3_4(
     max_truncation: int = 40,
 ) -> BoundReport:
     """d >= 3: r_J(I) <= 1 + ell(I^2/JI) + h^(d-1)(G)_(2-d), where a true
-    Cohen-Macaulay certificate kills the cohomology term."""
+    Cohen-Macaulay certificate kills the cohomology term.  ell(R/J) and
+    ell(I^2/JI) come from its levels 1 and 2, each certified below max_truncation."""
     if ideal.k < 3:
         raise ComputationError("prop3.4 checker needs at least three variables")
     r, trial_list = filtration.reduction_number(ideal, trials=trials, seed=seed)
     best = min(trial_list, key=lambda tr: tr["r"])
     reduction = filtration.minimal_reduction(ideal, best["seed"])
     r_j = best["r"]
-    certificate = filtration.vv_cm_certificate(ideal, reduction, r=r_j)
-    if not certificate:
+    levels = filtration.vv_levels(ideal, reduction, r=r_j)
+    if not levels[-1].holds:
         witness = {"reason": "Valabrega-Valla certificate false", "r": r_j}
         return BoundReport(instance_id, "prop3.4", None, None, UNVERIFIED, witness)
     e = filtration.multiplicity_samuel(ideal)
-    ell_r_j = filtration.reduction_colength(reduction, ideal.k, max_t=max_truncation)
+    first = levels[0]
+    _require_certified(first.t, max_truncation)
+    ell_r_j = first.columns - first.dim_prod
     if ell_r_j != e:
         witness = {"reason": "l(R/J) != e(I): candidate not a parameter reduction",
                    "l_R_J": ell_r_j, "e": e}
         return BoundReport(instance_id, "prop3.4", None, None, UNVERIFIED, witness)
-    cache = filtration.power_cache(ideal)
-    ji_gens = poly_product_generators(reduction.gens, ideal)
-    t, _ = certified_truncation(ji_gens, ideal.k, max_truncation)
-    algebra = TruncatedAlgebra(ideal.k, t - 1)
-    dim_i2 = monomial_image_dim(cache.power(2), t - 1)
-    dim_ji = ideal_image(ji_gens, algebra).dim
-    ell_i2_ji = dim_i2 - dim_ji
+    if r_j == 0:  # J = I, so JI = I^2 and its least certified t is that of I^2
+        t_ji, ell_i2_ji = filtration.power_cache(ideal).power(2).smallest_contained_m_power(), 0
+    else:
+        t_ji, ell_i2_ji = levels[1].t, levels[1].dim_power - levels[1].dim_prod
+    _require_certified(t_ji, max_truncation)
     rhs = 1 + ell_i2_ji
     witness = {
         "direction": "<=",

@@ -237,14 +237,20 @@ def run_verify(args) -> dict:
 # -- reproduction of the two worked examples --------------------------------
 
 
-def reproduce_example_22() -> tuple[dict, list[str]]:
-    mismatches: list[str] = []
+class Expectations:
+    """Calling it compares a value with the paper's and passes the value on."""
 
-    def expect(name: str, got, wanted):
+    def __init__(self):
+        self.mismatches: list[str] = []
+
+    def __call__(self, name: str, got, wanted):
         if got != wanted:
-            mismatches.append(f"{name}: got {got!r}, expected {wanted!r}")
+            self.mismatches.append(f"{name}: got {got!r}, expected {wanted!r}")
         return got
 
+
+def reproduce_example_22() -> tuple[dict, list[str]]:
+    expect = Expectations()
     plane = ("x", "y")
     ideal = parse_ideal("x^3, x^2*y^4, x*y^5, y^7", plane)
     mu_table = [filtration.mu(ideal, n) for n in range(1, 7)]
@@ -298,17 +304,11 @@ def reproduce_example_22() -> tuple[dict, list[str]]:
         "bound": bound.to_dict(),
         "sharp": bound.status == "sharp",
     }
-    return result, mismatches
+    return result, expect.mismatches
 
 
 def reproduce_example_32() -> tuple[dict, list[str]]:
-    mismatches: list[str] = []
-
-    def expect(name: str, got, wanted):
-        if got != wanted:
-            mismatches.append(f"{name}: got {got!r}, expected {wanted!r}")
-        return got
-
+    expect = Expectations()
     S = semigroup.NumericalSemigroup((4, 5, 6, 7))
     ideal = semigroup.SemigroupIdeal(S, (4, 5, 6))
     maximal = semigroup.SemigroupIdeal(S, (4, 5, 6, 7))
@@ -336,7 +336,7 @@ def reproduce_example_32() -> tuple[dict, list[str]]:
         "bound": report.to_dict(),
         "sharp": report.status == "sharp",
     }
-    return result, mismatches
+    return result, expect.mismatches
 
 
 def run_reproduce(args) -> tuple[dict, list[str]]:

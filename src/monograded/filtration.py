@@ -230,37 +230,66 @@ def reduction_number(
     return best, trials_out
 
 
-def monomial_reduction_number(
-    ideal: MonomialIdeal, monomial_reduction: MonomialIdeal, n_bound: int = 64
-) -> int:
-    """Brute-force oracle for monomial reductions J: compare J*I^n with I^(n+1)
-    generator-by-generator, entirely inside the monomial world."""
-    cache = power_cache(ideal)
-    for n in range(n_bound + 1):
-        if monomial_reduction * cache.power(n) == cache.power(n + 1):
-            return n
-    raise NotAReduction(f"not a reduction within n <= {n_bound}")
-
-
-def reduction_colength(reduction: Reduction, k: int, max_t: int = 40) -> int:
-    """ell(R/J) through a certified truncation of J."""
-    t, _ = certified_truncation(reduction.gens, k, max_t)
-    algebra = TruncatedAlgebra(k, t - 1)
-    image = ideal_image(reduction.gens, algebra)
-    return algebra.dimension - image.dim
-
-
 # -- Valabrega-Valla certificate and the a-invariant of G -------------------
 
 
-def _certified_t(gens, k: int, floor: int, cap: int) -> int:
+def _certified(gens, k: int, floor: int, cap: int) -> tuple[int, dict]:
     """Truncation certificate with an adaptive first attempt."""
     try:
-        t, _ = certified_truncation(gens, k, min(floor + 4, cap))
-        return t
+        return certified_truncation(gens, k, min(floor + 4, cap))
     except ComputationError:
-        t, _ = certified_truncation(gens, k, cap)
-        return t
+        return certified_truncation(gens, k, cap)
+
+
+@dataclass
+class VVLevel:
+    """Level n of the Valabrega-Valla test, as dimensions in S/m^t for the
+    least t with m^t certified inside J*I^(n-1)."""
+
+    t: int
+    columns: int  # S/m^t
+    dim_power: int  # I^n
+    dim_j: int  # J
+    dim_sum: int  # J + I^n
+    dim_prod: int  # J*I^(n-1)
+
+    @property
+    def holds(self) -> bool:  # I^n intersect J = J*I^(n-1)
+        return self.dim_power + self.dim_j - self.dim_sum == self.dim_prod
+
+
+def vv_levels(
+    ideal: MonomialIdeal,
+    reduction: Reduction,
+    r: int | None = None,
+    max_truncation: int | None = None,
+) -> list[VVLevel]:
+    """The levels n = 1..r_J + 1 of `vv_cm_certificate`, up to the first that
+    fails.  Level 1 is J, so ell(R/J) = columns - dim_prod there; level 2 has
+    ell(I^2/JI) = dim_power - dim_prod."""
+    if r is None:
+        r = reduction_number_wrt(reduction, ideal)
+    cache = power_cache(ideal)
+    max_deg = max(g.degree for g in ideal.gens)
+    levels = []
+    for n in range(1, r + 2):
+        prod_gens = poly_product_generators(reduction.gens, cache.power(n - 1))
+        cap = max_truncation or max(max_deg * (n + 2), 8)
+        power_n = cache.power(n)
+        t, proof = _certified(prod_gens, ideal.k, power_n.smallest_contained_m_power(), cap)
+        algebra = TruncatedAlgebra(ideal.k, t - 1)
+        dim_prod = proof["image_dim"]
+        levels.append(VVLevel(
+            t=t,
+            columns=algebra.dimension,
+            dim_power=monomial_image_dim(power_n, t - 1),
+            dim_j=dim_prod if n == 1 else ideal_image(reduction.gens, algebra).dim,
+            dim_sum=ideal_image(reduction.gens, algebra, seed_ideal=power_n).dim,
+            dim_prod=dim_prod,
+        ))
+        if not levels[-1].holds:
+            break
+    return levels
 
 
 def vv_cm_certificate(
@@ -274,26 +303,10 @@ def vv_cm_certificate(
     Certifies Cohen-Macaulayness of the associated graded ring; for n beyond
     r_J the equality is automatic.  Each level is decided exactly: with m^t
     inside J*I^(n-1) the three subspace dimensions at truncation t - 1 pin the
-    ideal-level intersection down.
+    ideal-level intersection down.  The certificate echelon of J*I^(n-1) gives
+    its dimension at t - 1 (`vv_levels` reports each level's data).
     """
-    if r is None:
-        r = reduction_number_wrt(reduction, ideal)
-    cache = power_cache(ideal)
-    max_deg = max(g.degree for g in ideal.gens)
-    for n in range(1, r + 2):
-        prod_gens = poly_product_generators(reduction.gens, cache.power(n - 1))
-        cap = max_truncation or max(max_deg * (n + 2), 8)
-        floor = cache.power(n).smallest_contained_m_power()
-        t = _certified_t(prod_gens, ideal.k, floor, cap)
-        algebra = TruncatedAlgebra(ideal.k, t - 1)
-        power_n = cache.power(n)
-        dim_power = monomial_image_dim(power_n, t - 1)
-        dim_j = ideal_image(reduction.gens, algebra).dim
-        dim_sum = ideal_image(reduction.gens, algebra, seed_ideal=power_n).dim
-        dim_prod = ideal_image(prod_gens, algebra).dim
-        if dim_power + dim_j - dim_sum != dim_prod:
-            return False
-    return True
+    return vv_levels(ideal, reduction, r=r, max_truncation=max_truncation)[-1].holds
 
 
 def a_G_if_CM(ideal: MonomialIdeal, reduction: Reduction, r: int | None = None) -> int:

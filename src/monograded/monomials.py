@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import comb
 
 from .errors import DimensionMismatch, InfiniteLength, ZeroIdealColon
 
@@ -67,10 +66,6 @@ class Monomial:
         self._check(other)
         return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
 
-    def gcd(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return Monomial(tuple(min(a, b) for a, b in zip(self.exps, other.exps)))
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         self._check(other)
         return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
@@ -90,10 +85,6 @@ class Monomial:
         supp = self.support
         return supp[0] if len(supp) == 1 else None
 
-    def coprime(self, other: "Monomial") -> bool:
-        self._check(other)
-        return all(a == 0 or b == 0 for a, b in zip(self.exps, other.exps))
-
     def format(self, names=None) -> str:
         if self.is_one:
             return "1"
@@ -112,12 +103,8 @@ class Monomial:
 
 def minimalize(gens) -> frozenset[Monomial]:
     """The unique minimal generating set: drop every monomial divisible by another."""
-    gens = set(gens)
-    minimal = set()
-    for g in sorted(gens, key=lambda m: (m.degree, m.exps)):
-        if not any(h.divides(g) for h in minimal):
-            minimal.add(g)
-    return frozenset(minimal)
+    by_exps = {g.exps: g for g in gens}
+    return frozenset(by_exps[e] for e in _minimalize_exps(by_exps))
 
 
 class MonomialIdeal:
@@ -154,10 +141,6 @@ class MonomialIdeal:
     @property
     def is_unit(self) -> bool:
         return any(g.is_one for g in self.gens)
-
-    @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
 
     def contains_monomial(self, m: Monomial) -> bool:
         return any(g.divides(m) for g in self.gens)
@@ -370,11 +353,6 @@ def compositions(n: int, k: int):
             yield (first,) + rest
 
 
-def count_monomials_upto(k: int, n: int) -> int:
-    """Number of monomials of degree <= n in k variables."""
-    return comb(n + k, k)
-
-
 # -- parsing ------------------------------------------------------------
 
 _FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?$")
@@ -409,15 +387,3 @@ def parse_ideal(text: str, names) -> MonomialIdeal:
         return MonomialIdeal.zero(len(names), names)
     gens = [parse_monomial(part, names) for part in text.split(",")]
     return MonomialIdeal(len(names), gens, names)
-
-
-def graded_length_table(ideal: MonomialIdeal, upto: int) -> list[int]:
-    """[ell((R/I)_n) for n in 0..upto]."""
-    return [ideal.graded_length(n) for n in range(upto + 1)]
-
-
-def length_between(larger: MonomialIdeal, smaller: MonomialIdeal) -> int:
-    """ell(A/B) for monomial ideals B subset A with Artinian quotients."""
-    if not larger.contains_ideal(smaller):
-        raise ValueError("length_between requires the second ideal inside the first")
-    return smaller.quotient_length() - larger.quotient_length()

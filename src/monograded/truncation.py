@@ -6,18 +6,25 @@ The stabilization of ell(S/(A + m^t)) in t certifies m^t inside A by
 Nakayama's lemma in the local ring at the origin, which makes equality,
 containment, and relative-length answers conclusive for m-primary ideals.
 
+A product (q_1..q_s)*M of polynomials with a monomial ideal stays factored
+(`PolyProduct`): its image is spanned by one row q*w per q and monomial w of M,
+not one per way of writing w = u*g over the generators g of M.  A list of
+generators is the product with the unit ideal.  The echelon behind a
+certificate at t also gives dim (A + m^t)/m^t, which `certified_truncation`
+returns, so callers need not rebuild the image at t - 1.
+
 All elimination is fraction-free over the integers; clearing denominators of
 rational inputs does not change spans over the rationals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 from .errors import ContainmentViolation, NotCertified
-from .monomials import Monomial, MonomialIdeal, compositions, count_monomials_upto
+from .monomials import Monomial, MonomialIdeal, compositions
 
 
 class PolyElement:
@@ -54,6 +61,14 @@ class PolyElement:
     def min_degree(self) -> int:
         return min(sum(e) for e in self.terms) if self.terms else 0
 
+    def integer_terms(self) -> list[tuple[tuple[int, ...], int]]:
+        """The terms scaled by the lcm of the coefficient denominators."""
+        denom = 1
+        for c in self.terms.values():
+            if isinstance(c, Fraction):
+                denom = denom * c.denominator // gcd(denom, c.denominator)
+        return [(exps, int(c * denom)) for exps, c in self.terms.items()]
+
     def times_monomial(self, exps: tuple[int, ...]) -> "PolyElement":
         return PolyElement(
             self.k,
@@ -78,9 +93,21 @@ class PolyElement:
         return f"PolyElement({self.terms})"
 
 
-def poly_product_generators(polys, monomial_ideal: MonomialIdeal) -> list[PolyElement]:
-    """Generators {p * g} of the product of (polys) with a monomial ideal."""
-    return [p.times_monomial(g.exps) for p in polys for g in monomial_ideal.gens]
+class PolyProduct:
+    """The ideal (polys)*M, kept factored: spanned by q*w for q in the nonzero
+    polys and w a monomial of the monomial ideal M (None: the unit ideal)."""
+
+    __slots__ = ("polys", "ideal")
+
+    def __init__(self, polys, ideal: MonomialIdeal | None):
+        polys = (p if isinstance(p, PolyElement) else PolyElement.from_monomial(p) for p in polys)
+        self.polys = [p for p in polys if not p.is_zero]
+        self.ideal = ideal
+
+
+def poly_product_generators(polys, monomial_ideal: MonomialIdeal) -> PolyProduct:
+    """The product of (polys) with a monomial ideal, in factored form."""
+    return PolyProduct(polys, monomial_ideal)
 
 
 class TruncatedAlgebra:
@@ -109,23 +136,22 @@ class TruncatedAlgebra:
         t = max(0, min(t, self.N + 1))
         return self.degree_starts[t]
 
-    def row_of(self, poly: PolyElement) -> dict[int, int]:
-        """Sparse integer row of the truncated image of poly (denominators cleared)."""
-        entries: dict[int, Fraction | int] = {}
-        for exps, coeff in poly.terms.items():
-            col = self.index.get(exps)
-            if col is not None:
-                entries[col] = entries.get(col, 0) + coeff
-        denom = 1
-        for c in entries.values():
-            if isinstance(c, Fraction):
-                denom = denom * c.denominator // gcd(denom, c.denominator)
-        row = {}
-        for col, c in entries.items():
-            v = int(c * denom)
-            if v:
-                row[col] = v
-        return row
+    def ideal_columns(self, ideal: MonomialIdeal | None, top: int):
+        """Ascending columns of the monomials of degree <= top in the monomial
+        ideal (None: the unit ideal), marked as multiples of its generators."""
+        if ideal is None:
+            return range(self.columns_below_degree(top + 1))
+        index, monomials = self.index, self.monomials
+        cols = set()
+        for g in ideal.gens:
+            for u in monomials[: self.columns_below_degree(top + 1 - g.degree)]:
+                cols.add(index[tuple(map(add, g.exps, u))])
+        return sorted(cols)
+
+    def degree_in_span(self, ech: "Echelon", t: int) -> bool:
+        """Whether every monomial of degree t is a pivot column of `ech`."""
+        lo, hi = self.degree_starts[t], self.degree_starts[t + 1]
+        return ech.pivots_below(hi) - ech.pivots_below(lo) == hi - lo
 
 
 def _normalize(row: dict[int, int]) -> dict[int, int]:
@@ -152,6 +178,7 @@ class Echelon:
         return len(self.pivots)
 
     def reduce(self, row: dict[int, int]) -> dict[int, int]:
+        """row reduced by the pivot rows, up to a scalar (multipliers over their gcd)."""
         row = {c: v for c, v in row.items() if v}
         while row:
             c = min(row)
@@ -159,12 +186,16 @@ class Echelon:
             if pivot_row is None:
                 return row
             a, b = pivot_row[c], row[c]
-            new = {}
-            for col in row.keys() | pivot_row.keys():
-                v = a * row.get(col, 0) - b * pivot_row.get(col, 0)
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                row = {col: a * v for col, v in row.items()}
+            for col, v in pivot_row.items():
+                v = row.get(col, 0) - b * v
                 if v:
-                    new[col] = v
-            row = new
+                    row[col] = v
+                else:
+                    del row[col]
         return row
 
     def add(self, row: dict[int, int]) -> bool:
@@ -175,31 +206,15 @@ class Echelon:
         self.pivots[min(row)] = row
         return True
 
-    def seed_unit_columns(self, cols) -> None:
-        """Insert unit vectors; the caller guarantees they are new pivots."""
-        for c in cols:
-            self.pivots[c] = {c: 1}
-
     def contains(self, row: dict[int, int]) -> bool:
         return not self.reduce(row)
 
+    def contains_all(self, other: "Echelon") -> bool:
+        return all(self.contains(row) for row in other.pivots.values())
+
     def pivots_below(self, col_bound: int) -> int:
+        """dim of the projection to the first `col_bound` columns."""
         return sum(1 for c in self.pivots if c < col_bound)
-
-
-@dataclass
-class IdealSubspace:
-    """The image of an ideal in a truncated algebra, with an optional
-    certificate `t` recording a machine-checked proof that m^t lies in it."""
-
-    ambient: TruncatedAlgebra
-    generators: list[PolyElement]
-    echelon: Echelon = field(default_factory=Echelon)
-    certificate: int | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.echelon.dim
 
 
 def ideal_image(
@@ -207,36 +222,47 @@ def ideal_image(
     algebra: TruncatedAlgebra,
     target_dim: int | None = None,
     seed_ideal: MonomialIdeal | None = None,
-) -> IdealSubspace:
+    until_full_degree: bool = False,
+) -> Echelon:
     """Row-reduced image of the ideal generated by `gens` in the truncation.
 
-    Rows u*g are produced by ascending multiplier degree; with `target_dim` the
-    build stops as soon as the span reaches that dimension.  A monomial
-    `seed_ideal` contributes its truncated monomials directly as unit rows.
+    `gens` is a list of generators or a `PolyProduct`.  Rows q*w come by
+    ascending degree of w; with `target_dim` the build stops once the span has
+    that dimension.  No later row has a term below degree deg w + mindeg q, so
+    with `until_full_degree` it stops at the first such settled degree
+    1 <= t < N inside the span.  A `seed_ideal` gives unit rows.
     """
-    sub = IdealSubspace(algebra, list(gens))
-    ech = sub.echelon
+    ech = Echelon()
     if seed_ideal is not None:
-        cols = [
-            i
-            for i, exps in enumerate(algebra.monomials)
-            if seed_ideal.contains_monomial(Monomial(exps))
-        ]
-        ech.seed_unit_columns(cols)
+        ech.pivots.update((c, {c: 1}) for c in algebra.ideal_columns(seed_ideal, algebra.N))
     if target_dim is not None and ech.dim >= target_dim:
-        return sub
-    polys = [g if isinstance(g, PolyElement) else PolyElement.from_monomial(g) for g in gens]
-    min_degs = [p.min_degree for p in polys]
-    for deg_u in range(algebra.N + 1):
-        live = [p for p, d in zip(polys, min_degs) if deg_u + d <= algebra.N]
-        if not live:
-            break
-        for exps in compositions(deg_u, algebra.k):
-            for p in live:
-                if ech.add(algebra.row_of(p.times_monomial(exps))):
-                    if target_dim is not None and ech.dim >= target_dim:
-                        return sub
-    return sub
+        return ech
+    product = gens if isinstance(gens, PolyProduct) else PolyProduct(gens, None)
+    if not product.polys:
+        return ech
+    # q*w survives the truncation iff deg w + mindeg q <= N: a column prefix.
+    N, index, monomials = algebra.N, algebra.index, algebra.monomials
+    factors = [(p.integer_terms(), algebra.columns_below_degree(N + 1 - p.min_degree))
+               for p in product.polys]
+    least = min(p.min_degree for p in product.polys)
+    t = 1  # the next degree to test for fullness
+    for col in algebra.ideal_columns(product.ideal, N - least):
+        w = monomials[col]
+        while until_full_degree and t < min(sum(w) + least, N):
+            if algebra.degree_in_span(ech, t):
+                return ech
+            t += 1
+        for terms, bound in factors:
+            if col >= bound:
+                continue
+            row = {}
+            for exps, c in terms:
+                j = index.get(tuple(map(add, exps, w)))
+                if j is not None:
+                    row[j] = c
+            if ech.add(row) and target_dim is not None and ech.dim >= target_dim:
+                return ech
+    return ech
 
 
 def certified_truncation(gens, k: int, max_t: int):
@@ -244,60 +270,56 @@ def certified_truncation(gens, k: int, max_t: int):
     data; the equality forces m^t inside A + m^(t+1) and hence inside A by
     Nakayama, provided A is m-primary (otherwise no t stabilizes).
 
-    The truncation size is grown geometrically so that small certificates are
-    found inside small algebras."""
-    polys = [g if isinstance(g, PolyElement) else PolyElement.from_monomial(g) for g in gens]
-    floor = max((p.min_degree for p in polys if not p.is_zero), default=1)
+    The proof records `stable_length` = ell(S/A) and `image_dim` =
+    dim (A + m^t)/m^t.  The truncation size is grown geometrically so that
+    small certificates are found inside small algebras; each image stops at
+    its first settled degree inside the span, which is the least t."""
+    if not isinstance(gens, PolyProduct):
+        gens = PolyProduct(gens, None)
+    # the largest least degree of a generator q*g, as for the expanded list
+    gen_degrees = [0] if gens.ideal is None else [g.degree for g in gens.ideal.gens]
+    floor = 1
+    if gens.polys and gen_degrees:
+        floor = max(p.min_degree for p in gens.polys) + max(gen_degrees)
     attempt = min(max(4, floor + 2), max_t)
     while True:
         algebra = TruncatedAlgebra(k, attempt)
-        sub = ideal_image(polys, algebra)
-        lengths = [
-            algebra.columns_below_degree(t)
-            - sub.echelon.pivots_below(algebra.columns_below_degree(t))
-            for t in range(attempt + 1)
-        ]
+        ech = ideal_image(gens, algebra, until_full_degree=True)
         for t in range(1, attempt):
-            if lengths[t] == lengths[t + 1]:
-                return t, {"t": t, "stable_length": lengths[t]}
+            if algebra.degree_in_span(ech, t):  # ell(S/(A+m^t)) = ell(S/(A+m^(t+1)))
+                dim = ech.pivots_below(algebra.columns_below_degree(t))
+                return t, {"t": t, "stable_length": algebra.columns_below_degree(t) - dim,
+                           "image_dim": dim}
         if attempt >= max_t:
             raise NotCertified(f"no truncation certificate up to degree {max_t}")
         attempt = min(attempt * 2, max_t)
 
 
+def _images(a_gens, b_gens, k: int, N: int) -> tuple[Echelon, Echelon]:
+    algebra = TruncatedAlgebra(k, N)
+    return ideal_image(a_gens, algebra), ideal_image(b_gens, algebra)
+
+
 def ideal_equal_mod(a_gens, b_gens, k: int, N: int) -> bool:
     """Whether the two ideals have the same image in S/m^(N+1)."""
-    algebra = TruncatedAlgebra(k, N)
-    a = ideal_image(a_gens, algebra)
-    b = ideal_image(b_gens, algebra)
-    if a.dim != b.dim:
-        return False
-    return all(a.echelon.contains(row) for row in b.echelon.pivots.values())
+    a, b = _images(a_gens, b_gens, k, N)
+    return a.dim == b.dim and a.contains_all(b)
 
 
 def contains_mod(a_gens, b_gens, k: int, N: int) -> bool:
     """Whether the image of B lies inside the image of A in S/m^(N+1)."""
-    algebra = TruncatedAlgebra(k, N)
-    a = ideal_image(a_gens, algebra)
-    b = ideal_image(b_gens, algebra)
-    return all(a.echelon.contains(row) for row in b.echelon.pivots.values())
+    a, b = _images(a_gens, b_gens, k, N)
+    return a.contains_all(b)
 
 
 def subspace_length_between(a_gens, b_gens, k: int, N: int) -> int:
     """ell(A/B) for ideals B inside A, provided m^(N+1) lies in B."""
-    algebra = TruncatedAlgebra(k, N)
-    a = ideal_image(a_gens, algebra)
-    b = ideal_image(b_gens, algebra)
-    if not all(a.echelon.contains(row) for row in b.echelon.pivots.values()):
+    a, b = _images(a_gens, b_gens, k, N)
+    if not a.contains_all(b):
         raise ContainmentViolation("second ideal is not contained in the first")
     return a.dim - b.dim
 
 
 def monomial_image_dim(ideal: MonomialIdeal, N: int) -> int:
     """Dimension of the image of a monomial ideal in S/m^(N+1): a count."""
-    total = 0
-    for d in range(N + 1):
-        for exps in compositions(d, ideal.k):
-            if ideal.contains_monomial(Monomial(exps)):
-                total += 1
-    return total
+    return len(TruncatedAlgebra(ideal.k, N).ideal_columns(ideal, N))

@@ -3,8 +3,15 @@
 from fractions import Fraction
 from itertools import product
 
+from monograded.errors import NotAReduction
 from monograded.cohomology import CohomologyTable, OrthantClass, cech_class_cohomology
 from monograded.monomials import Monomial, MonomialIdeal
+from monograded.truncation import (
+    TruncatedAlgebra,
+    certified_truncation,
+    ideal_image,
+    monomial_image_dim,
+)
 
 
 def monomials_upto(k: int, bound: int):
@@ -77,3 +84,51 @@ def exhaustive_cohomology_table(ideal: MonomialIdeal) -> CohomologyTable:
         if any(dims):
             classes.append((sum(v for v in clamped if v is not None), len(negative), dims))
     return CohomologyTable(ideal.k, rho, classes)
+
+
+def expanded_product(polys, ideal: MonomialIdeal) -> list:
+    """The generators {q*g} of (polys)*M, one per polynomial and generator."""
+    return [p.times_monomial(g.exps) for p in polys for g in ideal.gens]
+
+
+def least_full_degree(gens, k: int, N: int):
+    """Least 1 <= t < N with every degree-t monomial in the image of the ideal
+    in S/m^(N+1), read off the whole image (None if there is none)."""
+    algebra = TruncatedAlgebra(k, N)
+    image = ideal_image(gens, algebra)
+    for t in range(1, N):
+        lo, hi = algebra.columns_below_degree(t), algebra.columns_below_degree(t + 1)
+        if image.pivots_below(hi) - image.pivots_below(lo) == hi - lo:
+            return t
+    return None
+
+
+def reduction_colength(reduction, k: int, max_t: int = 40) -> int:
+    """ell(R/J) through a certified truncation of J and a fresh image at t - 1."""
+    t, _ = certified_truncation(reduction.gens, k, max_t)
+    algebra = TruncatedAlgebra(k, t - 1)
+    return algebra.dimension - ideal_image(reduction.gens, algebra).dim
+
+
+def prop34_lengths(ideal: MonomialIdeal, reduction, max_t: int = 40) -> tuple[int, int]:
+    """(ell(R/J), ell(I^2/JI)), each on its own certificate, with JI given by
+    its expanded generators."""
+    ji = expanded_product(reduction.gens, ideal)
+    t, _ = certified_truncation(ji, ideal.k, max_t)
+    algebra = TruncatedAlgebra(ideal.k, t - 1)
+    ell_i2_ji = monomial_image_dim(ideal.power(2), t - 1) - ideal_image(ji, algebra).dim
+    return reduction_colength(reduction, ideal.k, max_t), ell_i2_ji
+
+
+def monomial_reduction_number(
+    ideal: MonomialIdeal, monomial_reduction: MonomialIdeal, n_bound: int = 64
+) -> int:
+    """Least n with J*I^n = I^(n+1) for a monomial J, compared generator by
+    generator inside the monomial world."""
+    power = MonomialIdeal.unit(ideal.k, ideal.names)
+    for n in range(n_bound + 1):
+        nxt = power * ideal
+        if monomial_reduction * power == nxt:
+            return n
+        power = nxt
+    raise NotAReduction(f"not a reduction within n <= {n_bound}")

@@ -25,7 +25,6 @@ from monograded.filtration import (
     Reduction,
     a_G_if_CM,
     minimal_reduction,
-    monomial_reduction_number,
     multiplicity_samuel,
     ratliff_rush,
     reduction_number,
@@ -44,6 +43,8 @@ from monograded.semigroup import (
     rr_sg,
 )
 from monograded.truncation import PolyElement
+
+from oracles import monomial_reduction_number
 
 
 def check(num: int, description: str, passed: bool, detail: str = ""):

@@ -10,6 +10,7 @@ from monograded.bounds import (
     aggregate,
     corpus_monomial,
     corpus_semigroup,
+    instance_seed,
     random_m_primary_ideal,
     run_corpus,
     verify_eg_inequality,
@@ -18,9 +19,12 @@ from monograded.bounds import (
     verify_prop_3_3,
     verify_prop_3_4,
 )
-from monograded.errors import ComputationError
+from monograded.errors import ComputationError, NotCertified
+from monograded.filtration import minimal_reduction, reduction_number
 from monograded.monomials import MonomialIdeal, parse_ideal
 from monograded.semigroup import NumericalSemigroup, SemigroupIdeal
+
+from oracles import prop34_lengths
 
 XY = ("x", "y")
 ABCD = ("a", "b", "c", "d")
@@ -87,6 +91,47 @@ def test_prop34_examples():
     assert report.witness["l_R_J"] == report.witness["e"]
     with pytest.raises(ComputationError):
         verify_prop_3_4(parse_ideal("x^2, y^2", XY))
+
+
+def test_prop34_max_truncation_bounds_both_certificates():
+    # m^3: J is three generic cubics, certified at t = 7 (ell(R/J) = 27)
+    m3 = MonomialIdeal(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]).power(3)
+    with pytest.raises(NotCertified):
+        verify_prop_3_4(m3, "m3", max_truncation=7)
+    rep = verify_prop_3_4(m3, "m3", max_truncation=8)
+    assert rep.status == SHARP
+    assert rep.witness["l_I2_JI"] == 1 and rep.witness["l_R_J"] == 27
+    # J certified at t = 3 and JI at t = 4; with r_J = 0, JI = I^2 needs t = 5
+    xyz = ("x", "y", "z")
+    for text, index, first_ok in (("z, y^2, x*y, x^2", 0, 5), ("y, z^2, x^2", 7, 6)):
+        ideal = parse_ideal(text, xyz)
+        for max_t in range(3, first_ok):
+            with pytest.raises(NotCertified):
+                verify_prop_3_4(ideal, text, seed=instance_seed(0, index), max_truncation=max_t)
+        rep = verify_prop_3_4(ideal, text, seed=instance_seed(0, index), max_truncation=first_ok)
+        assert rep.witness["l_I2_JI"] == 0 and rep.witness["l_R_J"] == 4
+
+
+def test_prop34_witnesses_match_separate_certificates():
+    # the lengths read off the Valabrega-Valla levels against a recomputation
+    # of ell(R/J) and ell(I^2/JI), each on its own certificate
+    maximal = MonomialIdeal(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    instances = [(f"m^{p}", maximal.power(p), 0) for p in (1, 2, 3)]
+    instances += [(iid, ideal, instance_seed(0, i))
+                  for i, (iid, ideal) in enumerate(corpus_monomial(0, 40, 3, 3))]
+    compared = set()
+    for iid, ideal, seed in instances:
+        rep = verify_prop_3_4(ideal, iid, seed=seed)
+        if "l_R_J" not in rep.witness:
+            continue
+        _, trials = reduction_number(ideal, trials=2, seed=seed)
+        best = min(trials, key=lambda tr: tr["r"])
+        l_r_j, l_i2_ji = prop34_lengths(ideal, minimal_reduction(ideal, best["seed"]))
+        assert rep.witness["l_R_J"] == l_r_j, iid
+        if "l_I2_JI" in rep.witness:
+            assert rep.witness["l_I2_JI"] == l_i2_ji, iid
+            compared.add(rep.witness["r_J"])
+    assert {0, 1, 2} <= compared
 
 
 def test_statuses_and_no_violations_on_corpora():

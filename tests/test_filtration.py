@@ -13,17 +13,17 @@ from monograded.filtration import (
     gamma_positive,
     h0_G,
     minimal_reduction,
-    monomial_reduction_number,
     mu,
     multiplicity_samuel,
     ratliff_rush,
-    reduction_colength,
     reduction_number,
     reduction_number_wrt,
     vv_cm_certificate,
 )
 from monograded.monomials import MonomialIdeal, parse_ideal
 from monograded.truncation import PolyElement
+
+from oracles import monomial_reduction_number, reduction_colength
 
 XY = ("x", "y")
 EX_IDEAL = parse_ideal("x^3, x^2*y^4, x*y^5, y^7", XY)

@@ -5,6 +5,7 @@ import pytest
 
 from monograded.bounds import random_m_primary_ideal
 from monograded.errors import ContainmentViolation, NotCertified
+from monograded.filtration import minimal_reduction
 from monograded.monomials import Monomial, MonomialIdeal, parse_ideal
 from monograded.truncation import (
     Echelon,
@@ -19,7 +20,7 @@ from monograded.truncation import (
     subspace_length_between,
 )
 
-from oracles import fraction_rank
+from oracles import expanded_product, fraction_rank, least_full_degree
 
 XY = ("x", "y")
 
@@ -156,6 +157,51 @@ def test_monomial_image_dim_is_count():
         assert built.dim == monomial_image_dim(ideal, n)
 
 
+def _random_polys(rng, k: int, count: int) -> list[PolyElement]:
+    coeffs = (1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3))
+    polys = []
+    for _ in range(count):
+        terms = {tuple(rng.randint(0, 2) for _ in range(k)): rng.choice(coeffs)
+                 for _ in range(rng.randint(1, 4))}
+        polys.append(PolyElement(k, terms))
+    return polys
+
+
+def test_factored_image_matches_expanded_generators():
+    rng = random.Random(97)
+    for _ in range(24):
+        k = rng.randint(2, 3)
+        polys = _random_polys(rng, k, rng.randint(1, 3))
+        gens = [Monomial(tuple(rng.randint(0, 3) for _ in range(k))) for _ in range(rng.randint(1, 4))]
+        ideal = MonomialIdeal(k, gens)
+        factored = poly_product_generators(polys, ideal)
+        expanded = expanded_product(polys, ideal)
+        for n in (2, 4, 6):
+            algebra = TruncatedAlgebra(k, n)
+            a = ideal_image(factored, algebra)
+            b = ideal_image(expanded, algebra)
+            assert a.dim == b.dim
+            assert a.contains_all(b) and b.contains_all(a)
+
+
+def test_certificate_dim_matches_fresh_image():
+    rng = random.Random(101)
+    for trial in range(16):
+        k = rng.randint(2, 3)
+        ideal = random_m_primary_ideal(rng, k, 3)
+        reduction = minimal_reduction(ideal, seed=trial).gens
+        for gens in (reduction, poly_product_generators(reduction, ideal.power(rng.randint(0, 2)))):
+            t, proof = certified_truncation(gens, k, 30)
+            algebra = TruncatedAlgebra(k, t - 1)
+            fresh = ideal_image(gens, algebra).dim
+            assert proof["image_dim"] == fresh
+            assert proof["stable_length"] == algebra.dimension - fresh
+            # the early stop finds the least full degree of the whole image
+            assert t == least_full_degree(gens, k, t + 2)
+            if not isinstance(gens, list):
+                assert certified_truncation(expanded_product(gens.polys, gens.ideal), k, 30) == (t, proof)
+
+
 def test_echelon_exactness_against_fraction_rank():
     rng = random.Random(89)
     for _ in range(30):
@@ -191,6 +237,4 @@ def test_poly_element_arithmetic():
     assert prod.terms[(2, 0)] == 1 and prod.terms[(0, 2)] == Fraction(1, 4)
     assert PolyElement(2, {(0, 0): 0}).is_zero
     # rows clear denominators without changing the span
-    algebra = TruncatedAlgebra(2, 2)
-    row = algebra.row_of(p)
-    assert sorted(row.values()) == [1, 2]
+    assert sorted(c for _, c in p.integer_terms()) == [1, 2]
