@@ -21,9 +21,7 @@ from .hilbert import (
 )
 from .cohomology import (
     CohomologyTable,
-    OrthantClass,
     a_invariant,
-    cech_class_cohomology,
     cohomology_table,
     depth,
     eg_invariant,
@@ -34,9 +32,6 @@ from .truncation import (
     PolyProduct,
     TruncatedAlgebra,
     certified_truncation,
-    contains_mod,
-    ideal_equal_mod,
-    subspace_length_between,
 )
 from .filtration import (
     FiltrationReport,

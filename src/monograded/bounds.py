@@ -14,7 +14,7 @@ from math import gcd
 
 from . import cohomology, filtration, hilbert, semigroup
 from .errors import ComputationError, NotCertified
-from .monomials import Monomial, MonomialIdeal
+from .monomials import MonomialIdeal
 
 HOLDS = "holds"
 SHARP = "sharp"
@@ -237,14 +237,11 @@ def verify_prop_3_4(
 def random_m_primary_ideal(rng: random.Random, k: int, deg_bound: int) -> MonomialIdeal:
     """A pure power of each variable plus a few random under-staircase monomials."""
     pure = [rng.randint(1, deg_bound) for _ in range(k)]
-    gens = [
-        Monomial(tuple(a if i == j else 0 for i in range(k)))
-        for j, a in enumerate(pure)
-    ]
+    gens = [tuple(a if i == j else 0 for i in range(k)) for j, a in enumerate(pure)]
     for _ in range(rng.randint(0, k + 1)):
         exps = tuple(rng.randint(0, max(a - 1, 0)) for a in pure)
         if sum(exps) > 0:
-            gens.append(Monomial(exps))
+            gens.append(exps)
     return MonomialIdeal(k, gens)
 
 

@@ -5,8 +5,8 @@ same document.  Every document embeds the resolved run configuration and a
 schema version, so identical configurations produce byte-identical output.
 
 Exit codes: 0 success, 1 computation failure, 2 usage error (malformed ring,
-ideal, window or semigroup input gives a JSON error document), 3 reproduction
-mismatch.
+ideal, window or semigroup input and out-of-range numeric options give a JSON
+error document), 3 reproduction mismatch.
 """
 
 from __future__ import annotations
@@ -90,6 +90,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The least value each numeric option accepts.
+OPTION_MINIMUM = {
+    "trials": 1, "coeff_bound": 1, "n_bound": 0, "max_truncation": 1, "powers": 0,
+    "count": 0, "vars": 1, "degree_bound": 1,
+}
+
+
+def check_option_ranges(args) -> None:
+    for key, least in OPTION_MINIMUM.items():
+        value = getattr(args, key, None)
+        if value is not None and value < least:
+            option = "--" + key.replace("_", "-")
+            raise UsageError(f"{option} must be at least {least}, got {value}")
+
+
 def parse_window(text: str | None, default: tuple[int, int]) -> tuple[int, int]:
     if not text:
         return default
@@ -149,17 +164,11 @@ def run_cohomology(args) -> dict:
     rho_sum = sum(table.rho)
     lo, hi = parse_window(args.window, (-rho_sum, rho_sum))
     data = hilbert.hilbert_data(ideal)
-    rows = []
-    for i in range(table.k + 1):
-        for n in range(lo, hi + 1):
-            value = table.h(i, n)
-            if value:
-                rows.append([i, n, value])
     return {
         "ring": list(ideal.names),
         "ideal": ideal.format(),
         "window": [lo, hi],
-        "h": rows,
+        "h": table.rows(lo, hi),
         "a": table.a_invariant,
         "depth": table.depth,
         "eg": table.eg_invariant,
@@ -436,11 +445,17 @@ def config_dict(args) -> dict:
     }
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:  # one parser per process
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     doc = {"schema": SCHEMA, "config": config_dict(args)}
     try:
+        check_option_ranges(args)
         if args.subcommand == "hilbert":
             doc["result"] = run_hilbert(args)
         elif args.subcommand == "cohomology":

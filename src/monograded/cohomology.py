@@ -16,21 +16,11 @@ the a-invariant, depth, and the binomial-weighted invariant EG(R).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
 
 from .errors import ZeroRing
 from .monomials import MonomialIdeal
-
-
-@dataclass(frozen=True)
-class OrthantClass:
-    """A class of multidegrees: negative support T plus the value of every
-    coordinate outside T."""
-
-    negative: frozenset[int]
-    clamped: tuple  # entry j is None for j in T, else an int in [0, rho_j - 1]
 
 
 def _compositions(t_size: int, clamp_sum: int, n: int) -> int:
@@ -104,18 +94,6 @@ def _class_dims(k: int, t_mask: int, kill_masks) -> tuple[int, ...]:
     )
 
 
-def cech_class_cohomology(ideal: MonomialIdeal, cls: OrthantClass) -> tuple[int, ...]:
-    """Dimensions (h^0..h^k) of the per-degree Cech complex at one orthant class."""
-    if ideal.is_unit:
-        raise ZeroRing("the zero ring has no local cohomology")
-    gen_exps = [g.exps for g in ideal.gens]
-    kill_masks = (0,) * len(gen_exps)
-    for j in range(ideal.k):
-        a_j = -1 if j in cls.negative else cls.clamped[j]
-        kill_masks = _extend_kill_masks(kill_masks, gen_exps, j, a_j)
-    return _class_dims(ideal.k, sum(1 << j for j in cls.negative), kill_masks)
-
-
 class CohomologyTable:
     """The nonzero local cohomology of a monomial quotient, by clamp sum and
     negative-support size, with derived invariants."""
@@ -164,10 +142,17 @@ class CohomologyTable:
         d = self.dim
         return sum(comb(d - 1, q) * self.h(q, 1 - q) for q in range(d))
 
-    @property
-    def degree_box_top(self) -> int:
-        """h^i(R)_n = 0 for every i once n exceeds this value."""
-        return sum(r - 1 for r in self.rho)
+    def rows(self, lo: int, hi: int) -> list[list[int]]:
+        """[i, n, h^i(R)_n] for the nonzero values with lo <= n <= hi, ordered
+        by i and then n: one pass over the entries for the whole window."""
+        values = [[0] * (hi - lo + 1) for _ in range(self.k + 1)]
+        for clamp_sum, t_size, dims in self.classes:
+            for n in range(lo, min(hi, clamp_sum - t_size) + 1):
+                count = _compositions(t_size, clamp_sum, n)
+                if count:
+                    for i, dim in enumerate(dims):
+                        values[i][n - lo] += dim * count
+        return [[i, lo + m, v] for i, row in enumerate(values) for m, v in enumerate(row) if v]
 
 
 @lru_cache(maxsize=256)
@@ -178,7 +163,7 @@ def cohomology_table(ideal: MonomialIdeal) -> CohomologyTable:
         raise ZeroRing("the zero ring has no local cohomology")
     k = ideal.k
     rho = ideal.max_exponents()
-    gen_exps = [g.exps for g in ideal.gens]
+    gen_exps = ideal.exps
 
     # A polynomial in the clamp sum is packed into one integer, coefficient s
     # in bits [s*width, (s+1)*width): products and sums of the class weights

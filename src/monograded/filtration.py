@@ -24,12 +24,17 @@ from .hilbert import (
 from .monomials import MonomialIdeal
 from .truncation import (
     PolyElement,
+    PolyProduct,
     TruncatedAlgebra,
     certified_truncation,
     ideal_image,
     monomial_image_dim,
-    poly_product_generators,
 )
+
+# Steps of the Ratliff-Rush chain before giving up, and extra samples per
+# reduction-number trial whose candidate fails the n-bound.
+RR_MAX_STEPS = 64
+RESAMPLES = 4
 
 
 @dataclass
@@ -71,7 +76,7 @@ def power_cache(ideal: MonomialIdeal) -> PowerCache:
     return PowerCache(ideal)
 
 
-def ratliff_rush(ideal: MonomialIdeal, power: int = 1, max_steps: int = 64) -> MonomialIdeal:
+def ratliff_rush(ideal: MonomialIdeal, power: int = 1) -> MonomialIdeal:
     """Ratliff-Rush closure of I^power: the stable value of (I^(power+n) : I^n).
 
     The chain is increasing for m-primary I, so one repeat is already stable;
@@ -79,14 +84,14 @@ def ratliff_rush(ideal: MonomialIdeal, power: int = 1, max_steps: int = 64) -> M
     """
     cache = power_cache(ideal)
     current = cache.power(power)
-    for n in range(1, max_steps):
+    for n in range(1, RR_MAX_STEPS):
         nxt = cache.power(power + n).colon(cache.power(n))
         if nxt == current:
             confirm = cache.power(power + n + 1).colon(cache.power(n + 1))
             if confirm == current:
                 return current
         current = nxt
-    raise ComputationError(f"Ratliff-Rush chain did not stabilize in {max_steps} steps")
+    raise ComputationError(f"Ratliff-Rush chain did not stabilize in {RR_MAX_STEPS} steps")
 
 
 def h0_G(ideal: MonomialIdeal, n: int) -> int:
@@ -154,7 +159,7 @@ def minimal_reduction(ideal: MonomialIdeal, seed: int, coeff_bound: int = 100) -
     """d = k seeded generic integer combinations of the minimal generators.
 
     In one variable the minimal-degree generator itself is the reduction."""
-    gens = ideal.minimal_generators()
+    gens = ideal.exps
     if ideal.k == 1:
         return Reduction([PolyElement.from_monomial(gens[0])], seed, coeff_bound)
     rng = random.Random(seed)
@@ -186,7 +191,7 @@ def reduction_number_wrt(
         t = nxt.smallest_contained_m_power() + extra_truncation
         algebra = TruncatedAlgebra(ideal.k, t)
         target = monomial_image_dim(nxt, t)
-        jin = poly_product_generators(reduction.gens, cache.power(n))
+        jin = PolyProduct(reduction.gens, cache.power(n))
         image = ideal_image(jin, algebra, target_dim=target)
         if image.dim == target:
             return n
@@ -199,7 +204,6 @@ def reduction_number(
     seed: int = 0,
     coeff_bound: int = 100,
     n_bound: int | None = None,
-    resamples: int = 4,
 ) -> tuple[int, list[dict]]:
     """Minimum of r_J over seeded candidate reductions.
 
@@ -213,7 +217,7 @@ def reduction_number(
     best = None
     for trial in range(trials):
         r = None
-        for attempt in range(resamples + 1):
+        for attempt in range(RESAMPLES + 1):
             trial_seed = seed * 1_000_003 + trial * 1_009 + attempt
             candidate = minimal_reduction(ideal, trial_seed, coeff_bound)
             try:
@@ -224,21 +228,13 @@ def reduction_number(
             break
         if r is None:
             raise NotAReduction(
-                f"trial {trial}: no reduction found in {resamples + 1} samples"
+                f"trial {trial}: no reduction found in {RESAMPLES + 1} samples"
             )
         best = r if best is None else min(best, r)
     return best, trials_out
 
 
 # -- Valabrega-Valla certificate and the a-invariant of G -------------------
-
-
-def _certified(gens, k: int, floor: int, cap: int) -> tuple[int, dict]:
-    """Truncation certificate with an adaptive first attempt."""
-    try:
-        return certified_truncation(gens, k, min(floor + 4, cap))
-    except ComputationError:
-        return certified_truncation(gens, k, cap)
 
 
 @dataclass
@@ -270,13 +266,13 @@ def vv_levels(
     if r is None:
         r = reduction_number_wrt(reduction, ideal)
     cache = power_cache(ideal)
-    max_deg = max(g.degree for g in ideal.gens)
+    max_deg = max(map(sum, ideal.exps))
     levels = []
     for n in range(1, r + 2):
-        prod_gens = poly_product_generators(reduction.gens, cache.power(n - 1))
-        cap = max_truncation or max(max_deg * (n + 2), 8)
+        prod_gens = PolyProduct(reduction.gens, cache.power(n - 1))
+        cap = max(max_deg * (n + 2), 8) if max_truncation is None else max_truncation
         power_n = cache.power(n)
-        t, proof = _certified(prod_gens, ideal.k, power_n.smallest_contained_m_power(), cap)
+        t, proof = certified_truncation(prod_gens, ideal.k, cap)
         algebra = TruncatedAlgebra(ideal.k, t - 1)
         dim_prod = proof["image_dim"]
         levels.append(VVLevel(

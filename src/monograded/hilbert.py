@@ -1,8 +1,10 @@
-"""Hilbert series of monomial quotients by pivot divide-and-conquer.
+"""Hilbert series of monomial quotients by Bigatti's pivot recursion.
 
 The series of R/I is computed exactly as N(lambda)/(1-lambda)^k from the short
 exact sequence 0 -> R/(I:p) -> R/I -> R/(I+(p)) -> 0 for a pivot monomial p,
-with the pairwise-coprime product formula as base case.  From the reduced form
+with the pairwise-coprime product formula as base case (A. M. Bigatti,
+"Computation of Hilbert-Poincare series", JPAA 119, 1997).  The recursion runs
+on minimal sets of exponent tuples, memoized by the set.  From the reduced form
 Q(lambda)/(1-lambda)^d we read off dimension, multiplicity, the Hilbert
 polynomial, and the Serre difference H(n) - P(n).
 """
@@ -14,7 +16,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import NonIntegralValue, ReconstructionFailed, ZeroRing
-from .monomials import Monomial, MonomialIdeal
+from .monomials import MonomialIdeal, minimalize
 
 # -- integer polynomials as coefficient lists (zero polynomial = []) -----
 
@@ -163,74 +165,60 @@ def format_poly(p, var: str = "l") -> str:
 # -- the divide-and-conquer recursion -------------------------------------
 
 
-def _pairwise_coprime(gens: list[Monomial]) -> bool:
-    masks = []
+def _pairwise_coprime(gens) -> bool:
+    seen = 0
     for g in gens:
-        m = 0
-        for j, e in enumerate(g.exps):
+        mask = 0
+        for j, e in enumerate(g):
             if e:
-                m |= 1 << j
-        masks.append(m)
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if masks[i] & masks[j]:
-                return False
+                mask |= 1 << j
+        if seen & mask:
+            return False
+        seen |= mask
     return True
 
 
-def _pivot_frequent(gens: list[Monomial], k: int) -> Monomial:
-    """Most frequent variable among non-pure-power generators, at the minimal
-    positive exponent it takes there."""
-    mixed = [g for g in gens if g.pure_power_variable is None and not g.is_one]
+def _pivot(gens, k: int) -> tuple[int, int]:
+    """(j, e): the most frequent variable x_j among non-pure-power generators,
+    at the least positive exponent e it takes there."""
+    mixed = [g for g in gens if sum(1 for e in g if e) > 1]
     counts = [0] * k
     for g in mixed:
-        for j, e in enumerate(g.exps):
+        for j, e in enumerate(g):
             if e:
                 counts[j] += 1
     j = max(range(k), key=lambda i: (counts[i], -i))
-    e = min(g.exps[j] for g in mixed if g.exps[j] > 0)
-    return Monomial(tuple(e if i == j else 0 for i in range(k)))
+    return j, min(g[j] for g in mixed if g[j] > 0)
 
 
-def _pivot_lexfirst(gens: list[Monomial], k: int) -> Monomial:
-    """Smallest-index variable occurring in a non-pure-power generator."""
-    mixed = [g for g in gens if g.pure_power_variable is None and not g.is_one]
-    j = min(min(g.support) for g in mixed)
-    e = min(g.exps[j] for g in mixed if g.exps[j] > 0)
-    return Monomial(tuple(e if i == j else 0 for i in range(k)))
-
-
-_PIVOTS = {"frequent": _pivot_frequent, "lexfirst": _pivot_lexfirst}
-
-
-def _numerator(k: int, gens: frozenset[Monomial], memo: dict, pivot) -> list[int]:
+def _numerator(k: int, gens: tuple, memo: dict) -> list[int]:
+    """Numerator of the series of R/I for the minimal generator tuples `gens`
+    (Bigatti's pivot recursion: I + (p) and I : p for p = x_j^e)."""
     cached = memo.get(gens)
     if cached is not None:
         return cached
-    gen_list = sorted(gens, key=lambda m: (m.degree, m.exps))
-    if _pairwise_coprime(gen_list):
+    if _pairwise_coprime(gens):
         result = [1]
-        for g in gen_list:
-            result = pmul(result, padd([1], pshift([-1], g.degree)))
+        for g in gens:
+            result = pmul(result, padd([1], pshift([-1], sum(g))))
     else:
-        p = pivot(gen_list, k)
-        plus = MonomialIdeal(k, set(gens) | {p})
-        colon = MonomialIdeal(k, {g.colon(p) for g in gens})
+        j, e = _pivot(gens, k)
+        pivot = tuple(e if i == j else 0 for i in range(k))
+        colon = (g[:j] + (max(g[j] - e, 0),) + g[j + 1:] for g in gens)
         result = padd(
-            _numerator(k, plus.gens, memo, pivot),
-            pshift(_numerator(k, colon.gens, memo, pivot), p.degree),
+            _numerator(k, minimalize(gens + (pivot,)), memo),
+            pshift(_numerator(k, minimalize(colon), memo), e),
         )
     memo[gens] = result
     return result
 
 
-def hilbert_series(ideal: MonomialIdeal, strategy: str = "frequent") -> HilbertSeries:
+def hilbert_series(ideal: MonomialIdeal) -> HilbertSeries:
     """Exact Hilbert series of R/I.  The unit ideal yields the flagged zero-ring
     series with numerator 0."""
     if ideal.is_unit:
         return HilbertSeries(ideal.k, [])
-    memo: dict = {}
-    return HilbertSeries(ideal.k, _numerator(ideal.k, ideal.gens, memo, _PIVOTS[strategy]))
+    return HilbertSeries(ideal.k, _numerator(ideal.k, ideal.exps, {}))
 
 
 # -- Hilbert polynomial and Serre difference -------------------------------
@@ -338,12 +326,20 @@ def codim(ideal: MonomialIdeal) -> int:
 # -- rational reconstruction of a series from initial values ----------------
 
 
-def reconstruct_numerator(values: list[int], denom_power: int, tail_zeros: int = 3):
+# Reconstruction succeeds once the convolved coefficients vanish on the last
+# TAIL_ZEROS values; a candidate must then match VERIFY_POINTS further values,
+# and at most MAX_TERMS values are read.
+TAIL_ZEROS = 3
+VERIFY_POINTS = 2
+MAX_TERMS = 64
+
+
+def reconstruct_numerator(values: list[int], denom_power: int):
     """Numerator of sum(values[n] * lambda^n) * (1-lambda)^denom_power, or None.
 
     The values must be an initial segment of a sequence that is eventually
     polynomial of degree < denom_power; success requires the convolved
-    coefficients to vanish on the last `tail_zeros` positions.
+    coefficients to vanish on the last TAIL_ZEROS positions.
     """
     factor = one_minus_lambda_power(denom_power)
     coeffs = [0] * len(values)
@@ -352,32 +348,28 @@ def reconstruct_numerator(values: list[int], denom_power: int, tail_zeros: int =
             for j, f in enumerate(factor):
                 if i + j < len(values):
                     coeffs[i + j] += v * f
-    if tail_zeros > len(values):
+    if TAIL_ZEROS > len(values):
         return None
-    if any(c != 0 for c in coeffs[len(values) - tail_zeros:]):
+    if any(c != 0 for c in coeffs[len(values) - TAIL_ZEROS:]):
         return None
     return pstrip(coeffs)
 
 
-def reconstruct_series(
-    value_fn, k: int, tail_zeros: int = 3, verify_points: int = 2, max_terms: int = 64
-) -> HilbertSeries:
+def reconstruct_series(value_fn, k: int) -> HilbertSeries:
     """Grow values value_fn(0..m) until the rational reconstruction stabilizes,
-    then check the candidate against `verify_points` further values."""
+    then check the candidate against VERIFY_POINTS further values."""
     values: list[int] = []
-    m = max(2 * k + 4, tail_zeros + 2)
-    while len(values) <= max_terms:
+    m = max(2 * k + 4, TAIL_ZEROS + 2)
+    while len(values) <= MAX_TERMS:
         while len(values) < m:
             values.append(value_fn(len(values)))
-        numerator = reconstruct_numerator(values, k, tail_zeros)
+        numerator = reconstruct_numerator(values, k)
         if numerator is not None:
             series = HilbertSeries(k, numerator)
             if all(
                 series.coefficient(len(values) + i) == value_fn(len(values) + i)
-                for i in range(verify_points)
+                for i in range(VERIFY_POINTS)
             ):
                 return series
         m += 2
-    raise ReconstructionFailed(
-        f"series did not stabilize within {max_terms} terms"
-    )
+    raise ReconstructionFailed(f"series did not stabilize within {MAX_TERMS} terms")

@@ -1,15 +1,18 @@
-"""Exact arithmetic on monomials and monomial ideals.
+"""Exact arithmetic on monomial ideals, with monomials as exponent tuples.
 
-Monomials are exponent vectors; a monomial ideal is stored through its unique
-minimal monomial generating set.  All operations (sum, product, power,
-intersection, colon, saturation) stay inside this combinatorial world, and
-length computations count standard monomials directly.
+A monomial is its exponent vector, a tuple of nonnegative ints, and a monomial
+ideal stores its unique minimal generating set once, as such tuples in
+(degree, exps) order.  All operations (sum, product, power, intersection,
+colon, saturation) stay inside this combinatorial world, and length
+computations count standard monomials directly.  `Monomial` is only the
+boundary value that `parse_monomial` returns and `MonomialIdeal.gens` shows.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import add, le
 
 from .errors import DimensionMismatch, InfiniteLength, ZeroIdealColon
 
@@ -30,6 +33,12 @@ def ring_names(k: int, names=None) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(k))
 
 
+def _format_exps(exps: tuple[int, ...], names) -> str:
+    """`x^3*y` style text of an exponent tuple ("1" for the unit)."""
+    parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+    return "*".join(parts) or "1"
+
+
 @dataclass(frozen=True)
 class Monomial:
     """A monomial given by its exponent vector."""
@@ -41,155 +50,122 @@ class Monomial:
             raise ValueError(f"negative exponent in {self.exps}")
 
     @property
-    def k(self) -> int:
-        return len(self.exps)
-
-    @property
     def degree(self) -> int:
         return sum(self.exps)
 
-    @property
-    def is_one(self) -> bool:
-        return self.degree == 0
-
-    def _check(self, other: "Monomial"):
-        if len(self.exps) != len(other.exps):
-            raise DimensionMismatch(
-                f"monomials in {len(self.exps)} and {len(other.exps)} variables"
-            )
-
-    def divides(self, other: "Monomial") -> bool:
-        self._check(other)
-        return all(a <= b for a, b in zip(self.exps, other.exps))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def colon(self, other: "Monomial") -> "Monomial":
-        """self : other, i.e. self / gcd(self, other)."""
-        self._check(other)
-        return Monomial(tuple(max(a - b, 0) for a, b in zip(self.exps, other.exps)))
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(j for j, e in enumerate(self.exps) if e > 0)
-
-    @property
-    def pure_power_variable(self):
-        """Index of the single supported variable, or None if not a pure power."""
-        supp = self.support
-        return supp[0] if len(supp) == 1 else None
-
     def format(self, names=None) -> str:
-        if self.is_one:
-            return "1"
-        names = ring_names(self.k, names)
-        parts = []
-        for name, e in zip(names, self.exps):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
+        return _format_exps(self.exps, ring_names(len(self.exps), names))
 
     def __str__(self) -> str:
         return self.format()
 
 
-def minimalize(gens) -> frozenset[Monomial]:
-    """The unique minimal generating set: drop every monomial divisible by another."""
-    by_exps = {g.exps: g for g in gens}
-    return frozenset(by_exps[e] for e in _minimalize_exps(by_exps))
+def _divisible(exps, gens) -> bool:
+    """Whether the monomial `exps` is a multiple of one of `gens`."""
+    return any(all(map(le, g, exps)) for g in gens)
+
+
+def minimalize(gens) -> tuple[tuple[int, ...], ...]:
+    """The unique minimal generating set of exponent tuples, in (degree, exps)
+    order: drop every tuple divisible by (coordinatewise at least) another."""
+    kept: list = []
+    for g in sorted(gens, key=lambda t: (sum(t), t)):
+        if not _divisible(g, kept):
+            kept.append(g)
+    return tuple(kept)
+
+
+def _pure_power_variable(exps):
+    """Index of the single supported variable, or None if not a pure power."""
+    support = [j for j, e in enumerate(exps) if e]
+    return support[0] if len(support) == 1 else None
 
 
 class MonomialIdeal:
     """A monomial ideal of k[x_1..x_k], kept in minimalized form.
 
-    The empty generating set is the zero ideal; the set {1} is the unit ideal.
+    `exps` holds the minimal generators as exponent tuples in (degree, exps)
+    order; the empty tuple is the zero ideal and ((0,..,0),) the unit ideal.
     """
 
-    __slots__ = ("k", "gens", "names")
+    __slots__ = ("k", "exps", "names")
 
-    def __init__(self, k: int, gens=(), names=None, _minimal=False):
-        self.k = k
-        gens = [g if isinstance(g, Monomial) else Monomial(tuple(g)) for g in gens]
+    def __init__(self, k: int, gens=(), names=None):
+        gens = [tuple(g) for g in gens]
         for g in gens:
-            if g.k != k:
-                raise DimensionMismatch(f"{g.k}-variable generator in a {k}-variable ring")
-        self.gens = frozenset(gens) if _minimal else minimalize(gens)
+            if len(g) != k:
+                raise DimensionMismatch(f"{len(g)}-variable generator in a {k}-variable ring")
+            if any(e < 0 for e in g):
+                raise ValueError(f"negative exponent in {g}")
+        self.k = k
+        self.exps = minimalize(gens)
         self.names = ring_names(k, names)
+
+    def _new(self, gens) -> "MonomialIdeal":
+        """An ideal of this ring from unchecked exponent tuples."""
+        ideal = object.__new__(MonomialIdeal)
+        ideal.k = self.k
+        ideal.exps = minimalize(gens)
+        ideal.names = self.names
+        return ideal
 
     @classmethod
     def zero(cls, k: int, names=None) -> "MonomialIdeal":
-        return cls(k, (), names, _minimal=True)
+        return cls(k, (), names)
 
     @classmethod
     def unit(cls, k: int, names=None) -> "MonomialIdeal":
-        return cls(k, (Monomial((0,) * k),), names, _minimal=True)
+        return cls(k, ((0,) * k,), names)
+
+    @property
+    def gens(self) -> frozenset[Monomial]:
+        """The minimal generators as `Monomial` values (a read-only view)."""
+        return frozenset(Monomial(g) for g in self.exps)
 
     # -- predicates ----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self.exps
 
     @property
     def is_unit(self) -> bool:
-        return any(g.is_one for g in self.gens)
+        return bool(self.exps) and not any(self.exps[0])
 
-    def contains_monomial(self, m: Monomial) -> bool:
-        return any(g.divides(m) for g in self.gens)
+    def contains_monomial(self, exps: tuple[int, ...]) -> bool:
+        return _divisible(exps, self.exps)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         self._check(other)
-        return all(self.contains_monomial(g) for g in other.gens)
+        return all(_divisible(g, self.exps) for g in other.exps)
 
     def is_m_primary(self) -> bool:
         """True iff radical is the maximal ideal: a pure power of each variable."""
         if self.is_unit:
             return False
-        covered = set()
-        for g in self.gens:
-            j = g.pure_power_variable
-            if j is not None:
-                covered.add(j)
+        covered = {_pure_power_variable(g) for g in self.exps} - {None}
         return len(covered) == self.k
 
     # -- structure -----------------------------------------------------
 
-    def minimal_generators(self) -> list[Monomial]:
-        return sorted(self.gens, key=lambda m: (m.degree, m.exps))
-
     def num_generators(self) -> int:
-        return len(self.gens)
+        return len(self.exps)
 
     def max_exponents(self) -> tuple[int, ...]:
         """Per-variable maximum exponent over the generators (0 for absent variables)."""
-        rho = [0] * self.k
-        for g in self.gens:
-            for j, e in enumerate(g.exps):
-                if e > rho[j]:
-                    rho[j] = e
-        return tuple(rho)
+        if not self.exps:
+            return (0,) * self.k
+        return tuple(map(max, zip(*self.exps)))
 
     def pure_power_bounds(self) -> tuple[int, ...]:
         """Minimal a_j with x_j^a_j in the ideal; requires an m-primary ideal."""
         if not self.is_m_primary():
             raise InfiniteLength("quotient is not Artinian (ideal is not m-primary)")
-        bounds = []
-        for j in range(self.k):
-            best = None
-            for g in self.gens:
-                if g.pure_power_variable == j:
-                    e = g.exps[j]
-                    if best is None or e < best:
-                        best = e
-            bounds.append(best)
+        bounds = [0] * self.k
+        for g in self.exps:  # a minimal set has one pure power per variable
+            j = _pure_power_variable(g)
+            if j is not None:
+                bounds[j] = g[j]
         return tuple(bounds)
 
     # -- ideal arithmetic ------------------------------------------------
@@ -200,12 +176,11 @@ class MonomialIdeal:
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
-        return MonomialIdeal(self.k, self.gens | other.gens, self.names)
+        return self._new(self.exps + other.exps)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
-        prods = {a * b for a in self.gens for b in other.gens}
-        return MonomialIdeal(self.k, prods, self.names)
+        return self._new({tuple(map(add, a, b)) for a in self.exps for b in other.exps})
 
     def power(self, n: int) -> "MonomialIdeal":
         if n < 0:
@@ -217,18 +192,17 @@ class MonomialIdeal:
 
     def intersection(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
-        lcms = {a.lcm(b) for a in self.gens for b in other.gens}
-        return MonomialIdeal(self.k, lcms, self.names)
+        return self._new({tuple(map(max, a, b)) for a in self.exps for b in other.exps})
 
-    def colon_monomial(self, m: Monomial) -> "MonomialIdeal":
-        return MonomialIdeal(self.k, {g.colon(m) for g in self.gens}, self.names)
+    def colon_monomial(self, m: tuple[int, ...]) -> "MonomialIdeal":
+        return self._new({tuple([a - b if a > b else 0 for a, b in zip(g, m)]) for g in self.exps})
 
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
         if other.is_zero:
             raise ZeroIdealColon("colon by the zero ideal")
         result = None
-        for m in other.gens:
+        for m in other.exps:
             piece = self.colon_monomial(m)
             result = piece if result is None else result.intersection(piece)
         return result
@@ -239,15 +213,11 @@ class MonomialIdeal:
         One equality certifies stability: the chain is ascending and colon by m
         is monotone, so a repeat is a fixed point.
         """
-        maximal = MonomialIdeal(
-            self.k,
-            {Monomial(tuple(1 if i == j else 0 for i in range(self.k))) for j in range(self.k)},
-            self.names,
-        )
+        maximal = self._new(tuple(int(i == j) for i in range(self.k)) for j in range(self.k))
         current = self
         while True:
             nxt = current.colon(maximal)
-            if nxt.gens == current.gens:
+            if nxt.exps == current.exps:
                 return current
             current = nxt
 
@@ -261,35 +231,27 @@ class MonomialIdeal:
         generators whose last exponent is at most e.
         """
         self.pure_power_bounds()  # precondition check: Artinian quotient
-        memo: dict = {}
-        return _count_standard(self.k, tuple(sorted(g.exps for g in self.gens)), memo)
+        return _count_standard(self.k, self.exps, {})
 
     def graded_length(self, n: int) -> int:
         """ell((R/I)_n): standard monomials of total degree n."""
-        if n < 0:
+        if n < 0 or self.is_unit:
             return 0
-        if self.is_unit:
-            return 0
-        return sum(
-            1
-            for exps in compositions(n, self.k)
-            if not self.contains_monomial(Monomial(exps))
-        )
+        gens = self.exps
+        return sum(1 for exps in compositions(n, self.k) if not _divisible(exps, gens))
 
-    def smallest_contained_m_power(self, cap: int = 10_000) -> int:
+    def smallest_contained_m_power(self) -> int:
         """Least t with m^t inside the ideal. Requires an m-primary ideal."""
         bounds = self.pure_power_bounds()
         # m^t subset I iff every degree-t monomial is in I; t is at least
-        # max(bounds) and at most sum(bounds - 1) + 1.
-        t = max(bounds)
+        # max(bounds), and m^upper lies inside I: a monomial of that degree
+        # has some exponent at least bounds[j].
         upper = sum(b - 1 for b in bounds) + 1
-        while t <= min(upper, cap):
-            if all(
-                self.contains_monomial(Monomial(exps)) for exps in compositions(t, self.k)
-            ):
+        gens = self.exps
+        for t in range(max(bounds), upper):
+            if all(_divisible(exps, gens) for exps in compositions(t, self.k)):
                 return t
-            t += 1
-        raise InfiniteLength(f"no m-power inside the ideal up to degree {cap}")
+        return upper
 
     # -- dunder plumbing ---------------------------------------------------
 
@@ -297,32 +259,23 @@ class MonomialIdeal:
         return (
             isinstance(other, MonomialIdeal)
             and self.k == other.k
-            and self.gens == other.gens
+            and self.exps == other.exps
         )
 
     def __hash__(self) -> int:
-        return hash((self.k, self.gens))
+        return hash((self.k, self.exps))
 
     def format(self) -> str:
         if self.is_zero:
             return "(0)"
-        inner = ", ".join(g.format(self.names) for g in self.minimal_generators())
-        return f"({inner})"
+        return "(" + ", ".join(_format_exps(g, self.names) for g in self.exps) + ")"
 
     def __repr__(self) -> str:
         return f"MonomialIdeal{self.format()}"
 
 
-def _minimalize_exps(gens) -> tuple:
-    kept: list = []
-    for g in sorted(gens, key=lambda t: (sum(t), t)):
-        if not any(all(a <= b for a, b in zip(h, g)) for h in kept):
-            kept.append(g)
-    return tuple(kept)
-
-
 def _count_standard(k: int, gens: tuple, memo: dict) -> int:
-    if any(sum(g) == 0 for g in gens):
+    if gens and not any(gens[0]):
         return 0
     if k == 0:
         return 1
@@ -337,7 +290,7 @@ def _count_standard(k: int, gens: tuple, memo: dict) -> int:
         pure_last = min(g[last] for g in gens if not any(g[:last]))
         value = 0
         for e in range(pure_last):
-            sub = _minimalize_exps(g[:last] for g in gens if g[last] <= e)
+            sub = minimalize(g[:last] for g in gens if g[last] <= e)
             value += _count_standard(last, sub, memo)
     memo[key] = value
     return value
@@ -385,5 +338,5 @@ def parse_ideal(text: str, names) -> MonomialIdeal:
     text = text.strip()
     if not text or text == "0":
         return MonomialIdeal.zero(len(names), names)
-    gens = [parse_monomial(part, names) for part in text.split(",")]
+    gens = [parse_monomial(part, names).exps for part in text.split(",")]
     return MonomialIdeal(len(names), gens, names)

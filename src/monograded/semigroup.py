@@ -246,10 +246,3 @@ def reduction_number_sg(a: SemigroupIdeal) -> tuple[int, int]:
         power = nxt
     raise NotAReduction(f"principal candidate failed below n = {bound}")
 
-
-def apery_count(S: NumericalSemigroup, a: int) -> int:
-    """#(S \\ (a + S)): the number of Apery elements of a in S."""
-    if not S.contains(a) or a <= 0:
-        raise ValueError("Apery count needs a positive element of S")
-    bound = S.conductor + a
-    return sum(1 for s in S.elements_upto(bound - 1) if not S.contains(s - a))

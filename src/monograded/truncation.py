@@ -3,8 +3,8 @@
 Ideals with polynomial (possibly non-monomial) generators are represented by
 the exact row-reduced span of their images in a truncated polynomial algebra.
 The stabilization of ell(S/(A + m^t)) in t certifies m^t inside A by
-Nakayama's lemma in the local ring at the origin, which makes equality,
-containment, and relative-length answers conclusive for m-primary ideals.
+Nakayama's lemma in the local ring at the origin, which makes image
+dimensions at that truncation conclusive for m-primary ideals.
 
 A product (q_1..q_s)*M of polynomials with a monomial ideal stays factored
 (`PolyProduct`): its image is spanned by one row q*w per q and monomial w of M,
@@ -23,8 +23,8 @@ from fractions import Fraction
 from math import gcd
 from operator import add
 
-from .errors import ContainmentViolation, NotCertified
-from .monomials import Monomial, MonomialIdeal, compositions
+from .errors import NotCertified
+from .monomials import MonomialIdeal, compositions
 
 
 class PolyElement:
@@ -42,16 +42,16 @@ class PolyElement:
         self.terms = clean
 
     @classmethod
-    def from_monomial(cls, m: Monomial, coeff=1) -> "PolyElement":
-        return cls(m.k, {m.exps: coeff})
+    def from_monomial(cls, exps: tuple[int, ...], coeff=1) -> "PolyElement":
+        return cls(len(exps), {exps: coeff})
 
     @classmethod
     def combination(cls, monomials, coeffs) -> "PolyElement":
+        """sum c*m over exponent tuples m and coefficients c."""
         terms: dict = {}
-        k = monomials[0].k
         for m, c in zip(monomials, coeffs):
-            terms[m.exps] = terms.get(m.exps, 0) + c
-        return cls(k, terms)
+            terms[m] = terms.get(m, 0) + c
+        return cls(len(monomials[0]), terms)
 
     @property
     def is_zero(self) -> bool:
@@ -68,12 +68,6 @@ class PolyElement:
             if isinstance(c, Fraction):
                 denom = denom * c.denominator // gcd(denom, c.denominator)
         return [(exps, int(c * denom)) for exps, c in self.terms.items()]
-
-    def times_monomial(self, exps: tuple[int, ...]) -> "PolyElement":
-        return PolyElement(
-            self.k,
-            {tuple(a + b for a, b in zip(t, exps)): c for t, c in self.terms.items()},
-        )
 
     def __mul__(self, other: "PolyElement") -> "PolyElement":
         terms: dict = {}
@@ -95,7 +89,8 @@ class PolyElement:
 
 class PolyProduct:
     """The ideal (polys)*M, kept factored: spanned by q*w for q in the nonzero
-    polys and w a monomial of the monomial ideal M (None: the unit ideal)."""
+    polys (or exponent tuples) and w a monomial of the monomial ideal M (None:
+    the unit ideal)."""
 
     __slots__ = ("polys", "ideal")
 
@@ -103,11 +98,6 @@ class PolyProduct:
         polys = (p if isinstance(p, PolyElement) else PolyElement.from_monomial(p) for p in polys)
         self.polys = [p for p in polys if not p.is_zero]
         self.ideal = ideal
-
-
-def poly_product_generators(polys, monomial_ideal: MonomialIdeal) -> PolyProduct:
-    """The product of (polys) with a monomial ideal, in factored form."""
-    return PolyProduct(polys, monomial_ideal)
 
 
 class TruncatedAlgebra:
@@ -143,9 +133,9 @@ class TruncatedAlgebra:
             return range(self.columns_below_degree(top + 1))
         index, monomials = self.index, self.monomials
         cols = set()
-        for g in ideal.gens:
-            for u in monomials[: self.columns_below_degree(top + 1 - g.degree)]:
-                cols.add(index[tuple(map(add, g.exps, u))])
+        for g in ideal.exps:
+            for u in monomials[: self.columns_below_degree(top + 1 - sum(g))]:
+                cols.add(index[tuple(map(add, g, u))])
         return sorted(cols)
 
     def degree_in_span(self, ech: "Echelon", t: int) -> bool:
@@ -277,7 +267,7 @@ def certified_truncation(gens, k: int, max_t: int):
     if not isinstance(gens, PolyProduct):
         gens = PolyProduct(gens, None)
     # the largest least degree of a generator q*g, as for the expanded list
-    gen_degrees = [0] if gens.ideal is None else [g.degree for g in gens.ideal.gens]
+    gen_degrees = [0] if gens.ideal is None else [sum(g) for g in gens.ideal.exps]
     floor = 1
     if gens.polys and gen_degrees:
         floor = max(p.min_degree for p in gens.polys) + max(gen_degrees)
@@ -293,31 +283,6 @@ def certified_truncation(gens, k: int, max_t: int):
         if attempt >= max_t:
             raise NotCertified(f"no truncation certificate up to degree {max_t}")
         attempt = min(attempt * 2, max_t)
-
-
-def _images(a_gens, b_gens, k: int, N: int) -> tuple[Echelon, Echelon]:
-    algebra = TruncatedAlgebra(k, N)
-    return ideal_image(a_gens, algebra), ideal_image(b_gens, algebra)
-
-
-def ideal_equal_mod(a_gens, b_gens, k: int, N: int) -> bool:
-    """Whether the two ideals have the same image in S/m^(N+1)."""
-    a, b = _images(a_gens, b_gens, k, N)
-    return a.dim == b.dim and a.contains_all(b)
-
-
-def contains_mod(a_gens, b_gens, k: int, N: int) -> bool:
-    """Whether the image of B lies inside the image of A in S/m^(N+1)."""
-    a, b = _images(a_gens, b_gens, k, N)
-    return a.contains_all(b)
-
-
-def subspace_length_between(a_gens, b_gens, k: int, N: int) -> int:
-    """ell(A/B) for ideals B inside A, provided m^(N+1) lies in B."""
-    a, b = _images(a_gens, b_gens, k, N)
-    if not a.contains_all(b):
-        raise ContainmentViolation("second ideal is not contained in the first")
-    return a.dim - b.dim
 
 
 def monomial_image_dim(ideal: MonomialIdeal, N: int) -> int:

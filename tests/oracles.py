@@ -1,12 +1,16 @@
 """Brute-force reference computations used as independent test oracles."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from monograded.errors import NotAReduction
-from monograded.cohomology import CohomologyTable, OrthantClass, cech_class_cohomology
-from monograded.monomials import Monomial, MonomialIdeal
+from monograded.errors import ContainmentViolation, NotAReduction, ZeroRing
+from monograded.cohomology import CohomologyTable, _class_dims, _extend_kill_masks
+from monograded.hilbert import padd, pmul, pshift
+from monograded.monomials import MonomialIdeal, minimalize
+from monograded.semigroup import NumericalSemigroup
 from monograded.truncation import (
+    PolyElement,
     TruncatedAlgebra,
     certified_truncation,
     ideal_image,
@@ -15,11 +19,21 @@ from monograded.truncation import (
 
 
 def monomials_upto(k: int, bound: int):
-    """All exponent vectors with every coordinate at most `bound` and total
+    """All exponent tuples with every coordinate at most `bound` and total
     degree at most `bound` (a convenient finite test window)."""
     for exps in product(range(bound + 1), repeat=k):
         if sum(exps) <= bound:
-            yield Monomial(exps)
+            yield exps
+
+
+def divides(a: tuple, b: tuple) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def pure_power_variable(exps: tuple):
+    """Index of the single supported variable, or None if not a pure power."""
+    support = [j for j, e in enumerate(exps) if e]
+    return support[0] if len(support) == 1 else None
 
 
 def box_standard_count(ideal: MonomialIdeal) -> int:
@@ -27,7 +41,7 @@ def box_standard_count(ideal: MonomialIdeal) -> int:
     bounds = ideal.pure_power_bounds()
     count = 0
     for exps in product(*(range(b) for b in bounds)):
-        if not ideal.contains_monomial(Monomial(exps)):
+        if not ideal.contains_monomial(exps):
             count += 1
     return count
 
@@ -35,7 +49,9 @@ def box_standard_count(ideal: MonomialIdeal) -> int:
 def brute_colon_matches(ideal: MonomialIdeal, other: MonomialIdeal, computed: MonomialIdeal, bound: int) -> bool:
     """Membership-level check of computed = (ideal : other) up to a degree bound."""
     for m in monomials_upto(ideal.k, bound):
-        in_colon = all(ideal.contains_monomial(m * g) for g in other.gens)
+        in_colon = all(
+            ideal.contains_monomial(tuple(a + b for a, b in zip(m, g))) for g in other.exps
+        )
         if in_colon != computed.contains_monomial(m):
             return False
     return True
@@ -73,6 +89,53 @@ def fraction_rank(rows: list[list]) -> int:
     return rank
 
 
+def lexfirst_numerator(ideal: MonomialIdeal) -> list[int]:
+    """The Hilbert-series numerator of R/I by the pivot recursion with another
+    pivot rule: the smallest-index variable of a non-pure-power generator, at
+    the least positive exponent it takes there."""
+    k = ideal.k
+
+    def numerator(gens: tuple) -> list[int]:
+        mixed = [g for g in gens if sum(1 for e in g if e) > 1]
+        if not mixed:  # pure powers and 1 are pairwise coprime
+            result = [1]
+            for g in gens:
+                result = pmul(result, padd([1], pshift([-1], sum(g))))
+            return result
+        j = min(min(i for i, e in enumerate(g) if e) for g in mixed)
+        e = min(g[j] for g in mixed if g[j] > 0)
+        pivot = tuple(e if i == j else 0 for i in range(k))
+        colon = minimalize(tuple(max(a - b, 0) for a, b in zip(g, pivot)) for g in gens)
+        return padd(numerator(minimalize(gens + (pivot,))), pshift(numerator(colon), e))
+
+    return [] if ideal.is_unit else numerator(ideal.exps)
+
+
+@dataclass(frozen=True)
+class OrthantClass:
+    """A class of multidegrees: negative support T plus the value of every
+    coordinate outside T."""
+
+    negative: frozenset[int]
+    clamped: tuple  # entry j is None for j in T, else an int in [0, rho_j - 1]
+
+
+def cech_class_cohomology(ideal: MonomialIdeal, cls: OrthantClass) -> tuple[int, ...]:
+    """Dimensions (h^0..h^k) of the per-degree Cech complex at one orthant class."""
+    if ideal.is_unit:
+        raise ZeroRing("the zero ring has no local cohomology")
+    kill_masks = (0,) * len(ideal.exps)
+    for j in range(ideal.k):
+        a_j = -1 if j in cls.negative else cls.clamped[j]
+        kill_masks = _extend_kill_masks(kill_masks, ideal.exps, j, a_j)
+    return _class_dims(ideal.k, sum(1 << j for j in cls.negative), kill_masks)
+
+
+def degree_box_top(table: CohomologyTable) -> int:
+    """h^i(R)_n = 0 for every i once n exceeds this value."""
+    return sum(r - 1 for r in table.rho)
+
+
 def exhaustive_cohomology_table(ideal: MonomialIdeal) -> CohomologyTable:
     """The cohomology table with one entry per orthant class: every negative
     support T and every value 0..rho_j - 1 of each coordinate outside T."""
@@ -86,9 +149,46 @@ def exhaustive_cohomology_table(ideal: MonomialIdeal) -> CohomologyTable:
     return CohomologyTable(ideal.k, rho, classes)
 
 
+def times_monomial(p: PolyElement, exps: tuple) -> PolyElement:
+    return PolyElement(p.k, {tuple(a + b for a, b in zip(t, exps)): c for t, c in p.terms.items()})
+
+
 def expanded_product(polys, ideal: MonomialIdeal) -> list:
     """The generators {q*g} of (polys)*M, one per polynomial and generator."""
-    return [p.times_monomial(g.exps) for p in polys for g in ideal.gens]
+    return [times_monomial(p, g) for p in polys for g in ideal.exps]
+
+
+def _images(a_gens, b_gens, k: int, N: int):
+    algebra = TruncatedAlgebra(k, N)
+    return ideal_image(a_gens, algebra), ideal_image(b_gens, algebra)
+
+
+def ideal_equal_mod(a_gens, b_gens, k: int, N: int) -> bool:
+    """Whether the two ideals have the same image in S/m^(N+1)."""
+    a, b = _images(a_gens, b_gens, k, N)
+    return a.dim == b.dim and a.contains_all(b)
+
+
+def contains_mod(a_gens, b_gens, k: int, N: int) -> bool:
+    """Whether the image of B lies inside the image of A in S/m^(N+1)."""
+    a, b = _images(a_gens, b_gens, k, N)
+    return a.contains_all(b)
+
+
+def subspace_length_between(a_gens, b_gens, k: int, N: int) -> int:
+    """ell(A/B) for ideals B inside A, provided m^(N+1) lies in B."""
+    a, b = _images(a_gens, b_gens, k, N)
+    if not a.contains_all(b):
+        raise ContainmentViolation("second ideal is not contained in the first")
+    return a.dim - b.dim
+
+
+def apery_count(S: NumericalSemigroup, a: int) -> int:
+    """#(S \\ (a + S)): the number of Apery elements of a in S."""
+    if not S.contains(a) or a <= 0:
+        raise ValueError("Apery count needs a positive element of S")
+    bound = S.conductor + a
+    return sum(1 for s in S.elements_upto(bound - 1) if not S.contains(s - a))
 
 
 def least_full_degree(gens, k: int, N: int):

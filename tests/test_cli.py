@@ -184,6 +184,23 @@ def test_negative_exponent_is_usage_error():
     assert_usage_error(["hilbert", "--ring", "x,y", "--ideal", "x^-1, y"], "x^-1")
 
 
+PLANE = ["--ring", "x,y", "--ideal", "x^2, x*y, y^2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduction", *PLANE, "--trials", "0"],
+    ["reduction", *PLANE, "--coeff-bound", "0"],
+    ["reduction", *PLANE, "--n-bound", "-1"],
+    ["reduction", *PLANE, "--max-truncation", "0"],
+    ["reduction", *PLANE, "--powers", "-1"],
+    ["verify", "--bound", "thm2.1", "--count", "-1"],
+    ["verify", "--bound", "thm2.1", "--vars", "0"],
+    ["verify", "--bound", "thm2.1", "--degree-bound", "0"],
+], ids=lambda argv: argv[-2])
+def test_out_of_range_option_is_usage_error(argv):
+    assert_usage_error(argv, f"{argv[-2]} must be at least")
+
+
 def test_missing_ring_is_computation_error():
     code, out = run_cli(["hilbert"])
     assert code == 1

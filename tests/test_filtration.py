@@ -31,7 +31,7 @@ STAIR = parse_ideal("x^4, x^3*y, x*y^3, y^4", XY)
 
 
 def monomial_reduction(ideal: MonomialIdeal) -> Reduction:
-    return Reduction([PolyElement.from_monomial(g) for g in ideal.minimal_generators()], 0, 1)
+    return Reduction([PolyElement.from_monomial(g) for g in ideal.exps], 0, 1)
 
 
 def test_ratliff_rush_examples():
@@ -41,7 +41,7 @@ def test_ratliff_rush_examples():
     assert ratliff_rush(maximal) == maximal
     closed = ratliff_rush(STAIR)
     assert closed == STAIR + parse_ideal("x^2*y^2", XY)
-    assert closed.contains_monomial(parse_ideal("x^2*y^2", XY).minimal_generators()[0])
+    assert closed.contains_monomial(parse_ideal("x^2*y^2", XY).exps[0])
 
 
 def test_ratliff_rush_against_colon_chain():
@@ -106,6 +106,16 @@ def test_minimal_reduction_shapes():
     assert list(single.gens[0].terms) == [(4,)]
 
 
+def test_minimal_reduction_follows_generator_order():
+    # seeded coefficients go to the generators in (degree, exps) order
+    red = minimal_reduction(EX_IDEAL, seed=0)
+    assert [p.terms for p in red.gens] == [
+        {(3, 0): 50, (1, 5): 98, (2, 4): 54, (0, 7): 6},
+        {(3, 0): 34, (1, 5): 66, (2, 4): 63, (0, 7): 52},
+    ]
+    assert [list(p.terms) for p in red.gens] == [[(3, 0), (1, 5), (2, 4), (0, 7)]] * 2
+
+
 def test_reduction_number_examples():
     m2 = parse_ideal("x^2, x*y, y^2", XY)
     param = parse_ideal("x^2, y^2", XY)
@@ -134,7 +144,7 @@ def test_reduction_number_truncation_independent():
 
 def test_non_reduction_raises():
     m2 = parse_ideal("x^2, x*y, y^2", XY)
-    single = Reduction([PolyElement.from_monomial(parse_ideal("x^4", XY).minimal_generators()[0])], 0, 1)
+    single = Reduction([PolyElement.from_monomial(parse_ideal("x^4", XY).exps[0])], 0, 1)
     with pytest.raises(NotAReduction):
         reduction_number_wrt(single, m2, n_bound=5)
     with pytest.raises(NotAReduction):
@@ -198,12 +208,12 @@ def test_reduction_engines_agree_on_random_monomial_subideals():
     compared = 0
     for _ in range(60):
         ideal = random_m_primary_ideal(rng, 2, 4)
-        gens = ideal.minimal_generators()
+        gens = ideal.exps
         subset = [g for g in gens if rng.random() < 0.7]
         if not subset or len(subset) == len(gens):
             continue
         candidate = MonomialIdeal(2, subset)
-        wrapped = Reduction([PolyElement.from_monomial(g) for g in candidate.minimal_generators()], 0, 1)
+        wrapped = Reduction([PolyElement.from_monomial(g) for g in candidate.exps], 0, 1)
         try:
             r_linear = reduction_number_wrt(wrapped, ideal, n_bound=6)
         except NotAReduction:

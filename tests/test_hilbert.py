@@ -22,6 +22,8 @@ from monograded.hilbert import (
 )
 from monograded.monomials import MonomialIdeal, parse_ideal
 
+from oracles import lexfirst_numerator
+
 XY = ("x", "y")
 ABCD = ("a", "b", "c", "d")
 
@@ -74,7 +76,7 @@ def test_pivot_independence_random():
     for _ in range(40):
         k = rng.randint(1, 4)
         ideal = random_m_primary_ideal(rng, k, 6)
-        assert hilbert_series(ideal, "frequent") == hilbert_series(ideal, "lexfirst")
+        assert hilbert_series(ideal).numerator == lexfirst_numerator(ideal)
 
 
 def test_series_coefficients_match_graded_length():
@@ -137,7 +139,7 @@ def test_multiplicity_normalization_against_leading_coefficient():
         ideal = random_m_primary_ideal(rng, k, 5)
         if rng.random() < 0.5:
             # non-Artinian variants too: drop a pure power
-            gens = ideal.minimal_generators()[1:]
+            gens = ideal.exps[1:]
             if gens:
                 ideal = MonomialIdeal(k, gens)
         if ideal.is_unit or ideal.is_zero:
