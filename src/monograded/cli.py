@@ -48,6 +48,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact invariants of monomial quotients and semigroup rings.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # dest -> the least value the integer option accepts; main checks it.
+    parser.option_minimum = {}
+
+    def add_int(p, flag, default, least, **kwargs):
+        action = p.add_argument(flag, type=int, default=default, **kwargs)
+        parser.option_minimum[action.dest] = least
 
     def add_common(p, ring=True, seed=False):
         if ring:
@@ -68,11 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduction", help="filtration report: e, Ratliff-Rush, mu, r")
     add_common(p, seed=True)
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--coeff-bound", type=int, default=100)
-    p.add_argument("--n-bound", type=int, default=None)
-    p.add_argument("--max-truncation", type=int, default=None)
-    p.add_argument("--powers", type=int, default=4, help="table depth for powers of I")
+    add_int(p, "--trials", 3, 1)
+    add_int(p, "--coeff-bound", 100, 1)
+    add_int(p, "--n-bound", None, 0)
+    add_int(p, "--max-truncation", None, 1)
+    add_int(p, "--powers", 4, 0, help="table depth for powers of I")
 
     p = sub.add_parser("verify", help="check the a-invariant and reduction-number bounds on instances or corpora")
     add_common(p, seed=False)
@@ -80,9 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", default="all",
                    choices=("thm2.1", "eg-lower", "prop3.1", "prop3.3", "prop3.4", "all"))
     p.add_argument("--corpus-seed", type=int, default=None)
-    p.add_argument("--count", type=int, default=25)
-    p.add_argument("--vars", type=int, default=2, help="variables for monomial corpora")
-    p.add_argument("--degree-bound", type=int, default=6)
+    add_int(p, "--count", 25, 0)
+    add_int(p, "--vars", 2, 1, help="variables for monomial corpora")
+    add_int(p, "--degree-bound", 6, 1)
 
     p = sub.add_parser("reproduce", help="re-run a worked example and compare values")
     p.add_argument("example", choices=("example-2.2", "example-3.2"))
@@ -90,15 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The least value each numeric option accepts.
-OPTION_MINIMUM = {
-    "trials": 1, "coeff_bound": 1, "n_bound": 0, "max_truncation": 1, "powers": 0,
-    "count": 0, "vars": 1, "degree_bound": 1,
-}
-
-
-def check_option_ranges(args) -> None:
-    for key, least in OPTION_MINIMUM.items():
+def check_option_ranges(args, option_minimum: dict[str, int]) -> None:
+    # Each subcommand defines only some of the options.
+    for key, least in option_minimum.items():
         value = getattr(args, key, None)
         if value is not None and value < least:
             option = "--" + key.replace("_", "-")
@@ -455,7 +455,7 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     doc = {"schema": SCHEMA, "config": config_dict(args)}
     try:
-        check_option_ranges(args)
+        check_option_ranges(args, _parser.option_minimum)
         if args.subcommand == "hilbert":
             doc["result"] = run_hilbert(args)
         elif args.subcommand == "cohomology":

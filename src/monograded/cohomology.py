@@ -120,13 +120,7 @@ class CohomologyTable:
         self.depth = bottom
 
     def h(self, i: int, n: int) -> int:
-        if i < 0 or i > self.k:
-            return 0
-        return sum(
-            dims[i] * _compositions(t_size, clamp_sum, n)
-            for clamp_sum, t_size, dims in self.classes
-            if dims[i]
-        )
+        return sum(value for j, _, value in self.rows(n, n) if j == i)
 
     @property
     def a_invariant(self) -> int:

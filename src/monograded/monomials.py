@@ -5,7 +5,8 @@ ideal stores its unique minimal generating set once, as such tuples in
 (degree, exps) order.  All operations (sum, product, power, intersection,
 colon, saturation) stay inside this combinatorial world, and length
 computations count standard monomials directly.  `Monomial` is only the
-boundary value that `parse_monomial` returns and `MonomialIdeal.gens` shows.
+boundary value that `parse_monomial` returns and `MonomialIdeal.gens` shows;
+the ideal's constructor and monomial arguments accept it as well as a tuple.
 """
 
 from __future__ import annotations
@@ -91,23 +92,19 @@ class MonomialIdeal:
     __slots__ = ("k", "exps", "names")
 
     def __init__(self, k: int, gens=(), names=None):
-        gens = [tuple(g) for g in gens]
-        for g in gens:
-            if len(g) != k:
-                raise DimensionMismatch(f"{len(g)}-variable generator in a {k}-variable ring")
-            if any(e < 0 for e in g):
-                raise ValueError(f"negative exponent in {g}")
+        """`gens` holds exponent tuples (or `Monomial` values) of length k."""
         self.k = k
-        self.exps = minimalize(gens)
+        self.exps = minimalize([self._monomial(g) for g in gens])
         self.names = ring_names(k, names)
 
-    def _new(self, gens) -> "MonomialIdeal":
-        """An ideal of this ring from unchecked exponent tuples."""
-        ideal = object.__new__(MonomialIdeal)
-        ideal.k = self.k
-        ideal.exps = minimalize(gens)
-        ideal.names = self.names
-        return ideal
+    def _monomial(self, m) -> tuple[int, ...]:
+        """The exponent tuple of a monomial of this ring, checked."""
+        exps = tuple(getattr(m, "exps", m))
+        if len(exps) != self.k:
+            raise DimensionMismatch(f"{len(exps)}-variable monomial in a {self.k}-variable ring")
+        if any(e < 0 for e in exps):
+            raise ValueError(f"negative exponent in {exps}")
+        return exps
 
     @classmethod
     def zero(cls, k: int, names=None) -> "MonomialIdeal":
@@ -132,8 +129,8 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return bool(self.exps) and not any(self.exps[0])
 
-    def contains_monomial(self, exps: tuple[int, ...]) -> bool:
-        return _divisible(exps, self.exps)
+    def contains_monomial(self, m) -> bool:
+        return _divisible(self._monomial(m), self.exps)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         self._check(other)
@@ -176,11 +173,12 @@ class MonomialIdeal:
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
-        return self._new(self.exps + other.exps)
+        return MonomialIdeal(self.k, self.exps + other.exps, self.names)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
-        return self._new({tuple(map(add, a, b)) for a in self.exps for b in other.exps})
+        products = {tuple(map(add, a, b)) for a in self.exps for b in other.exps}
+        return MonomialIdeal(self.k, products, self.names)
 
     def power(self, n: int) -> "MonomialIdeal":
         if n < 0:
@@ -192,10 +190,13 @@ class MonomialIdeal:
 
     def intersection(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
-        return self._new({tuple(map(max, a, b)) for a in self.exps for b in other.exps})
+        lcms = {tuple(map(max, a, b)) for a in self.exps for b in other.exps}
+        return MonomialIdeal(self.k, lcms, self.names)
 
-    def colon_monomial(self, m: tuple[int, ...]) -> "MonomialIdeal":
-        return self._new({tuple([a - b if a > b else 0 for a, b in zip(g, m)]) for g in self.exps})
+    def colon_monomial(self, m) -> "MonomialIdeal":
+        m = self._monomial(m)
+        quotients = {tuple([a - b if a > b else 0 for a, b in zip(g, m)]) for g in self.exps}
+        return MonomialIdeal(self.k, quotients, self.names)
 
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
@@ -213,7 +214,8 @@ class MonomialIdeal:
         One equality certifies stability: the chain is ascending and colon by m
         is monotone, so a repeat is a fixed point.
         """
-        maximal = self._new(tuple(int(i == j) for i in range(self.k)) for j in range(self.k))
+        variables = [tuple(int(i == j) for i in range(self.k)) for j in range(self.k)]
+        maximal = MonomialIdeal(self.k, variables, self.names)
         current = self
         while True:
             nxt = current.colon(maximal)

@@ -43,6 +43,10 @@ def test_dimension_mismatch_raises():
         parse_ideal("x", XY).contains_ideal(parse_ideal("b", ABCD))
     with pytest.raises(DimensionMismatch):
         parse_ideal("x", XY) + parse_ideal("b", ABCD)
+    with pytest.raises(DimensionMismatch):
+        parse_ideal("x*y", XY).contains_monomial((1,))
+    with pytest.raises(DimensionMismatch):
+        parse_ideal("x*y", XY).colon_monomial((1, 1, 1))
 
 
 def test_ideal_boundary_checks_exponent_tuples():
@@ -52,11 +56,19 @@ def test_ideal_boundary_checks_exponent_tuples():
         MonomialIdeal(2, [(1, 0), (1, 0, 0)])
     with pytest.raises(ValueError, match="negative exponent"):
         Monomial((0, -2))
+    with pytest.raises(ValueError, match="negative exponent"):
+        parse_ideal("x*y", XY).contains_monomial((2, -1))
+    with pytest.raises(ValueError, match="negative exponent"):
+        parse_ideal("x*y", XY).colon_monomial((-1, 0))
     ideal = MonomialIdeal(2, [[0, 7], (3, 0), (1, 5), (2, 4), (2, 5)])
     assert ideal.exps == ((3, 0), (1, 5), (2, 4), (0, 7))
     assert ideal == parse_ideal("x^3, x^2*y^4, x*y^5, y^7", XY)
     assert {g.exps for g in ideal.gens} == set(ideal.exps)
     assert sorted(g.degree for g in ideal.gens) == [3, 6, 6, 7]
+    # the boundary value is accepted back as input
+    assert MonomialIdeal(2, ideal.gens) == ideal
+    assert ideal.contains_monomial(parse_monomial("x^2*y^6", XY))
+    assert ideal.colon_monomial(parse_monomial("x*y^4", XY)) == parse_ideal("x, y", XY)
 
 
 def test_minimalize_examples():
