@@ -195,7 +195,8 @@ def verify_prop_3_4(
 ) -> BoundReport:
     """d >= 3: r_J(I) <= 1 + ell(I^2/JI) + h^(d-1)(G)_(2-d), where a true
     Cohen-Macaulay certificate kills the cohomology term.  ell(R/J) and
-    ell(I^2/JI) come from its levels 1 and 2, each certified below max_truncation."""
+    ell(I^2/JI) come from its levels 1 and 2 (JI = I^2 when r_J <= 1), each
+    certified below max_truncation."""
     if ideal.k < 3:
         raise ComputationError("prop3.4 checker needs at least three variables")
     r, trial_list = filtration.reduction_number(ideal, trials=trials, seed=seed)
@@ -214,7 +215,7 @@ def verify_prop_3_4(
         witness = {"reason": "l(R/J) != e(I): candidate not a parameter reduction",
                    "l_R_J": ell_r_j, "e": e}
         return BoundReport(instance_id, "prop3.4", None, None, UNVERIFIED, witness)
-    if r_j == 0:  # J = I, so JI = I^2 and its least certified t is that of I^2
+    if r_j <= 1:  # JI = I^2, so its least certified t is that of I^2
         t_ji, ell_i2_ji = filtration.power_cache(ideal).power(2).smallest_contained_m_power(), 0
     else:
         t_ji, ell_i2_ji = levels[1].t, levels[1].dim_power - levels[1].dim_prod

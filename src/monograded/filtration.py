@@ -2,10 +2,11 @@
 
 The ambient polynomial ring is read as a local ring at the origin.  Ratliff-Rush
 closures are colon-stabilizations inside the monomial world; reduction numbers
-are decided by certified truncated linear algebra (sound in both directions by
-Nakayama); the associated graded and fiber cone series are reconstructed
-exactly from finitely many length/generator counts with a verified polynomial
-tail.
+are exact ranks in the fiber cone (J*I^n = I^(n+1) iff J*I^n spans
+I^(n+1)/m*I^(n+1), by Nakayama); the Valabrega-Valla test uses certified
+truncated linear algebra at the levels that can fail; the associated graded and
+fiber cone series are reconstructed exactly from finitely many
+length/generator counts with a verified polynomial tail.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .errors import CertificateFailed, ComputationError, NotAReduction
 from .hilbert import (
@@ -23,6 +25,7 @@ from .hilbert import (
 )
 from .monomials import MonomialIdeal
 from .truncation import (
+    Echelon,
     PolyElement,
     PolyProduct,
     TruncatedAlgebra,
@@ -174,27 +177,32 @@ def reduction_number_wrt(
     reduction: Reduction,
     ideal: MonomialIdeal,
     n_bound: int | None = None,
-    extra_truncation: int = 0,
 ) -> int:
-    """Least n with J*I^n = I^(n+1), decided inside a certified truncation.
+    """Least n with J*I^n = I^(n+1), decided in the fiber cone F(I).
 
-    For each n the truncation degree is the least t with m^t inside I^(n+1)
-    (exact, by monomial membership).  Image equality at that truncation forces
-    I^(n+1) inside J*I^n + m*I^(n+1), hence equality by Nakayama; a failed
-    equality is conclusive because J*I^n always sits inside I^(n+1).
+    J*I^n always lies in I^(n+1), so by Nakayama in the local ring at the origin
+    equality holds iff J*I^n spans I^(n+1)/m*I^(n+1), whose basis is the
+    minimal generators of I^(n+1).  J*I^n is spanned by q*w, q in J and w a
+    minimal generator of I^n; a term c*g*w of q*w is a minimal generator of
+    I^(n+1) or lies in m*I^(n+1).  So each level is an exact rank over Q: one
+    row per (q, w), one column per minimal generator of I^(n+1).
     """
     if n_bound is None:
         n_bound = multiplicity_samuel(ideal) + 2
     cache = power_cache(ideal)
+    polys = [p.integer_terms() for p in reduction.gens]
     for n in range(n_bound + 1):
-        nxt = cache.power(n + 1)
-        t = nxt.smallest_contained_m_power() + extra_truncation
-        algebra = TruncatedAlgebra(ideal.k, t)
-        target = monomial_image_dim(nxt, t)
-        jin = PolyProduct(reduction.gens, cache.power(n))
-        image = ideal_image(jin, algebra, target_dim=target)
-        if image.dim == target:
-            return n
+        columns = {w: j for j, w in enumerate(cache.power(n + 1).exps)}
+        ech = Echelon()
+        for w in cache.power(n).exps:
+            for terms in polys:
+                row = {}
+                for g, c in terms:
+                    j = columns.get(tuple(map(add, g, w)))
+                    if j is not None:
+                        row[j] = c
+                if ech.add(row) and ech.dim == len(columns):
+                    return n
     raise NotAReduction(f"not a reduction within n <= {n_bound}")
 
 
@@ -260,27 +268,37 @@ def vv_levels(
     r: int | None = None,
     max_truncation: int | None = None,
 ) -> list[VVLevel]:
-    """The levels n = 1..r_J + 1 of `vv_cm_certificate`, up to the first that
-    fails.  Level 1 is J, so ell(R/J) = columns - dim_prod there; level 2 has
-    ell(I^2/JI) = dim_power - dim_prod."""
+    """The levels of `vv_cm_certificate` that need a computation, up to the
+    first that fails; `r` must be r_J(I) of this reduction.
+
+    Level 1 holds because J lies in I; it keeps J's certificate, so
+    ell(R/J) = columns - dim_prod there.  Levels n = 2..r follow; level r + 1
+    holds because J*I^r = I^(r+1) lies in J, and is not computed.  Level 2,
+    when present, has ell(I^2/JI) = dim_power - dim_prod."""
     if r is None:
         r = reduction_number_wrt(reduction, ideal)
     cache = power_cache(ideal)
     max_deg = max(map(sum, ideal.exps))
     levels = []
-    for n in range(1, r + 2):
+    for n in range(1, max(r, 1) + 1):
         prod_gens = PolyProduct(reduction.gens, cache.power(n - 1))
         cap = max(max_deg * (n + 2), 8) if max_truncation is None else max_truncation
         power_n = cache.power(n)
         t, proof = certified_truncation(prod_gens, ideal.k, cap)
         algebra = TruncatedAlgebra(ideal.k, t - 1)
         dim_prod = proof["image_dim"]
+        dim_power = monomial_image_dim(power_n, t - 1)
+        if n == 1:  # J*I^0 = J, and J + I = I as J lies in I
+            dim_j, dim_sum = dim_prod, dim_power
+        else:
+            dim_j = ideal_image(reduction.gens, algebra).dim
+            dim_sum = ideal_image(reduction.gens, algebra, seed_ideal=power_n).dim
         levels.append(VVLevel(
             t=t,
             columns=algebra.dimension,
-            dim_power=monomial_image_dim(power_n, t - 1),
-            dim_j=dim_prod if n == 1 else ideal_image(reduction.gens, algebra).dim,
-            dim_sum=ideal_image(reduction.gens, algebra, seed_ideal=power_n).dim,
+            dim_power=dim_power,
+            dim_j=dim_j,
+            dim_sum=dim_sum,
             dim_prod=dim_prod,
         ))
         if not levels[-1].holds:
@@ -294,10 +312,12 @@ def vv_cm_certificate(
     r: int | None = None,
     max_truncation: int | None = None,
 ) -> bool:
-    """Valabrega-Valla test: I^n intersect J = J*I^(n-1) for 1 <= n <= r_J + 1.
+    """Valabrega-Valla test: I^n intersect J = J*I^(n-1) for 1 <= n <= r_J + 1,
+    where `r` must be r_J(I) of this reduction.
 
-    Certifies Cohen-Macaulayness of the associated graded ring; for n beyond
-    r_J the equality is automatic.  Each level is decided exactly: with m^t
+    Certifies Cohen-Macaulayness of the associated graded ring.  The equality
+    holds at n = 1 (J lies in I) and for n > r_J (J*I^r = I^(r+1) lies in J),
+    so only the levels 2..r_J are computed.  Each is decided exactly: with m^t
     inside J*I^(n-1) the three subspace dimensions at truncation t - 1 pin the
     ideal-level intersection down.  The certificate echelon of J*I^(n-1) gives
     its dimension at t - 1 (`vv_levels` reports each level's data).
@@ -305,14 +325,19 @@ def vv_cm_certificate(
     return vv_levels(ideal, reduction, r=r, max_truncation=max_truncation)[-1].holds
 
 
+def _a_G(series: HilbertSeries) -> int:
+    """deg of the reduced numerator minus dim: the a-invariant of a
+    Cohen-Macaulay graded ring with this Hilbert series."""
+    q, d = series.reduced()
+    return (len(q) - 1) - d
+
+
 def a_G_if_CM(ideal: MonomialIdeal, reduction: Reduction, r: int | None = None) -> int:
     """a-invariant of the associated graded ring, valid only under the
     Valabrega-Valla certificate: deg of the reduced G-numerator minus dim."""
     if not vv_cm_certificate(ideal, reduction, r=r):
         raise CertificateFailed("Valabrega-Valla certificate does not hold")
-    data = G_hilbert_data(ideal)
-    q, d = data.series.reduced()
-    return (len(q) - 1) - d
+    return _a_G(G_hilbert_data(ideal).series)
 
 
 # -- assembled report ---------------------------------------------------
@@ -369,6 +394,7 @@ def filtration_report(
     certified = vv_cm_certificate(
         ideal, candidate, r=best["r"], max_truncation=max_truncation
     )
+    g_series = G_hilbert_data(ideal).series
     return FiltrationReport(
         ideal=ideal,
         multiplicity=e,
@@ -376,9 +402,9 @@ def filtration_report(
         ratliff_rush=[ratliff_rush(ideal, n).format() for n in range(1, powers + 1)],
         mu_table=[mu(ideal, n) for n in range(1, powers + 1)],
         h0_table=[h0_G(ideal, n) for n in range(powers)],
-        g_numerator=G_hilbert_data(ideal).series.numerator,
+        g_numerator=g_series.numerator,
         reduction_trials=trial_list,
         reduction_number=r,
         vv_certificate=certified,
-        a_G=a_G_if_CM(ideal, candidate, r=best["r"]) if certified else None,
+        a_G=_a_G(g_series) if certified else None,
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .errors import NonIntegralValue, ReconstructionFailed, ZeroRing
@@ -250,7 +251,7 @@ def poly_value(coeffs, n: int) -> Fraction:
     return acc
 
 
-@dataclass
+@dataclass(frozen=True)
 class HilbertData:
     """Series plus the derived numeric invariants of a monomial quotient."""
 
@@ -280,7 +281,9 @@ def hilbert_data_from_series(series: HilbertSeries) -> HilbertData:
     return HilbertData(series, d, peval_one(q), poly)
 
 
+@lru_cache(maxsize=256)
 def hilbert_data(ideal: MonomialIdeal) -> HilbertData:
+    """Hilbert data of R/I, computed once per ideal (the bounds read it twice)."""
     if ideal.is_unit:
         raise ZeroRing("invariants of the zero ring are undefined")
     return hilbert_data_from_series(hilbert_series(ideal))

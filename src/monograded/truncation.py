@@ -210,23 +210,19 @@ class Echelon:
 def ideal_image(
     gens,
     algebra: TruncatedAlgebra,
-    target_dim: int | None = None,
     seed_ideal: MonomialIdeal | None = None,
     until_full_degree: bool = False,
 ) -> Echelon:
     """Row-reduced image of the ideal generated by `gens` in the truncation.
 
     `gens` is a list of generators or a `PolyProduct`.  Rows q*w come by
-    ascending degree of w; with `target_dim` the build stops once the span has
-    that dimension.  No later row has a term below degree deg w + mindeg q, so
-    with `until_full_degree` it stops at the first such settled degree
-    1 <= t < N inside the span.  A `seed_ideal` gives unit rows.
+    ascending degree of w.  No later row has a term below degree
+    deg w + mindeg q, so with `until_full_degree` it stops at the first such
+    settled degree 1 <= t < N inside the span.  A `seed_ideal` gives unit rows.
     """
     ech = Echelon()
     if seed_ideal is not None:
         ech.pivots.update((c, {c: 1}) for c in algebra.ideal_columns(seed_ideal, algebra.N))
-    if target_dim is not None and ech.dim >= target_dim:
-        return ech
     product = gens if isinstance(gens, PolyProduct) else PolyProduct(gens, None)
     if not product.polys:
         return ech
@@ -250,8 +246,7 @@ def ideal_image(
                 j = index.get(tuple(map(add, exps, w)))
                 if j is not None:
                     row[j] = c
-            if ech.add(row) and target_dim is not None and ech.dim >= target_dim:
-                return ech
+            ech.add(row)
     return ech
 
 

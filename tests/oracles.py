@@ -6,11 +6,13 @@ from itertools import product
 
 from monograded.errors import ContainmentViolation, NotAReduction, ZeroRing
 from monograded.cohomology import CohomologyTable, _class_dims, _extend_kill_masks
+from monograded.filtration import VVLevel, multiplicity_samuel, power_cache
 from monograded.hilbert import padd, pmul, pshift
 from monograded.monomials import MonomialIdeal, minimalize
 from monograded.semigroup import NumericalSemigroup
 from monograded.truncation import (
     PolyElement,
+    PolyProduct,
     TruncatedAlgebra,
     certified_truncation,
     ideal_image,
@@ -232,3 +234,45 @@ def monomial_reduction_number(
             return n
         power = nxt
     raise NotAReduction(f"not a reduction within n <= {n_bound}")
+
+
+def truncated_reduction_number(reduction, ideal: MonomialIdeal, n_bound=None,
+                               extra_truncation: int = 0) -> int:
+    """Least n with J*I^n = I^(n+1), decided by comparing image dimensions in
+    S/m^(t+1), with t the least degree such that m^t lies in I^(n+1) (plus
+    `extra_truncation`); by Nakayama equality there is equality of ideals."""
+    if n_bound is None:
+        n_bound = multiplicity_samuel(ideal) + 2
+    cache = power_cache(ideal)
+    for n in range(n_bound + 1):
+        nxt = cache.power(n + 1)
+        t = nxt.smallest_contained_m_power() + extra_truncation
+        algebra = TruncatedAlgebra(ideal.k, t)
+        jin = PolyProduct(reduction.gens, cache.power(n))
+        if ideal_image(jin, algebra).dim == monomial_image_dim(nxt, t):
+            return n
+    raise NotAReduction(f"not a reduction within n <= {n_bound}")
+
+
+def all_vv_levels(ideal: MonomialIdeal, reduction, r: int) -> list:
+    """Every Valabrega-Valla level n = 1..r + 1, each computed in full, up to
+    the first that fails."""
+    cache = power_cache(ideal)
+    max_deg = max(map(sum, ideal.exps))
+    levels = []
+    for n in range(1, r + 2):
+        prod_gens = PolyProduct(reduction.gens, cache.power(n - 1))
+        power_n = cache.power(n)
+        t, proof = certified_truncation(prod_gens, ideal.k, max(max_deg * (n + 2), 8))
+        algebra = TruncatedAlgebra(ideal.k, t - 1)
+        levels.append(VVLevel(
+            t=t,
+            columns=algebra.dimension,
+            dim_power=monomial_image_dim(power_n, t - 1),
+            dim_j=ideal_image(reduction.gens, algebra).dim,
+            dim_sum=ideal_image(reduction.gens, algebra, seed_ideal=power_n).dim,
+            dim_prod=proof["image_dim"],
+        ))
+        if not levels[-1].holds:
+            break
+    return levels

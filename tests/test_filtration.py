@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from monograded.bounds import random_m_primary_ideal
+from monograded import filtration
+from monograded.bounds import corpus_monomial, instance_seed, random_m_primary_ideal
 from monograded.errors import CertificateFailed, NotAReduction
 from monograded.filtration import (
     G_hilbert_data,
@@ -19,15 +20,23 @@ from monograded.filtration import (
     reduction_number,
     reduction_number_wrt,
     vv_cm_certificate,
+    vv_levels,
 )
 from monograded.monomials import MonomialIdeal, parse_ideal
 from monograded.truncation import PolyElement
 
-from oracles import monomial_reduction_number, reduction_colength
+from oracles import (
+    all_vv_levels,
+    monomial_reduction_number,
+    reduction_colength,
+    truncated_reduction_number,
+)
 
 XY = ("x", "y")
 EX_IDEAL = parse_ideal("x^3, x^2*y^4, x*y^5, y^7", XY)
 STAIR = parse_ideal("x^4, x^3*y, x*y^3, y^4", XY)
+XYZ = ("x", "y", "z")
+HARD = parse_ideal("x^5, y^5, z^5, x^2*y^2, y^2*z^2, x*z^3", XYZ)
 
 
 def monomial_reduction(ideal: MonomialIdeal) -> Reduction:
@@ -131,15 +140,22 @@ def test_reduction_number_examples():
     assert r2 == monomial_reduction_number(EX_IDEAL, param2)
 
 
-def test_reduction_number_truncation_independent():
+def test_fiber_route_matches_truncated_oracle():
+    # the fiber-cone rank against image dimensions in truncations S/m^(t+1),
+    # at the least t and two degrees past it
     m2 = parse_ideal("x^2, x*y, y^2", XY)
-    param = parse_ideal("x^2, y^2", XY)
-    red = monomial_reduction(param)
-    assert reduction_number_wrt(red, m2) == reduction_number_wrt(red, m2, extra_truncation=2)
-    red_ex = minimal_reduction(EX_IDEAL, seed=1)
-    assert reduction_number_wrt(red_ex, EX_IDEAL) == reduction_number_wrt(
-        red_ex, EX_IDEAL, extra_truncation=2
-    )
+    cases = [(monomial_reduction(parse_ideal("x^2, y^2", XY)), m2)]
+    cases += [(minimal_reduction(EX_IDEAL, seed=1), EX_IDEAL)]
+    for k, deg_bound in ((2, 6), (3, 3)):
+        for _, ideal in corpus_monomial(0, 60, k, deg_bound):
+            cases += [(minimal_reduction(ideal, seed), ideal) for seed in (0, 1)]
+    seen = set()
+    for red, ideal in cases:
+        r = reduction_number_wrt(red, ideal)
+        assert truncated_reduction_number(red, ideal) == r
+        assert truncated_reduction_number(red, ideal, extra_truncation=2) == r
+        seen.add((ideal.k, r))
+    assert {(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)} <= seen
 
 
 def test_non_reduction_raises():
@@ -147,6 +163,9 @@ def test_non_reduction_raises():
     single = Reduction([PolyElement.from_monomial(parse_ideal("x^4", XY).exps[0])], 0, 1)
     with pytest.raises(NotAReduction):
         reduction_number_wrt(single, m2, n_bound=5)
+    for extra in (0, 2):
+        with pytest.raises(NotAReduction):
+            truncated_reduction_number(single, m2, n_bound=5, extra_truncation=extra)
     with pytest.raises(NotAReduction):
         monomial_reduction_number(m2, parse_ideal("x^4", XY), n_bound=5)
 
@@ -254,3 +273,57 @@ def test_vv_levels_match_monomial_oracle():
         assert vv_cm_certificate(ideal, red, r=r) == oracle
         checked += 1
     assert checked >= 8
+
+
+def test_trimmed_vv_levels_match_all_levels():
+    # levels 1 and r_J + 1 hold without computation; the computed levels are
+    # the all-levels oracle's, and so is the verdict
+    # m^3 and (x^2, y^2, z^2, xyz)^2 in three variables: r_J = 2 and G is
+    # Cohen-Macaulay, so the oracle's last level is the skipped level r_J + 1
+    cube = parse_ideal("x, y, z", XYZ).power(3)
+    square = parse_ideal("x^2, y^2, z^2, x*y*z", XYZ).power(2)
+    cases = [(STAIR, minimal_reduction(STAIR, seed=7))]
+    cases += [(ideal, minimal_reduction(ideal, seed=0)) for ideal in (cube, square)]
+    for k, deg_bound, trials in ((2, 6, 3), (3, 3, 2)):
+        for i, (_, ideal) in enumerate(corpus_monomial(0, 40, k, deg_bound)):
+            _, trial_list = reduction_number(ideal, trials=trials, seed=instance_seed(0, i))
+            best = min(trial_list, key=lambda tr: tr["r"])
+            cases.append((ideal, minimal_reduction(ideal, best["seed"])))
+    seen = set()
+    for ideal, red in cases:
+        r = reduction_number_wrt(red, ideal)
+        levels = vv_levels(ideal, red, r=r)
+        oracle = all_vv_levels(ideal, red, r)
+        assert levels == oracle[: len(levels)]
+        assert levels[-1].holds == oracle[-1].holds
+        assert vv_cm_certificate(ideal, red, r=r) == oracle[-1].holds
+        seen.add((ideal.k, r, oracle[-1].holds))
+    assert {0, 1, 2} <= {r for k, r, _ in seen if k == 3}
+    assert {(3, 2, True), (3, 2, False), (2, 1, True)} <= seen
+
+
+def test_hard_ideal_reduction_and_vv_failure():
+    # the truncated route did not finish n = 3 here; the VV test fails at level 2
+    red = minimal_reduction(HARD, seed=0)
+    assert reduction_number_wrt(red, HARD) == 3
+    levels = vv_levels(HARD, red, r=3)
+    assert len(levels) == 2 and not levels[-1].holds
+    assert not vv_cm_certificate(HARD, red, r=3)
+
+
+def test_filtration_report_runs_one_certificate(monkeypatch):
+    # the report's a(G) reads the verdict it already has, at the user's cap
+    calls = []
+    real = filtration.vv_levels
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("max_truncation"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(filtration, "vv_levels", counting)
+    report = filtration.filtration_report(parse_ideal("x^2, x*y, y^2", XY), max_truncation=30)
+    assert calls == [30]
+    assert report.vv_certificate and report.a_G == -1
+    shallow = filtration.filtration_report(STAIR, max_truncation=30)
+    assert calls == [30, 30]
+    assert not shallow.vv_certificate and shallow.a_G is None
