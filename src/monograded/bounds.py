@@ -210,7 +210,7 @@ def verify_prop_3_4(
     e = filtration.multiplicity_samuel(ideal)
     first = levels[0]
     _require_certified(first.t, max_truncation)
-    ell_r_j = first.columns - first.dim_prod
+    ell_r_j = first.ell_j
     if ell_r_j != e:
         witness = {"reason": "l(R/J) != e(I): candidate not a parameter reduction",
                    "l_R_J": ell_r_j, "e": e}
@@ -218,7 +218,7 @@ def verify_prop_3_4(
     if r_j <= 1:  # JI = I^2, so its least certified t is that of I^2
         t_ji, ell_i2_ji = filtration.power_cache(ideal).power(2).smallest_contained_m_power(), 0
     else:
-        t_ji, ell_i2_ji = levels[1].t, levels[1].dim_power - levels[1].dim_prod
+        t_ji, ell_i2_ji = levels[1].t, levels[1].ell_prod - levels[1].ell_power
     _require_certified(t_ji, max_truncation)
     rhs = 1 + ell_i2_ji
     witness = {

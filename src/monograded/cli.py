@@ -150,7 +150,7 @@ def run_hilbert(args) -> dict:
             result["table"] = [
                 {
                     "n": n,
-                    "H": hilbert.hilbert_function(ideal, n),
+                    "H": series.coefficient(n),
                     "P": data.polynomial_value(n),
                 }
                 for n in range(lo, hi + 1)

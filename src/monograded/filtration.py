@@ -3,10 +3,11 @@
 The ambient polynomial ring is read as a local ring at the origin.  Ratliff-Rush
 closures are colon-stabilizations inside the monomial world; reduction numbers
 are exact ranks in the fiber cone (J*I^n = I^(n+1) iff J*I^n spans
-I^(n+1)/m*I^(n+1), by Nakayama); the Valabrega-Valla test uses certified
-truncated linear algebra at the levels that can fail; the associated graded and
-fiber cone series are reconstructed exactly from finitely many
-length/generator counts with a verified polynomial tail.
+I^(n+1)/m*I^(n+1), by Nakayama); the Valabrega-Valla test is a colength
+identity at the levels that can fail, with only J*I^(n-1) certified by
+truncated linear algebra; the associated graded and fiber cone series are
+reconstructed exactly from finitely many length/generator counts with a
+verified polynomial tail.
 """
 
 from __future__ import annotations
@@ -24,15 +25,7 @@ from .hilbert import (
     reconstruct_series,
 )
 from .monomials import MonomialIdeal
-from .truncation import (
-    Echelon,
-    PolyElement,
-    PolyProduct,
-    TruncatedAlgebra,
-    certified_truncation,
-    ideal_image,
-    monomial_image_dim,
-)
+from .truncation import Echelon, PolyElement, PolyProduct, certified_truncation
 
 # Steps of the Ratliff-Rush chain before giving up, and extra samples per
 # reduction-number trial whose candidate fails the n-bound.
@@ -79,11 +72,12 @@ def power_cache(ideal: MonomialIdeal) -> PowerCache:
     return PowerCache(ideal)
 
 
+@lru_cache(maxsize=256)
 def ratliff_rush(ideal: MonomialIdeal, power: int = 1) -> MonomialIdeal:
-    """Ratliff-Rush closure of I^power: the stable value of (I^(power+n) : I^n).
-
-    The chain is increasing for m-primary I, so one repeat is already stable;
-    a second consecutive equality is kept as a belt-and-braces check.
+    """Ratliff-Rush closure of I^power, the union of the increasing chain
+    (I^(power+n) : I^n), taken at the first repeat plus one confirming step:
+    the first n >= 1 with members n - 1, n, n + 1 equal (member 0 is I^power).
+    A chain can plateau and grow again, so this stopping rule is not a proof.
     """
     cache = power_cache(ideal)
     current = cache.power(power)
@@ -173,6 +167,19 @@ def minimal_reduction(ideal: MonomialIdeal, seed: int, coeff_bound: int = 100) -
     return Reduction(combos, seed, coeff_bound)
 
 
+def _product_rows(polys, monomials, columns: dict):
+    """Rows q*w for each monomial w and integer terms q, kept on `columns`
+    (monomial -> column index); terms outside the columns are dropped."""
+    for w in monomials:
+        for terms in polys:
+            row = {}
+            for g, c in terms:
+                j = columns.get(tuple(map(add, g, w)))
+                if j is not None:
+                    row[j] = c
+            yield row
+
+
 def reduction_number_wrt(
     reduction: Reduction,
     ideal: MonomialIdeal,
@@ -194,15 +201,9 @@ def reduction_number_wrt(
     for n in range(n_bound + 1):
         columns = {w: j for j, w in enumerate(cache.power(n + 1).exps)}
         ech = Echelon()
-        for w in cache.power(n).exps:
-            for terms in polys:
-                row = {}
-                for g, c in terms:
-                    j = columns.get(tuple(map(add, g, w)))
-                    if j is not None:
-                        row[j] = c
-                if ech.add(row) and ech.dim == len(columns):
-                    return n
+        for row in _product_rows(polys, cache.power(n).exps, columns):
+            if ech.add(row) and ech.dim == len(columns):
+                return n
     raise NotAReduction(f"not a reduction within n <= {n_bound}")
 
 
@@ -247,19 +248,20 @@ def reduction_number(
 
 @dataclass
 class VVLevel:
-    """Level n of the Valabrega-Valla test, as dimensions in S/m^t for the
-    least t with m^t certified inside J*I^(n-1)."""
+    """Level n of the Valabrega-Valla test as colengths; t is the least degree
+    certified with m^t inside J*I^(n-1).  By 0 -> R/(J cap I^n) -> R/J + R/I^n
+    -> R/(J + I^n) -> 0 and J*I^(n-1) inside J cap I^n, the level holds iff
+    ell_prod = ell_j + ell_power - ell_sum."""
 
     t: int
-    columns: int  # S/m^t
-    dim_power: int  # I^n
-    dim_j: int  # J
-    dim_sum: int  # J + I^n
-    dim_prod: int  # J*I^(n-1)
+    ell_prod: int  # R/J*I^(n-1)
+    ell_sum: int  # R/(J + I^n)
+    ell_power: int  # R/I^n
+    ell_j: int  # R/J
 
     @property
     def holds(self) -> bool:  # I^n intersect J = J*I^(n-1)
-        return self.dim_power + self.dim_j - self.dim_sum == self.dim_prod
+        return self.ell_prod + self.ell_sum == self.ell_power + self.ell_j
 
 
 def vv_levels(
@@ -271,36 +273,31 @@ def vv_levels(
     """The levels of `vv_cm_certificate` that need a computation, up to the
     first that fails; `r` must be r_J(I) of this reduction.
 
-    Level 1 holds because J lies in I; it keeps J's certificate, so
-    ell(R/J) = columns - dim_prod there.  Levels n = 2..r follow; level r + 1
-    holds because J*I^r = I^(r+1) lies in J, and is not computed.  Level 2,
-    when present, has ell(I^2/JI) = dim_power - dim_prod."""
+    ell(R/J*I^(n-1)) is the truncation certificate's, ell(R/I^n) the power
+    cache's, and ell(R/(J + I^n)) is ell(R/I^n) minus the rank of the rows q*u
+    in S/I^n, u a standard monomial of I^n.  Level 1 holds as J lies in I; its
+    certificate is J's and gives ell(R/J).  Levels 2..r follow; level r + 1
+    holds as J*I^r = I^(r+1) lies in J.  Level 2 has ell(I^2/JI) = ell_prod - ell_power."""
     if r is None:
         r = reduction_number_wrt(reduction, ideal)
     cache = power_cache(ideal)
     max_deg = max(map(sum, ideal.exps))
+    polys = [p.integer_terms() for p in reduction.gens]
     levels = []
     for n in range(1, max(r, 1) + 1):
         prod_gens = PolyProduct(reduction.gens, cache.power(n - 1))
         cap = max(max_deg * (n + 2), 8) if max_truncation is None else max_truncation
-        power_n = cache.power(n)
         t, proof = certified_truncation(prod_gens, ideal.k, cap)
-        algebra = TruncatedAlgebra(ideal.k, t - 1)
-        dim_prod = proof["image_dim"]
-        dim_power = monomial_image_dim(power_n, t - 1)
+        ell_prod, ell_power = proof["stable_length"], cache.colength(n)
         if n == 1:  # J*I^0 = J, and J + I = I as J lies in I
-            dim_j, dim_sum = dim_prod, dim_power
+            ell_j, ell_sum = ell_prod, ell_power
         else:
-            dim_j = ideal_image(reduction.gens, algebra).dim
-            dim_sum = ideal_image(reduction.gens, algebra, seed_ideal=power_n).dim
-        levels.append(VVLevel(
-            t=t,
-            columns=algebra.dimension,
-            dim_power=dim_power,
-            dim_j=dim_j,
-            dim_sum=dim_sum,
-            dim_prod=dim_prod,
-        ))
+            standard = cache.power(n).standard_monomials()
+            ech = Echelon()
+            for row in _product_rows(polys, standard, {u: j for j, u in enumerate(standard)}):
+                ech.add(row)
+            ell_sum = ell_power - ech.dim
+        levels.append(VVLevel(t, ell_prod, ell_sum, ell_power, ell_j))
         if not levels[-1].holds:
             break
     return levels
@@ -317,10 +314,9 @@ def vv_cm_certificate(
 
     Certifies Cohen-Macaulayness of the associated graded ring.  The equality
     holds at n = 1 (J lies in I) and for n > r_J (J*I^r = I^(r+1) lies in J),
-    so only the levels 2..r_J are computed.  Each is decided exactly: with m^t
-    inside J*I^(n-1) the three subspace dimensions at truncation t - 1 pin the
-    ideal-level intersection down.  The certificate echelon of J*I^(n-1) gives
-    its dimension at t - 1 (`vv_levels` reports each level's data).
+    so only the levels 2..r_J are computed.  Each is decided exactly as the
+    colength identity ell(R/J*I^(n-1)) + ell(R/(J + I^n)) = ell(R/I^n) +
+    ell(R/J), which `vv_levels` reports level by level.
     """
     return vv_levels(ideal, reduction, r=r, max_truncation=max_truncation)[-1].holds
 

@@ -235,6 +235,19 @@ class MonomialIdeal:
         self.pure_power_bounds()  # precondition check: Artinian quotient
         return _count_standard(self.k, self.exps, {})
 
+    def standard_monomials(self) -> list[tuple[int, ...]]:
+        """The quotient_length() monomials outside the ideal, the basis of R/I,
+        in (degree, exps) order.  Requires m-primary I.
+
+        Grown one coordinate at a time: (e_1..e_j) is a standard prefix iff it
+        avoids the generators supported on the first j variables."""
+        found = [()]
+        for j, bound in enumerate(self.pure_power_bounds()):
+            gens = [g[: j + 1] for g in self.exps if not any(g[j + 1:])]
+            found = [p + (e,) for p in found for e in range(bound)
+                     if not _divisible(p + (e,), gens)]
+        return sorted(found, key=lambda u: (sum(u), u))
+
     def graded_length(self, n: int) -> int:
         """ell((R/I)_n): standard monomials of total degree n."""
         if n < 0 or self.is_unit:

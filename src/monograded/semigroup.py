@@ -9,6 +9,7 @@ This is the complete one-dimensional engine.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 from .errors import ComputationError, NotAReduction
@@ -168,13 +169,14 @@ def ideal_product_sg(a: SemigroupIdeal, b: SemigroupIdeal) -> SemigroupIdeal:
     return SemigroupIdeal(a.S, {x + y for x in a.gens for y in b.gens})
 
 
+@lru_cache(maxsize=512)
 def ideal_power_sg(a: SemigroupIdeal, n: int) -> SemigroupIdeal:
+    """E^n, built once from E^(n-1)."""
     if n < 0:
         raise ValueError("negative ideal power")
-    result = SemigroupIdeal(a.S, (0,))
-    for _ in range(n):
-        result = ideal_product_sg(result, a)
-    return result
+    if n == 0:
+        return SemigroupIdeal(a.S, (0,))
+    return ideal_product_sg(ideal_power_sg(a, n - 1), a)
 
 
 def translate_sg(a: SemigroupIdeal, shift: int) -> SemigroupIdeal:
@@ -223,8 +225,7 @@ def rr_sg(a: SemigroupIdeal, power: int = 1) -> SemigroupIdeal:
     E^(n+1) = j + E^n, so the chain is constant and its value at n = max(r, 1)
     is the closure; an earlier repeat can be a plateau that still grows."""
     n = max(reduction_number_sg(a)[0], 1)
-    stable = ideal_power_sg(a, n)
-    return colon_sg(ideal_product_sg(stable, ideal_power_sg(a, power)), stable)
+    return colon_sg(ideal_power_sg(a, n + power), ideal_power_sg(a, n))
 
 
 def multiplicity_sg(a: SemigroupIdeal) -> int:
@@ -233,16 +234,14 @@ def multiplicity_sg(a: SemigroupIdeal) -> int:
     return a.min_element
 
 
+@lru_cache(maxsize=256)
 def reduction_number_sg(a: SemigroupIdeal) -> tuple[int, int]:
     """(r, a) for the principal reduction J = (t^a), a the minimal valuation:
-    the least n with a + E^n = E^(n+1)."""
+    the least n with a + E^n = E^(n+1), computed once per ideal."""
     j = a.min_element
     bound = multiplicity_sg(a) + 2
-    power = ideal_power_sg(a, 0)
     for n in range(bound + 1):
-        nxt = ideal_product_sg(power, a)
-        if translate_sg(power, j) == nxt:
+        if translate_sg(ideal_power_sg(a, n), j) == ideal_power_sg(a, n + 1):
             return n, j
-        power = nxt
     raise NotAReduction(f"principal candidate failed below n = {bound}")
 

@@ -10,8 +10,8 @@ A product (q_1..q_s)*M of polynomials with a monomial ideal stays factored
 (`PolyProduct`): its image is spanned by one row q*w per q and monomial w of M,
 not one per way of writing w = u*g over the generators g of M.  A list of
 generators is the product with the unit ideal.  The echelon behind a
-certificate at t also gives dim (A + m^t)/m^t, which `certified_truncation`
-returns, so callers need not rebuild the image at t - 1.
+certificate at t also gives ell(S/A), which `certified_truncation` returns
+with dim (A + m^t)/m^t, so callers need not rebuild the image at t - 1.
 
 All elimination is fraction-free over the integers; clearing denominators of
 rational inputs does not change spans over the rationals.
@@ -207,22 +207,15 @@ class Echelon:
         return sum(1 for c in self.pivots if c < col_bound)
 
 
-def ideal_image(
-    gens,
-    algebra: TruncatedAlgebra,
-    seed_ideal: MonomialIdeal | None = None,
-    until_full_degree: bool = False,
-) -> Echelon:
+def ideal_image(gens, algebra: TruncatedAlgebra, until_full_degree: bool = False) -> Echelon:
     """Row-reduced image of the ideal generated by `gens` in the truncation.
 
     `gens` is a list of generators or a `PolyProduct`.  Rows q*w come by
     ascending degree of w.  No later row has a term below degree
     deg w + mindeg q, so with `until_full_degree` it stops at the first such
-    settled degree 1 <= t < N inside the span.  A `seed_ideal` gives unit rows.
+    settled degree 1 <= t < N inside the span.
     """
     ech = Echelon()
-    if seed_ideal is not None:
-        ech.pivots.update((c, {c: 1}) for c in algebra.ideal_columns(seed_ideal, algebra.N))
     product = gens if isinstance(gens, PolyProduct) else PolyProduct(gens, None)
     if not product.polys:
         return ech
@@ -278,8 +271,3 @@ def certified_truncation(gens, k: int, max_t: int):
         if attempt >= max_t:
             raise NotCertified(f"no truncation certificate up to degree {max_t}")
         attempt = min(attempt * 2, max_t)
-
-
-def monomial_image_dim(ideal: MonomialIdeal, N: int) -> int:
-    """Dimension of the image of a monomial ideal in S/m^(N+1): a count."""
-    return len(TruncatedAlgebra(ideal.k, N).ideal_columns(ideal, N))

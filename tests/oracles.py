@@ -16,7 +16,6 @@ from monograded.truncation import (
     TruncatedAlgebra,
     certified_truncation,
     ideal_image,
-    monomial_image_dim,
 )
 
 
@@ -218,7 +217,7 @@ def prop34_lengths(ideal: MonomialIdeal, reduction, max_t: int = 40) -> tuple[in
     ji = expanded_product(reduction.gens, ideal)
     t, _ = certified_truncation(ji, ideal.k, max_t)
     algebra = TruncatedAlgebra(ideal.k, t - 1)
-    ell_i2_ji = monomial_image_dim(ideal.power(2), t - 1) - ideal_image(ji, algebra).dim
+    ell_i2_ji = len(algebra.ideal_columns(ideal.power(2), t - 1)) - ideal_image(ji, algebra).dim
     return reduction_colength(reduction, ideal.k, max_t), ell_i2_ji
 
 
@@ -249,29 +248,34 @@ def truncated_reduction_number(reduction, ideal: MonomialIdeal, n_bound=None,
         t = nxt.smallest_contained_m_power() + extra_truncation
         algebra = TruncatedAlgebra(ideal.k, t)
         jin = PolyProduct(reduction.gens, cache.power(n))
-        if ideal_image(jin, algebra).dim == monomial_image_dim(nxt, t):
+        if ideal_image(jin, algebra).dim == len(algebra.ideal_columns(nxt, t)):
             return n
     raise NotAReduction(f"not a reduction within n <= {n_bound}")
 
 
 def all_vv_levels(ideal: MonomialIdeal, reduction, r: int) -> list:
     """Every Valabrega-Valla level n = 1..r + 1, each computed in full, up to
-    the first that fails."""
+    the first that fails.  All four colengths are read in S/m^t, t the least
+    degree certified with m^t inside J*I^(n-1): J*I^(n-1) lies in J, in I^n and
+    in J + I^n, so their colengths there are the true ones."""
     cache = power_cache(ideal)
     max_deg = max(map(sum, ideal.exps))
     levels = []
     for n in range(1, r + 2):
         prod_gens = PolyProduct(reduction.gens, cache.power(n - 1))
-        power_n = cache.power(n)
-        t, proof = certified_truncation(prod_gens, ideal.k, max(max_deg * (n + 2), 8))
+        power_gens = list(cache.power(n).exps)
+        t, _ = certified_truncation(prod_gens, ideal.k, max(max_deg * (n + 2), 8))
         algebra = TruncatedAlgebra(ideal.k, t - 1)
+
+        def colength(gens):
+            return algebra.dimension - ideal_image(gens, algebra).dim
+
         levels.append(VVLevel(
             t=t,
-            columns=algebra.dimension,
-            dim_power=monomial_image_dim(power_n, t - 1),
-            dim_j=ideal_image(reduction.gens, algebra).dim,
-            dim_sum=ideal_image(reduction.gens, algebra, seed_ideal=power_n).dim,
-            dim_prod=proof["image_dim"],
+            ell_prod=colength(prod_gens),
+            ell_sum=colength(reduction.gens + power_gens),
+            ell_power=colength(power_gens),
+            ell_j=colength(reduction.gens),
         ))
         if not levels[-1].holds:
             break

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -238,3 +239,44 @@ def test_config_embedded_in_output():
     assert doc["schema"] == "monograded/1"
     assert doc["config"]["subcommand"] == "hilbert"
     assert doc["config"]["ideal"] == "x^2, y^3"
+
+
+HARD = "x^5, y^5, z^5, x^2*y^2, y^2*z^2, x*z^3"
+SQUARE = "x^4, y^4, z^4, x^2*y^2, x^2*z^2, y^2*z^2, x^3*y*z, x*y^3*z, x*y*z^3"
+
+# sha256 of the JSON output of each command.  The prop3.4 corpus has r_J = 2
+# instances whose Valabrega-Valla level 2 fails; (x^2, y^2, z^2, xyz)^2 has
+# r_J = 2 with level 2 holding; the hard ideal has r_J = 3.
+GOLDEN = [
+    pytest.param(["reproduce", "example-2.2"],
+                 "f65135823b96f9d67dd8959ab2a61475d4774acf4347f07c01836f41aeecbf35",
+                 id="example-2.2"),
+    pytest.param(["reproduce", "example-3.2"],
+                 "e574d44db2b84d8e1f2c9b63ecd3e13b0f212d95f65744f5fb217a2fc80fe7c1",
+                 id="example-3.2"),
+    pytest.param(["verify", "--bound", "all", "--count", "5", "--corpus-seed", "0"],
+                 "e37ce84a25ee443beba3770b15751a4159415cddb9eacfcc216e6da3a316be81",
+                 id="verify-all"),
+    pytest.param(["verify", "--bound", "prop3.4", "--vars", "3", "--degree-bound", "3",
+                  "--corpus-seed", "0", "--count", "40"],
+                 "50c77d516e98f0022815fa1b53f3fdcbdabd29efe57333aceb6d328989a6ee73",
+                 id="prop3.4-corpus"),
+    pytest.param(["verify", "--ring", "x,y,z", "--ideal", SQUARE, "--bound", "prop3.4"],
+                 "182b94c1010d658c39d898599ce3a01181412cc953a39190bc40cb4a779ba9bd",
+                 id="prop3.4-square"),
+    pytest.param(["hilbert", "--ring", "a,b,c,d", "--ideal", "b*d, b*c, b^2, c^3",
+                  "--window=0:12"],
+                 "f92218b7911d043196a29b0e2264b3fab654c2c40bd61c823b401ec4d45aba34",
+                 id="hilbert-window"),
+    pytest.param(["reduction", "--ring", "x,y,z", "--ideal", HARD],
+                 "e2d7b03d1e5d5d63a049df3d47b37ff1d6f9d7c6523b23fd10b7aad8af9d45b3",
+                 id="reduction-hard"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN)
+def test_golden_output_digest(argv, digest, monkeypatch):
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    code, out = run_cli(argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

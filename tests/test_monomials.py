@@ -157,9 +157,30 @@ def test_quotient_length_matches_box_oracle_random():
         assert ideal.quotient_length() == box_standard_count(ideal)
 
 
+def test_standard_monomials_match_quotient_length_random():
+    rng = random.Random(17)
+    for k in (1, 2, 3, 4):
+        for _ in range(8):
+            ideal = random_m_primary_ideal(rng, k, 5 if k < 4 else 3)
+            if rng.random() < 0.5:
+                ideal = ideal.power(2)
+            standard = ideal.standard_monomials()
+            assert len(standard) == ideal.quotient_length()
+            assert standard == sorted(set(standard), key=lambda u: (sum(u), u))
+            assert not any(ideal.contains_monomial(u) for u in standard)
+            # the complement is an order ideal: dividing a standard monomial keeps it standard
+            found = set(standard)
+            for u in standard:
+                for j in range(k):
+                    if u[j]:
+                        assert u[:j] + (u[j] - 1,) + u[j + 1:] in found
+
+
 def test_quotient_length_requires_artinian():
     with pytest.raises(InfiniteLength):
         parse_ideal("x", XY).quotient_length()
+    with pytest.raises(InfiniteLength):
+        parse_ideal("x", XY).standard_monomials()
 
 
 def test_graded_length_sums_match_enumeration():
