@@ -27,27 +27,21 @@ from .cohomology import (
     eg_invariant,
     h,
 )
-from .truncation import (
-    PolyElement,
-    PolyProduct,
-    TruncatedAlgebra,
-    certified_truncation,
-)
+from .truncation import PolyElement
 from .filtration import (
     FiltrationReport,
     Reduction,
     G_hilbert_data,
     a_G_if_CM,
+    cm_h_vector,
     fiber_cone_series,
     h0_G,
     minimal_reduction,
     mu,
-    multiplicity_samuel,
+    newton_multiplicity,
     ratliff_rush,
     reduction_number,
     reduction_number_wrt,
-    vv_cm_certificate,
-    vv_levels,
 )
 from .semigroup import (
     NumericalSemigroup,

@@ -2,8 +2,11 @@
 
 Every checker evaluates both sides of one inequality on a concrete instance,
 with every hypothesis machine-checked; `hypothesis-unverified` and `skipped`
-are first-class outcomes, never silently folded into the pass column.  Corpus
-runs are seeded and deterministic.
+are first-class outcomes, never silently folded into the pass column.  The
+reduction-number bounds prop3.3 and prop3.4 are checked where the associated
+graded ring G is Cohen-Macaulay, decided exactly as ell(G/J*G) = e(I); its
+h-vector then gives the lengths they need.  Corpus runs are seeded and
+deterministic.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from . import cohomology, filtration, hilbert, semigroup
-from .errors import ComputationError, NotCertified
+from .errors import ComputationError
 from .monomials import MonomialIdeal
 
 HOLDS = "holds"
@@ -50,11 +53,6 @@ class BoundReport:
             "gap": self.gap,
             "witness": self.witness,
         }
-
-
-def _require_certified(t: int, max_truncation: int) -> None:
-    if t >= max_truncation:
-        raise NotCertified(f"no truncation certificate up to degree {max_truncation}")
 
 
 def _status_le(lhs: int, rhs: int) -> str:
@@ -143,45 +141,36 @@ def verify_prop_3_3(
     """d = 2: r(I) <= 1 + e(I) - ell(I/I^2) + ell(R/I) + h^1(G)_0, with the
     depth gate gamma(I) >= 1 checked through vanishing of h^0(G)_n.
 
-    Two guarded routes produce h^1(G)_0: a true Valabrega-Valla certificate
-    forces it to zero; failing that, r <= 1 puts a(G) below zero so the
-    Serre difference of the reconstructed G-series at degree 0 is -h^1(G)_0.
+    h^1(G)_0 is known only when G is Cohen-Macaulay, where it vanishes.  The
+    gate then passes (depth G >= 1), so it runs only when G is not
+    Cohen-Macaulay and decides between skipped and hypothesis-unverified.
     """
     if ideal.k != 2:
         raise ComputationError("prop3.3 checker needs a plane (two-variable) ideal")
     r, trial_list = filtration.reduction_number(ideal, trials=trials, seed=seed)
-    if not filtration.gamma_positive(ideal, r + 1):
-        witness = {"reason": "gamma gate failed: h^0(G) does not vanish", "r": r}
-        return BoundReport(instance_id, "prop3.3", None, None, SKIPPED, witness)
     best = min(trial_list, key=lambda tr: tr["r"])
     reduction = filtration.minimal_reduction(ideal, best["seed"])
-    cache = filtration.power_cache(ideal)
-    e = filtration.multiplicity_samuel(ideal)
-    ell_r_i = cache.colength(1)
-    ell_i_i2 = cache.colength(2) - cache.colength(1)
-    certificate = filtration.vv_cm_certificate(ideal, reduction, r=best["r"])
-    h1_g0 = None
-    path = None
-    if certificate:
-        h1_g0 = 0
-        path = "cm-certificate"
-    elif r <= 1:
-        g_data = filtration.G_hilbert_data(ideal)
-        h1_g0 = g_data.polynomial_value(0) - g_data.series.coefficient(0)
-        path = "serre-difference"
-    if h1_g0 is None:
+    certificate, h = filtration.cm_h_vector(ideal, reduction, r=r)
+    if not certificate:
+        if not filtration.gamma_positive(ideal, r + 1):
+            witness = {"reason": "gamma gate failed: h^0(G) does not vanish", "r": r}
+            return BoundReport(instance_id, "prop3.3", None, None, SKIPPED, witness)
         witness = {"reason": "no guarded route: certificate false and r > 1", "r": r}
         return BoundReport(instance_id, "prop3.3", None, None, UNVERIFIED, witness)
-    rhs = 1 + e - ell_i_i2 + ell_r_i + h1_g0
+    cache = filtration.power_cache(ideal)
+    e = sum(h)
+    ell_r_i = cache.colength(1)
+    ell_i_i2 = cache.colength(2) - cache.colength(1)
+    rhs = 1 + e - ell_i_i2 + ell_r_i
     witness = {
         "direction": "<=",
         "r": r,
         "e": e,
         "l_R_I": ell_r_i,
         "l_I_I2": ell_i_i2,
-        "h1_G_0": h1_g0,
-        "path": path,
-        "vv_certificate": certificate,
+        "h1_G_0": 0,
+        "path": "cm-certificate",
+        "vv_certificate": True,
     }
     return BoundReport(instance_id, "prop3.3", r, rhs, _status_le(r, rhs), witness)
 
@@ -191,41 +180,29 @@ def verify_prop_3_4(
     instance_id: str = "",
     seed: int = 0,
     trials: int = 2,
-    max_truncation: int = 40,
 ) -> BoundReport:
-    """d >= 3: r_J(I) <= 1 + ell(I^2/JI) + h^(d-1)(G)_(2-d), where a true
-    Cohen-Macaulay certificate kills the cohomology term.  ell(R/J) and
-    ell(I^2/JI) come from its levels 1 and 2 (JI = I^2 when r_J <= 1), each
-    certified below max_truncation."""
+    """d >= 3: r_J(I) <= 1 + ell(I^2/JI) + h^(d-1)(G)_(2-d), where a
+    Cohen-Macaulay G kills the cohomology term.  Then J is a parameter ideal
+    of a Cohen-Macaulay ring, so ell(R/J) = e(I), and ell(I^2/JI) = h_2 + ...
+    + h_r from the h-vector of G/J*G."""
     if ideal.k < 3:
         raise ComputationError("prop3.4 checker needs at least three variables")
-    r, trial_list = filtration.reduction_number(ideal, trials=trials, seed=seed)
+    _, trial_list = filtration.reduction_number(ideal, trials=trials, seed=seed)
     best = min(trial_list, key=lambda tr: tr["r"])
     reduction = filtration.minimal_reduction(ideal, best["seed"])
     r_j = best["r"]
-    levels = filtration.vv_levels(ideal, reduction, r=r_j)
-    if not levels[-1].holds:
+    certificate, h = filtration.cm_h_vector(ideal, reduction, r=r_j)
+    if not certificate:  # the Valabrega-Valla condition holds iff G is Cohen-Macaulay
         witness = {"reason": "Valabrega-Valla certificate false", "r": r_j}
         return BoundReport(instance_id, "prop3.4", None, None, UNVERIFIED, witness)
-    e = filtration.multiplicity_samuel(ideal)
-    first = levels[0]
-    _require_certified(first.t, max_truncation)
-    ell_r_j = first.ell_j
-    if ell_r_j != e:
-        witness = {"reason": "l(R/J) != e(I): candidate not a parameter reduction",
-                   "l_R_J": ell_r_j, "e": e}
-        return BoundReport(instance_id, "prop3.4", None, None, UNVERIFIED, witness)
-    if r_j <= 1:  # JI = I^2, so its least certified t is that of I^2
-        t_ji, ell_i2_ji = filtration.power_cache(ideal).power(2).smallest_contained_m_power(), 0
-    else:
-        t_ji, ell_i2_ji = levels[1].t, levels[1].ell_prod - levels[1].ell_power
-    _require_certified(t_ji, max_truncation)
+    e = sum(h)
+    ell_i2_ji = sum(h[2:])
     rhs = 1 + ell_i2_ji
     witness = {
         "direction": "<=",
         "r_J": r_j,
         "l_I2_JI": ell_i2_ji,
-        "l_R_J": ell_r_j,
+        "l_R_J": e,
         "e": e,
         "vv_certificate": True,
     }

@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_int(p, "--trials", 3, 1)
     add_int(p, "--coeff-bound", 100, 1)
     add_int(p, "--n-bound", None, 0)
-    add_int(p, "--max-truncation", None, 1)
     add_int(p, "--powers", 4, 0, help="table depth for powers of I")
 
     p = sub.add_parser("verify", help="check the a-invariant and reduction-number bounds on instances or corpora")
@@ -187,7 +186,6 @@ def run_reduction(args) -> dict:
         coeff_bound=args.coeff_bound,
         n_bound=args.n_bound,
         powers=args.powers,
-        max_truncation=args.max_truncation,
     )
     return report.to_dict()
 

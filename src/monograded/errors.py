@@ -21,10 +21,6 @@ class ZeroRing(ComputationError):
     """The quotient ring is zero; the requested invariant is undefined."""
 
 
-class NotCertified(ComputationError):
-    """Truncation stabilization was not reached within the allowed bound."""
-
-
 class NotAReduction(ComputationError):
     """A candidate ideal failed the reduction test within the search bound."""
 

@@ -1,13 +1,14 @@
 """Invariants of the I-adic filtration of an m-primary monomial ideal.
 
 The ambient polynomial ring is read as a local ring at the origin.  Ratliff-Rush
-closures are colon-stabilizations inside the monomial world; reduction numbers
-are exact ranks in the fiber cone (J*I^n = I^(n+1) iff J*I^n spans
-I^(n+1)/m*I^(n+1), by Nakayama); the Valabrega-Valla test is a colength
-identity at the levels that can fail, with only J*I^(n-1) certified by
-truncated linear algebra; the associated graded and fiber cone series are
-reconstructed exactly from finitely many length/generator counts with a
-verified polynomial tail.
+closures are colon-stabilizations inside the monomial world; the multiplicity
+e(I) is d! times the covolume of the Newton polyhedron; reduction numbers are
+exact ranks in the fiber cone (J*I^n = I^(n+1) iff J*I^n spans
+I^(n+1)/m*I^(n+1), by Nakayama); the associated graded ring G is
+Cohen-Macaulay iff ell(G/J*G) = e(I), each degree of G/J*G an exact rank in
+the finite monomial space I^n/I^(n+1).  The fiber cone series, and the
+G-series of a G that is not Cohen-Macaulay, are reconstructed exactly from
+finitely many length/generator counts with a verified polynomial tail.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from itertools import combinations
+from math import gcd
+from operator import add, mul, sub
 
 from .errors import CertificateFailed, ComputationError, NotAReduction
 from .hilbert import (
@@ -25,7 +28,7 @@ from .hilbert import (
     reconstruct_series,
 )
 from .monomials import MonomialIdeal
-from .truncation import Echelon, PolyElement, PolyProduct, certified_truncation
+from .truncation import Echelon, PolyElement
 
 # Steps of the Ratliff-Rush chain before giving up, and extra samples per
 # reduction-number trial whose candidate fails the n-bound.
@@ -104,28 +107,87 @@ def gamma_positive(ideal: MonomialIdeal, upto: int) -> bool:
     return all(h0_G(ideal, n) == 0 for n in range(upto + 1))
 
 
-def multiplicity_samuel(ideal: MonomialIdeal, n_bound: int | None = None) -> int:
-    """Hilbert-Samuel multiplicity from the colength sequence ell(R/I^n).
+def _det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination; every division is exact."""
+    m = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for i in range(len(m) - 1):
+        if not m[i][i]:
+            j = next((j for j in range(i + 1, len(m)) if m[j][i]), None)
+            if j is None:
+                return 0
+            m[i], m[j], sign = m[j], m[i], -sign
+        for j in range(i + 1, len(m)):
+            m[j] = [(v * m[i][i] - m[j][i] * w) // prev for v, w in zip(m[j], m[i])]
+        prev = m[i][i]
+    return sign * m[-1][-1] if m else 1
 
-    The d-th finite differences must take one value on d+2 consecutive windows
-    and that value must survive two further verification points.
+
+def _affine_dim(points) -> int:
+    """Dimension of the affine hull of a set of exponent tuples (-1 if empty)."""
+    points = list(points)
+    ech = Echelon()
+    for p in points[1:]:
+        ech.add(dict(enumerate(map(sub, p, points[0]))))
+    return ech.dim if points else -1
+
+
+def _pulling(face: frozenset, dim: int, walls):
+    """Vertex tuples of a pulling triangulation of conv(face), a face of
+    dimension `dim` whose facets are among its intersections with the `walls`:
+    the cones from its least point (a vertex) over the facets without it."""
+    apex = min(face)
+    if dim == 0:
+        yield (apex,)
+        return
+    seen = set()
+    for wall in walls:
+        facet = face & wall
+        if apex not in facet and facet not in seen and _affine_dim(facet) == dim - 1:
+            seen.add(facet)
+            for simplex in _pulling(facet, dim - 1, walls):
+                yield (apex, *simplex)
+
+
+@lru_cache(maxsize=256)
+def newton_multiplicity(ideal: MonomialIdeal) -> int:
+    """Hilbert-Samuel multiplicity e(I) = e(integral closure of I) = d! times
+    the covolume of the Newton polyhedron conv(exponents) + R^d_>=0 (Teissier,
+    "Monomes, volumes et multiplicites", 1988; Huneke-Swanson 2006, ch. 1).
+
+    The region under the polyhedron is the union of the cones from the origin
+    over its compact facets, so e(I) is the sum of |det| over the simplices of
+    a triangulation of those facets.  A compact facet is the hyperplane through
+    d affinely independent generators with a strictly positive primitive normal
+    and no generator below it; coplanar generators share one normal.  Every
+    other facet lies in a coordinate hyperplane, so the faces of a compact
+    facet are its intersections with the compact facets and with the sets
+    {g : g_i = 0}.  In one variable e(I) is the least exponent.
     """
-    d = ideal.k
-    if n_bound is None:
-        n_bound = 6 * d + 14
-    cache = power_cache(ideal)
-    values = [cache.colength(0), cache.colength(1)]
-    while len(values) <= n_bound:
-        values.append(cache.colength(len(values)))
-        diffs = values
-        for _ in range(d):
-            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        if len(diffs) >= 4 and len(set(diffs[-4:])) == 1:
-            e = diffs[-1]
-            if e <= 0:
-                raise ComputationError("stabilized leading difference is not positive")
-            return e
-    raise ComputationError(f"colength differences did not stabilize below n = {n_bound}")
+    bounds = ideal.pure_power_bounds()  # InfiniteLength unless m-primary
+    d, gens = ideal.k, ideal.exps
+    if d == 1:
+        return bounds[0]
+    facets = {}
+    for points in combinations(gens, d):
+        diffs = [list(map(sub, p, points[0])) for p in points[1:]]
+        normal = [(-1) ** j * _det([row[:j] + row[j + 1:] for row in diffs]) for j in range(d)]
+        if normal[0] < 0:
+            normal = [-v for v in normal]
+        if min(normal) <= 0:
+            continue
+        step = gcd(*normal)
+        normal = tuple(v // step for v in normal)
+        if normal in facets:
+            continue
+        values = [sum(map(mul, normal, g)) for g in gens]
+        level = sum(map(mul, normal, points[0]))
+        if min(values) == level:
+            facets[normal] = frozenset(g for g, v in zip(gens, values) if v == level)
+    walls = [*facets.values(), *(frozenset(g for g in gens if not g[i]) for i in range(d))]
+    return sum(abs(_det(simplex))
+               for face in facets.values() for simplex in _pulling(face, d - 1, walls))
 
 
 def mu(ideal: MonomialIdeal, n: int) -> int:
@@ -195,7 +257,7 @@ def reduction_number_wrt(
     row per (q, w), one column per minimal generator of I^(n+1).
     """
     if n_bound is None:
-        n_bound = multiplicity_samuel(ideal) + 2
+        n_bound = newton_multiplicity(ideal) + 2
     cache = power_cache(ideal)
     polys = [p.integer_terms() for p in reduction.gens]
     for n in range(n_bound + 1):
@@ -221,7 +283,7 @@ def reduction_number(
     times before the trial errors out.
     """
     if n_bound is None:
-        n_bound = multiplicity_samuel(ideal) + 2
+        n_bound = newton_multiplicity(ideal) + 2
     trials_out = []
     best = None
     for trial in range(trials):
@@ -243,97 +305,58 @@ def reduction_number(
     return best, trials_out
 
 
-# -- Valabrega-Valla certificate and the a-invariant of G -------------------
+# -- Cohen-Macaulayness of G and the a-invariant of G -----------------------
 
 
-@dataclass
-class VVLevel:
-    """Level n of the Valabrega-Valla test as colengths; t is the least degree
-    certified with m^t inside J*I^(n-1).  By 0 -> R/(J cap I^n) -> R/J + R/I^n
-    -> R/(J + I^n) -> 0 and J*I^(n-1) inside J cap I^n, the level holds iff
-    ell_prod = ell_j + ell_power - ell_sum."""
+def cm_h_vector(
+    ideal: MonomialIdeal, reduction: Reduction, r: int | None = None
+) -> tuple[bool, list[int]]:
+    """(is_cm, h): whether G = gr_I(R) is Cohen-Macaulay, decided by the
+    colength of G/J*G, where J* holds the initial forms in I/I^2 of the
+    reduction J and `r` must be r_J(I) of this reduction.
 
-    t: int
-    ell_prod: int  # R/J*I^(n-1)
-    ell_sum: int  # R/(J + I^n)
-    ell_power: int  # R/I^n
-    ell_j: int  # R/J
-
-    @property
-    def holds(self) -> bool:  # I^n intersect J = J*I^(n-1)
-        return self.ell_prod + self.ell_sum == self.ell_power + self.ell_j
-
-
-def vv_levels(
-    ideal: MonomialIdeal,
-    reduction: Reduction,
-    r: int | None = None,
-    max_truncation: int | None = None,
-) -> list[VVLevel]:
-    """The levels of `vv_cm_certificate` that need a computation, up to the
-    first that fails; `r` must be r_J(I) of this reduction.
-
-    ell(R/J*I^(n-1)) is the truncation certificate's, ell(R/I^n) the power
-    cache's, and ell(R/(J + I^n)) is ell(R/I^n) minus the rank of the rows q*u
-    in S/I^n, u a standard monomial of I^n.  Level 1 holds as J lies in I; its
-    certificate is J's and gives ell(R/J).  Levels 2..r follow; level r + 1
-    holds as J*I^r = I^(r+1) lies in J.  Level 2 has ell(I^2/JI) = ell_prod - ell_power."""
+    J* is a degree-one system of parameters of G, so ell(G/J*G) >= e(G) = e(I),
+    with equality iff G is Cohen-Macaulay (Bruns-Herzog, *Cohen-Macaulay
+    Rings*, sec. 4.7).  Its degree-n piece has length h_n = ell(I^n/(J*I^(n-1) +
+    I^(n+1))): |I^n minus I^(n+1)| less the rank of the rows q*w, q in J and w a
+    monomial of I^(n-1) outside I^n, on the monomials of I^n outside I^(n+1).
+    h_n = 0 for n > r, and h_n >= 1 for n <= r (h_n = 0 would give I^n =
+    J*I^(n-1) by Nakayama), so the test stops, not Cohen-Macaulay, once
+    h_0 + ... + h_n + (r - n) > e.  When r <= 1, JI = I^2 and G is
+    Cohen-Macaulay with h = (ell(R/I), e - ell(R/I)) (just ell(R/I) = e when
+    r = 0).  When G is Cohen-Macaulay, its Hilbert series is h/(1 - l)^d.
+    """
     if r is None:
         r = reduction_number_wrt(reduction, ideal)
+    e = newton_multiplicity(ideal)
     cache = power_cache(ideal)
-    max_deg = max(map(sum, ideal.exps))
+    h = [cache.colength(1)]
+    if r <= 1:
+        return True, h + [e - h[0]] * r
     polys = [p.integer_terms() for p in reduction.gens]
-    levels = []
-    for n in range(1, max(r, 1) + 1):
-        prod_gens = PolyProduct(reduction.gens, cache.power(n - 1))
-        cap = max(max_deg * (n + 2), 8) if max_truncation is None else max_truncation
-        t, proof = certified_truncation(prod_gens, ideal.k, cap)
-        ell_prod, ell_power = proof["stable_length"], cache.colength(n)
-        if n == 1:  # J*I^0 = J, and J + I = I as J lies in I
-            ell_j, ell_sum = ell_prod, ell_power
-        else:
-            standard = cache.power(n).standard_monomials()
-            ech = Echelon()
-            for row in _product_rows(polys, standard, {u: j for j, u in enumerate(standard)}):
-                ech.add(row)
-            ell_sum = ell_power - ech.dim
-        levels.append(VVLevel(t, ell_prod, ell_sum, ell_power, ell_j))
-        if not levels[-1].holds:
-            break
-    return levels
-
-
-def vv_cm_certificate(
-    ideal: MonomialIdeal,
-    reduction: Reduction,
-    r: int | None = None,
-    max_truncation: int | None = None,
-) -> bool:
-    """Valabrega-Valla test: I^n intersect J = J*I^(n-1) for 1 <= n <= r_J + 1,
-    where `r` must be r_J(I) of this reduction.
-
-    Certifies Cohen-Macaulayness of the associated graded ring.  The equality
-    holds at n = 1 (J lies in I) and for n > r_J (J*I^r = I^(r+1) lies in J),
-    so only the levels 2..r_J are computed.  Each is decided exactly as the
-    colength identity ell(R/J*I^(n-1)) + ell(R/(J + I^n)) = ell(R/I^n) +
-    ell(R/J), which `vv_levels` reports level by level.
-    """
-    return vv_levels(ideal, reduction, r=r, max_truncation=max_truncation)[-1].holds
-
-
-def _a_G(series: HilbertSeries) -> int:
-    """deg of the reduced numerator minus dim: the a-invariant of a
-    Cohen-Macaulay graded ring with this Hilbert series."""
-    q, d = series.reduced()
-    return (len(q) - 1) - d
+    standard = cache.power(1).standard_monomials()
+    below = standard  # the monomials of I^(n-1) outside I^n
+    for n in range(1, r + 1):
+        if sum(h) + r - (n - 1) > e:
+            return False, h
+        inner = set(standard)
+        standard = cache.power(n + 1).standard_monomials()
+        layer = [u for u in standard if u not in inner]
+        ech = Echelon()
+        for row in _product_rows(polys, below, {u: j for j, u in enumerate(layer)}):
+            ech.add(row)
+        h.append(len(layer) - ech.dim)
+        below = layer
+    return sum(h) == e, h
 
 
 def a_G_if_CM(ideal: MonomialIdeal, reduction: Reduction, r: int | None = None) -> int:
-    """a-invariant of the associated graded ring, valid only under the
-    Valabrega-Valla certificate: deg of the reduced G-numerator minus dim."""
-    if not vv_cm_certificate(ideal, reduction, r=r):
-        raise CertificateFailed("Valabrega-Valla certificate does not hold")
-    return _a_G(G_hilbert_data(ideal).series)
+    """a-invariant of the associated graded ring, valid only when it is
+    Cohen-Macaulay: deg h - d, with h from `cm_h_vector`."""
+    is_cm, h = cm_h_vector(ideal, reduction, r=r)
+    if not is_cm:
+        raise CertificateFailed("the associated graded ring is not Cohen-Macaulay")
+    return len(h) - 1 - ideal.k
 
 
 # -- assembled report ---------------------------------------------------
@@ -378,19 +401,15 @@ def filtration_report(
     coeff_bound: int = 100,
     n_bound: int | None = None,
     powers: int = 4,
-    max_truncation: int | None = None,
 ) -> FiltrationReport:
-    e = multiplicity_samuel(ideal)
+    e = newton_multiplicity(ideal)
     cache = power_cache(ideal)
     r, trial_list = reduction_number(
         ideal, trials=trials, seed=seed, coeff_bound=coeff_bound, n_bound=n_bound
     )
     best = min(trial_list, key=lambda tr: tr["r"])
     candidate = minimal_reduction(ideal, best["seed"], coeff_bound)
-    certified = vv_cm_certificate(
-        ideal, candidate, r=best["r"], max_truncation=max_truncation
-    )
-    g_series = G_hilbert_data(ideal).series
+    certified, h = cm_h_vector(ideal, candidate, r=best["r"])
     return FiltrationReport(
         ideal=ideal,
         multiplicity=e,
@@ -398,9 +417,9 @@ def filtration_report(
         ratliff_rush=[ratliff_rush(ideal, n).format() for n in range(1, powers + 1)],
         mu_table=[mu(ideal, n) for n in range(1, powers + 1)],
         h0_table=[h0_G(ideal, n) for n in range(powers)],
-        g_numerator=g_series.numerator,
+        g_numerator=h if certified else G_hilbert_data(ideal).series.numerator,
         reduction_trials=trial_list,
         reduction_number=r,
         vv_certificate=certified,
-        a_G=_a_G(g_series) if certified else None,
+        a_G=len(h) - 1 - ideal.k if certified else None,
     )

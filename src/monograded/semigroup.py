@@ -121,15 +121,13 @@ class SemigroupIdeal:
         }
 
     def _minimal_generators(self) -> list[int]:
-        sigma = self.S.gens[0]
+        # E + S lies in E, so z = w + s with w in E and s != 0 in S iff
+        # z - a lies in E for some generator a of S; no z from
+        # threshold + min(S.gens) on is minimal
         candidates = sorted(self.prefix) + list(
-            range(self.threshold, self.threshold + sigma)
+            range(self.threshold, self.threshold + self.S.gens[0])
         )
-        out = []
-        for z in candidates:
-            if not any(z2 != z and self.S.contains(z - z2) for z2 in self.elements_upto(z)):
-                out.append(z)
-        return out
+        return [z for z in candidates if not any(self.contains(z - a) for a in self.S.gens)]
 
     # -- membership ------------------------------------------------------
 

@@ -1,17 +1,11 @@
-"""Certified finite-dimensional linear algebra in truncations S/m^(N+1).
+"""Exact polynomial rows and their row spaces over the integers.
 
-Ideals with polynomial (possibly non-monomial) generators are represented by
-the exact row-reduced span of their images in a truncated polynomial algebra.
-The stabilization of ell(S/(A + m^t)) in t certifies m^t inside A by
-Nakayama's lemma in the local ring at the origin, which makes image
-dimensions at that truncation conclusive for m-primary ideals.
-
-A product (q_1..q_s)*M of polynomials with a monomial ideal stays factored
-(`PolyProduct`): its image is spanned by one row q*w per q and monomial w of M,
-not one per way of writing w = u*g over the generators g of M.  A list of
-generators is the product with the unit ideal.  The echelon behind a
-certificate at t also gives ell(S/A), which `certified_truncation` returns
-with dim (A + m^t)/m^t, so callers need not rebuild the image at t - 1.
+`PolyElement` holds a polynomial with (possibly non-monomial) support, such as
+a seeded generic combination of monomial generators.  `Echelon` keeps a row
+space in sparse echelon form; the ranks of the filtration module (fiber-cone
+ranks, the Hilbert function of G/J*G, affine dimensions of Newton-polyhedron
+faces) go through it.  `TruncatedAlgebra` is the monomial basis of S/m^(N+1) in
+graded order, kept for the truncated-image test oracles.
 
 All elimination is fraction-free over the integers; clearing denominators of
 rational inputs does not change spans over the rationals.
@@ -23,7 +17,6 @@ from fractions import Fraction
 from math import gcd
 from operator import add
 
-from .errors import NotCertified
 from .monomials import MonomialIdeal, compositions
 
 
@@ -85,19 +78,6 @@ class PolyElement:
 
     def __repr__(self):
         return f"PolyElement({self.terms})"
-
-
-class PolyProduct:
-    """The ideal (polys)*M, kept factored: spanned by q*w for q in the nonzero
-    polys (or exponent tuples) and w a monomial of the monomial ideal M (None:
-    the unit ideal)."""
-
-    __slots__ = ("polys", "ideal")
-
-    def __init__(self, polys, ideal: MonomialIdeal | None):
-        polys = (p if isinstance(p, PolyElement) else PolyElement.from_monomial(p) for p in polys)
-        self.polys = [p for p in polys if not p.is_zero]
-        self.ideal = ideal
 
 
 class TruncatedAlgebra:
@@ -205,69 +185,3 @@ class Echelon:
     def pivots_below(self, col_bound: int) -> int:
         """dim of the projection to the first `col_bound` columns."""
         return sum(1 for c in self.pivots if c < col_bound)
-
-
-def ideal_image(gens, algebra: TruncatedAlgebra, until_full_degree: bool = False) -> Echelon:
-    """Row-reduced image of the ideal generated by `gens` in the truncation.
-
-    `gens` is a list of generators or a `PolyProduct`.  Rows q*w come by
-    ascending degree of w.  No later row has a term below degree
-    deg w + mindeg q, so with `until_full_degree` it stops at the first such
-    settled degree 1 <= t < N inside the span.
-    """
-    ech = Echelon()
-    product = gens if isinstance(gens, PolyProduct) else PolyProduct(gens, None)
-    if not product.polys:
-        return ech
-    # q*w survives the truncation iff deg w + mindeg q <= N: a column prefix.
-    N, index, monomials = algebra.N, algebra.index, algebra.monomials
-    factors = [(p.integer_terms(), algebra.columns_below_degree(N + 1 - p.min_degree))
-               for p in product.polys]
-    least = min(p.min_degree for p in product.polys)
-    t = 1  # the next degree to test for fullness
-    for col in algebra.ideal_columns(product.ideal, N - least):
-        w = monomials[col]
-        while until_full_degree and t < min(sum(w) + least, N):
-            if algebra.degree_in_span(ech, t):
-                return ech
-            t += 1
-        for terms, bound in factors:
-            if col >= bound:
-                continue
-            row = {}
-            for exps, c in terms:
-                j = index.get(tuple(map(add, exps, w)))
-                if j is not None:
-                    row[j] = c
-            ech.add(row)
-    return ech
-
-
-def certified_truncation(gens, k: int, max_t: int):
-    """Least t <= max_t with ell(S/(A+m^t)) = ell(S/(A+m^(t+1))), plus the proof
-    data; the equality forces m^t inside A + m^(t+1) and hence inside A by
-    Nakayama, provided A is m-primary (otherwise no t stabilizes).
-
-    The proof records `stable_length` = ell(S/A) and `image_dim` =
-    dim (A + m^t)/m^t.  The truncation size is grown geometrically so that
-    small certificates are found inside small algebras; each image stops at
-    its first settled degree inside the span, which is the least t."""
-    if not isinstance(gens, PolyProduct):
-        gens = PolyProduct(gens, None)
-    # the largest least degree of a generator q*g, as for the expanded list
-    gen_degrees = [0] if gens.ideal is None else [sum(g) for g in gens.ideal.exps]
-    floor = 1
-    if gens.polys and gen_degrees:
-        floor = max(p.min_degree for p in gens.polys) + max(gen_degrees)
-    attempt = min(max(4, floor + 2), max_t)
-    while True:
-        algebra = TruncatedAlgebra(k, attempt)
-        ech = ideal_image(gens, algebra, until_full_degree=True)
-        for t in range(1, attempt):
-            if algebra.degree_in_span(ech, t):  # ell(S/(A+m^t)) = ell(S/(A+m^(t+1)))
-                dim = ech.pivots_below(algebra.columns_below_degree(t))
-                return t, {"t": t, "stable_length": algebra.columns_below_degree(t) - dim,
-                           "image_dim": dim}
-        if attempt >= max_t:
-            raise NotCertified(f"no truncation certificate up to degree {max_t}")
-        attempt = min(attempt * 2, max_t)

@@ -3,20 +3,188 @@
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import add
 
-from monograded.errors import ContainmentViolation, NotAReduction, ZeroRing
+from monograded.errors import ComputationError, ContainmentViolation, NotAReduction, ZeroRing
 from monograded.cohomology import CohomologyTable, _class_dims, _extend_kill_masks
-from monograded.filtration import VVLevel, multiplicity_samuel, power_cache
+from monograded.filtration import _product_rows, power_cache, reduction_number_wrt
 from monograded.hilbert import padd, pmul, pshift
 from monograded.monomials import MonomialIdeal, minimalize
 from monograded.semigroup import NumericalSemigroup
-from monograded.truncation import (
-    PolyElement,
-    PolyProduct,
-    TruncatedAlgebra,
-    certified_truncation,
-    ideal_image,
-)
+from monograded.truncation import Echelon, PolyElement, TruncatedAlgebra
+
+
+def multiplicity_samuel(ideal: MonomialIdeal, n_bound: int | None = None) -> int:
+    """Hilbert-Samuel multiplicity from the colength sequence ell(R/I^n).
+
+    The d-th finite differences must take one value on d+2 consecutive windows
+    and that value must survive two further verification points.  This is a
+    stabilization rule, not a proof.
+    """
+    d = ideal.k
+    if n_bound is None:
+        n_bound = 6 * d + 14
+    cache = power_cache(ideal)
+    values = [cache.colength(0), cache.colength(1)]
+    while len(values) <= n_bound:
+        values.append(cache.colength(len(values)))
+        diffs = values
+        for _ in range(d):
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        if len(diffs) >= 4 and len(set(diffs[-4:])) == 1:
+            e = diffs[-1]
+            if e <= 0:
+                raise ComputationError("stabilized leading difference is not positive")
+            return e
+    raise ComputationError(f"colength differences did not stabilize below n = {n_bound}")
+
+
+# -- truncated images and their Nakayama certificates ---------------------
+
+
+class NotCertified(ComputationError):
+    """Truncation stabilization was not reached within the allowed bound."""
+
+
+class PolyProduct:
+    """The ideal (polys)*M, kept factored: spanned by q*w for q in the nonzero
+    polys (or exponent tuples) and w a monomial of the monomial ideal M (None:
+    the unit ideal)."""
+
+    __slots__ = ("polys", "ideal")
+
+    def __init__(self, polys, ideal: MonomialIdeal | None):
+        polys = (p if isinstance(p, PolyElement) else PolyElement.from_monomial(p) for p in polys)
+        self.polys = [p for p in polys if not p.is_zero]
+        self.ideal = ideal
+
+
+def ideal_image(gens, algebra: TruncatedAlgebra, until_full_degree: bool = False) -> Echelon:
+    """Row-reduced image of the ideal generated by `gens` in the truncation.
+
+    `gens` is a list of generators or a `PolyProduct`.  Rows q*w come by
+    ascending degree of w.  No later row has a term below degree
+    deg w + mindeg q, so with `until_full_degree` it stops at the first such
+    settled degree 1 <= t < N inside the span.
+    """
+    ech = Echelon()
+    product = gens if isinstance(gens, PolyProduct) else PolyProduct(gens, None)
+    if not product.polys:
+        return ech
+    # q*w survives the truncation iff deg w + mindeg q <= N: a column prefix.
+    N, index, monomials = algebra.N, algebra.index, algebra.monomials
+    factors = [(p.integer_terms(), algebra.columns_below_degree(N + 1 - p.min_degree))
+               for p in product.polys]
+    least = min(p.min_degree for p in product.polys)
+    t = 1  # the next degree to test for fullness
+    for col in algebra.ideal_columns(product.ideal, N - least):
+        w = monomials[col]
+        while until_full_degree and t < min(sum(w) + least, N):
+            if algebra.degree_in_span(ech, t):
+                return ech
+            t += 1
+        for terms, bound in factors:
+            if col >= bound:
+                continue
+            row = {}
+            for exps, c in terms:
+                j = index.get(tuple(map(add, exps, w)))
+                if j is not None:
+                    row[j] = c
+            ech.add(row)
+    return ech
+
+
+def certified_truncation(gens, k: int, max_t: int):
+    """Least t <= max_t with ell(S/(A+m^t)) = ell(S/(A+m^(t+1))), plus the proof
+    data; the equality forces m^t inside A + m^(t+1) and hence inside A by
+    Nakayama, provided A is m-primary (otherwise no t stabilizes).
+
+    The proof records `stable_length` = ell(S/A) and `image_dim` =
+    dim (A + m^t)/m^t.  The truncation size is grown geometrically so that
+    small certificates are found inside small algebras; each image stops at
+    its first settled degree inside the span, which is the least t."""
+    if not isinstance(gens, PolyProduct):
+        gens = PolyProduct(gens, None)
+    # the largest least degree of a generator q*g, as for the expanded list
+    gen_degrees = [0] if gens.ideal is None else [sum(g) for g in gens.ideal.exps]
+    floor = 1
+    if gens.polys and gen_degrees:
+        floor = max(p.min_degree for p in gens.polys) + max(gen_degrees)
+    attempt = min(max(4, floor + 2), max_t)
+    while True:
+        algebra = TruncatedAlgebra(k, attempt)
+        ech = ideal_image(gens, algebra, until_full_degree=True)
+        for t in range(1, attempt):
+            if algebra.degree_in_span(ech, t):  # ell(S/(A+m^t)) = ell(S/(A+m^(t+1)))
+                dim = ech.pivots_below(algebra.columns_below_degree(t))
+                return t, {"t": t, "stable_length": algebra.columns_below_degree(t) - dim,
+                           "image_dim": dim}
+        if attempt >= max_t:
+            raise NotCertified(f"no truncation certificate up to degree {max_t}")
+        attempt = min(attempt * 2, max_t)
+
+
+# -- Valabrega-Valla levels --------------------------------------------------
+
+
+@dataclass
+class VVLevel:
+    """Level n of the Valabrega-Valla test as colengths; t is the least degree
+    certified with m^t inside J*I^(n-1).  By 0 -> R/(J cap I^n) -> R/J + R/I^n
+    -> R/(J + I^n) -> 0 and J*I^(n-1) inside J cap I^n, the level holds iff
+    ell_prod = ell_j + ell_power - ell_sum."""
+
+    t: int
+    ell_prod: int  # R/J*I^(n-1)
+    ell_sum: int  # R/(J + I^n)
+    ell_power: int  # R/I^n
+    ell_j: int  # R/J
+
+    @property
+    def holds(self) -> bool:  # I^n intersect J = J*I^(n-1)
+        return self.ell_prod + self.ell_sum == self.ell_power + self.ell_j
+
+
+def vv_levels(ideal: MonomialIdeal, reduction, r: int | None = None) -> list[VVLevel]:
+    """The levels of `vv_cm_certificate` that need a computation, up to the
+    first that fails; `r` must be r_J(I) of this reduction.
+
+    ell(R/J*I^(n-1)) is the truncation certificate's, ell(R/I^n) the power
+    cache's, and ell(R/(J + I^n)) is ell(R/I^n) minus the rank of the rows q*u
+    in S/I^n, u a standard monomial of I^n.  Level 1 holds as J lies in I; its
+    certificate is J's and gives ell(R/J).  Levels 2..r follow; level r + 1
+    holds as J*I^r = I^(r+1) lies in J."""
+    if r is None:
+        r = reduction_number_wrt(reduction, ideal)
+    cache = power_cache(ideal)
+    max_deg = max(map(sum, ideal.exps))
+    polys = [p.integer_terms() for p in reduction.gens]
+    levels = []
+    for n in range(1, max(r, 1) + 1):
+        prod_gens = PolyProduct(reduction.gens, cache.power(n - 1))
+        t, proof = certified_truncation(prod_gens, ideal.k, max(max_deg * (n + 2), 8))
+        ell_prod, ell_power = proof["stable_length"], cache.colength(n)
+        if n == 1:  # J*I^0 = J, and J + I = I as J lies in I
+            ell_j, ell_sum = ell_prod, ell_power
+        else:
+            standard = cache.power(n).standard_monomials()
+            ech = Echelon()
+            for row in _product_rows(polys, standard, {u: j for j, u in enumerate(standard)}):
+                ech.add(row)
+            ell_sum = ell_power - ech.dim
+        levels.append(VVLevel(t, ell_prod, ell_sum, ell_power, ell_j))
+        if not levels[-1].holds:
+            break
+    return levels
+
+
+def vv_cm_certificate(ideal: MonomialIdeal, reduction, r: int | None = None) -> bool:
+    """Valabrega-Valla test (Valabrega-Valla, "Form rings and regular
+    sequences", Nagoya Math. J. 72, 1978): I^n intersect J = J*I^(n-1) for
+    1 <= n <= r_J + 1, which holds iff G is Cohen-Macaulay; `r` must be r_J(I)
+    of this reduction.  Only the levels 2..r_J can fail."""
+    return vv_levels(ideal, reduction, r=r)[-1].holds
 
 
 def monomials_upto(k: int, bound: int):

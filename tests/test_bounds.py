@@ -19,7 +19,7 @@ from monograded.bounds import (
     verify_prop_3_3,
     verify_prop_3_4,
 )
-from monograded.errors import ComputationError, NotCertified
+from monograded.errors import ComputationError
 from monograded.filtration import minimal_reduction, reduction_number
 from monograded.monomials import MonomialIdeal, parse_ideal
 from monograded.semigroup import NumericalSemigroup, SemigroupIdeal
@@ -91,25 +91,6 @@ def test_prop34_examples():
     assert report.witness["l_R_J"] == report.witness["e"]
     with pytest.raises(ComputationError):
         verify_prop_3_4(parse_ideal("x^2, y^2", XY))
-
-
-def test_prop34_max_truncation_bounds_both_certificates():
-    # m^3: J is three generic cubics, certified at t = 7 (ell(R/J) = 27)
-    m3 = MonomialIdeal(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]).power(3)
-    with pytest.raises(NotCertified):
-        verify_prop_3_4(m3, "m3", max_truncation=7)
-    rep = verify_prop_3_4(m3, "m3", max_truncation=8)
-    assert rep.status == SHARP
-    assert rep.witness["l_I2_JI"] == 1 and rep.witness["l_R_J"] == 27
-    # J certified at t = 3 and JI at t = 4; with r_J = 0, JI = I^2 needs t = 5
-    xyz = ("x", "y", "z")
-    for text, index, first_ok in (("z, y^2, x*y, x^2", 0, 5), ("y, z^2, x^2", 7, 6)):
-        ideal = parse_ideal(text, xyz)
-        for max_t in range(3, first_ok):
-            with pytest.raises(NotCertified):
-                verify_prop_3_4(ideal, text, seed=instance_seed(0, index), max_truncation=max_t)
-        rep = verify_prop_3_4(ideal, text, seed=instance_seed(0, index), max_truncation=first_ok)
-        assert rep.witness["l_I2_JI"] == 0 and rep.witness["l_R_J"] == 4
 
 
 def test_prop34_witnesses_match_separate_certificates():

@@ -5,22 +5,23 @@ import pytest
 from monograded import filtration
 from monograded.bounds import corpus_monomial, instance_seed, random_m_primary_ideal
 from monograded.errors import CertificateFailed, NotAReduction
+from monograded.errors import InfiniteLength
 from monograded.filtration import (
     G_hilbert_data,
     PowerCache,
     Reduction,
     a_G_if_CM,
+    cm_h_vector,
     fiber_cone_series,
     gamma_positive,
     h0_G,
     minimal_reduction,
     mu,
-    multiplicity_samuel,
+    newton_multiplicity,
+    power_cache,
     ratliff_rush,
     reduction_number,
     reduction_number_wrt,
-    vv_cm_certificate,
-    vv_levels,
 )
 from monograded.monomials import MonomialIdeal, parse_ideal
 from monograded.truncation import PolyElement
@@ -28,8 +29,11 @@ from monograded.truncation import PolyElement
 from oracles import (
     all_vv_levels,
     monomial_reduction_number,
+    multiplicity_samuel,
     reduction_colength,
     truncated_reduction_number,
+    vv_cm_certificate,
+    vv_levels,
 )
 
 XY = ("x", "y")
@@ -312,18 +316,107 @@ def test_hard_ideal_reduction_and_vv_failure():
 
 
 def test_filtration_report_runs_one_certificate(monkeypatch):
-    # the report's a(G) reads the verdict it already has, at the user's cap
+    # the report's a(G) and G-numerator read the verdict it already has
     calls = []
-    real = filtration.vv_levels
+    real = filtration.cm_h_vector
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("max_truncation"))
+        calls.append(args[0])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(filtration, "vv_levels", counting)
-    report = filtration.filtration_report(parse_ideal("x^2, x*y, y^2", XY), max_truncation=30)
-    assert calls == [30]
-    assert report.vv_certificate and report.a_G == -1
-    shallow = filtration.filtration_report(STAIR, max_truncation=30)
-    assert calls == [30, 30]
+    monkeypatch.setattr(filtration, "cm_h_vector", counting)
+    m2 = parse_ideal("x^2, x*y, y^2", XY)
+    report = filtration.filtration_report(m2)
+    assert calls == [m2]
+    assert report.vv_certificate and report.a_G == -1 and report.g_numerator == [3, 1]
+    shallow = filtration.filtration_report(STAIR)
+    assert calls == [m2, STAIR]
     assert not shallow.vv_certificate and shallow.a_G is None
+    assert shallow.g_numerator == G_hilbert_data(STAIR).series.numerator
+
+
+# -- the Newton multiplicity and the colength of G/J*G -------------------------
+
+
+def test_newton_multiplicity_named_cases():
+    # six coplanar generators on one facet; a linear generator; one variable
+    assert newton_multiplicity(parse_ideal("x, y, z", XYZ).power(2)) == 8
+    assert newton_multiplicity(parse_ideal("x, y^3, z^2", XYZ)) == 6
+    assert newton_multiplicity(parse_ideal("x^3", ("x",))) == 3
+    assert newton_multiplicity(parse_ideal("x^3, y^7", XY)) == 21
+    assert newton_multiplicity(STAIR) == 16
+    assert newton_multiplicity(HARD) == multiplicity_samuel(HARD)
+    for text in ("x^2, x*y", "x^2, y^2, x*y"):
+        with pytest.raises(InfiniteLength):
+            newton_multiplicity(parse_ideal(text, XYZ))
+    with pytest.raises(InfiniteLength):
+        newton_multiplicity(MonomialIdeal.unit(2))
+
+
+def test_newton_multiplicity_matches_samuel_oracle():
+    # seeded corpora in 1..4 variables, with linear generators and
+    # coplanar facets among them
+    seen = set()
+    for k, deg_bound, count in ((1, 9, 30), (2, 6, 120), (3, 3, 100), (3, 5, 40), (4, 2, 40)):
+        for _, ideal in corpus_monomial(3, count, k, deg_bound):
+            assert newton_multiplicity(ideal) == multiplicity_samuel(ideal), ideal
+            seen.add(k)
+    assert seen == {1, 2, 3, 4}
+
+
+def _cm_cases():
+    # A (r_J = 3, not CM), and m^3 and (x^2, y^2, z^2, xyz)^2 (r_J = 2, CM)
+    cube = parse_ideal("x, y, z", XYZ).power(3)
+    square = parse_ideal("x^2, y^2, z^2, x*y*z", XYZ).power(2)
+    cases = [(ideal, minimal_reduction(ideal, seed=0)) for ideal in (HARD, cube, square)]
+    for k, deg_bound, count in ((2, 6, 60), (3, 3, 60), (3, 4, 20), (4, 2, 20)):
+        for i, (_, ideal) in enumerate(corpus_monomial(5, count, k, deg_bound)):
+            cases.append((ideal, minimal_reduction(ideal, seed=i)))
+    return cases
+
+
+def test_cm_h_vector_matches_vv_oracle():
+    # Cohen-Macaulay iff ell(G/J*G) = e, against the Valabrega-Valla levels
+    seen = set()
+    for ideal, red in _cm_cases():
+        r = reduction_number_wrt(red, ideal)
+        is_cm, h = cm_h_vector(ideal, red, r=r)
+        oracle = all_vv_levels(ideal, red, r)
+        assert is_cm == oracle[-1].holds == vv_cm_certificate(ideal, red, r=r), ideal
+        assert h[0] == ideal.quotient_length() and all(v >= 1 for v in h[1:])
+        seen.add((ideal.k, r, is_cm))
+    assert {(3, 2, True), (3, 2, False), (3, 3, False), (2, 1, True), (3, 0, True)} <= seen
+    assert {(2, 2, False), (4, 1, True)} <= seen
+
+
+def test_cm_h_vector_is_the_g_numerator():
+    # when G is Cohen-Macaulay its series is h/(1 - l)^d (checked in up to
+    # three variables, where the reconstruction is quick), and
+    # ell(I^2/JI) = h_2 + ... + h_r = e + (d - 1) ell(R/I) - ell(I/I^2)
+    checked = 0
+    for ideal, red in _cm_cases():
+        is_cm, h = cm_h_vector(ideal, red)
+        if not is_cm:
+            continue
+        cache = power_cache(ideal)
+        d, e = ideal.k, newton_multiplicity(ideal)
+        if d <= 3:
+            assert h == G_hilbert_data(ideal).series.numerator
+            checked += 1
+        assert sum(h) == e
+        assert sum(h[2:]) == e + (d - 1) * cache.colength(1) - (cache.colength(2) - cache.colength(1))
+    assert checked >= 100
+
+
+def test_cm_h_vector_stop_rule():
+    # A: e = 76 and r_J = 3; h_0 + h_1 + 2 = 77 > e, so the test stops before h_2
+    red = minimal_reduction(HARD, seed=0)
+    assert newton_multiplicity(HARD) == 76
+    assert cm_h_vector(HARD, red, r=3) == (False, [46, 29])
+    # here h_0 + h_1 + 1 = 59 <= e = 60, and only h_2 takes the sum past e
+    late = parse_ideal("y^3, x*y*z^2, x^3*z, z^5, x^5, y^2*z^4", XYZ)
+    red = minimal_reduction(late, seed=14)
+    assert reduction_number_wrt(red, late) == 2 and newton_multiplicity(late) == 60
+    assert cm_h_vector(late, red, r=2) == (False, [38, 20, 6])
+    # independent: a Cohen-Macaulay G would have this nonnegative h as its numerator
+    assert G_hilbert_data(late).series.numerator == [38, 16, 7, -1]

@@ -4,7 +4,7 @@ import pytest
 
 from monograded.errors import ComputationError
 from monograded.bounds import random_semigroup_ideal, verify_prop_3_1
-from monograded.filtration import multiplicity_samuel, ratliff_rush, reduction_number
+from monograded.filtration import newton_multiplicity, ratliff_rush, reduction_number
 from monograded.monomials import MonomialIdeal
 from monograded.semigroup import (
     NumericalSemigroup,
@@ -157,7 +157,7 @@ def test_sumset_engine_agrees_with_monomial_engine_over_nat():
         sg_ideal = SemigroupIdeal(NAT, gens)
         mono_ideal = MonomialIdeal(1, [(g,) for g in gens])
         assert length_sg(sg_ideal) == mono_ideal.quotient_length()
-        assert multiplicity_sg(sg_ideal) == multiplicity_samuel(mono_ideal)
+        assert multiplicity_sg(sg_ideal) == newton_multiplicity(mono_ideal)
         for n in (2, 3):
             assert length_sg(ideal_power_sg(sg_ideal, n)) == mono_ideal.power(n).quotient_length()
         r_sum, _ = reduction_number_sg(sg_ideal)
@@ -166,6 +166,20 @@ def test_sumset_engine_agrees_with_monomial_engine_over_nat():
         rr_set = rr_sg(sg_ideal)
         rr_mono = ratliff_rush(mono_ideal)
         assert set(g[0] for g in rr_mono.exps) == set(rr_set.gens)
+
+
+def test_minimal_generators_of_derived_ideals():
+    # powers, colons and closures are built from element sets; their generators
+    # are the elements z of E with no other w in E and z - w in S
+    rng = random.Random(149)
+    for _ in range(30):
+        ideal = random_semigroup_ideal(rng)
+        S, square = ideal.S, ideal_power_sg(ideal, 2)
+        for derived in (square, colon_sg(square, ideal), rr_sg(ideal), intersection_sg(ideal, square)):
+            elements = derived.elements_upto(derived.threshold + S.gens[0])
+            brute = [z for z in elements
+                     if not any(w != z and S.contains(z - w) for w in elements if w <= z)]
+            assert list(derived.gens) == brute
 
 
 def test_unit_ideal_allowed_as_colon_value():

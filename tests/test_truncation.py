@@ -4,23 +4,20 @@ from fractions import Fraction
 import pytest
 
 from monograded.bounds import random_m_primary_ideal
-from monograded.errors import ContainmentViolation, NotCertified
+from monograded.errors import ContainmentViolation
 from monograded.filtration import minimal_reduction
 from monograded.monomials import MonomialIdeal, parse_ideal
-from monograded.truncation import (
-    Echelon,
-    PolyElement,
-    PolyProduct,
-    TruncatedAlgebra,
-    certified_truncation,
-    ideal_image,
-)
+from monograded.truncation import Echelon, PolyElement, TruncatedAlgebra
 
 from oracles import (
+    NotCertified,
+    PolyProduct,
+    certified_truncation,
     contains_mod,
     expanded_product,
     fraction_rank,
     ideal_equal_mod,
+    ideal_image,
     least_full_degree,
     subspace_length_between,
     times_monomial,
