@@ -3,7 +3,7 @@
 The toolkit computes Hilbert series, graded local cohomology lengths,
 a-invariants, Eisenbud-Goto invariants, Ratliff-Rush closures, and reduction
 numbers, and verifies the inequalities relating them on concrete and seeded
-random instances.  All arithmetic is exact.
+random instances.  All arithmetic is exact, over the integers.
 """
 
 from .monomials import Monomial, MonomialIdeal, parse_ideal, parse_monomial
@@ -13,7 +13,6 @@ from .hilbert import (
     codim,
     hilbert_data,
     hilbert_function,
-    hilbert_polynomial,
     hilbert_series,
     krull_dim,
     multiplicity,
@@ -27,7 +26,6 @@ from .cohomology import (
     eg_invariant,
     h,
 )
-from .truncation import PolyElement
 from .filtration import (
     FiltrationReport,
     Reduction,

@@ -5,8 +5,9 @@ with every hypothesis machine-checked; `hypothesis-unverified` and `skipped`
 are first-class outcomes, never silently folded into the pass column.  The
 reduction-number bounds prop3.3 and prop3.4 are checked where the associated
 graded ring G is Cohen-Macaulay, decided exactly as ell(G/J*G) = e(I); its
-h-vector then gives the lengths they need.  Corpus runs are seeded and
-deterministic.
+h-vector then gives the lengths they need.  `BOUNDS` maps each bound's name
+to its checker, the instances it applies to and its corpus; corpus runs are
+seeded and deterministic.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import gcd
+from typing import Callable, NamedTuple
 
 from . import cohomology, filtration, hilbert, semigroup
 from .errors import ComputationError
@@ -24,6 +26,10 @@ SHARP = "sharp"
 VIOLATED = "violated"
 UNVERIFIED = "hypothesis-unverified"
 SKIPPED = "skipped"
+
+# Seeded candidate reductions per instance; r(I) is the least r_J among them.
+PROP_3_3_TRIALS = 3
+PROP_3_4_TRIALS = 2
 
 
 @dataclass
@@ -132,12 +138,7 @@ def verify_prop_3_1(ideal: semigroup.SemigroupIdeal, instance_id: str = "") -> B
     return BoundReport(instance_id, "prop3.1", r, mid, status, witness)
 
 
-def verify_prop_3_3(
-    ideal: MonomialIdeal,
-    instance_id: str = "",
-    seed: int = 0,
-    trials: int = 3,
-) -> BoundReport:
+def verify_prop_3_3(ideal: MonomialIdeal, instance_id: str = "", seed: int = 0) -> BoundReport:
     """d = 2: r(I) <= 1 + e(I) - ell(I/I^2) + ell(R/I) + h^1(G)_0, with the
     depth gate gamma(I) >= 1 checked through vanishing of h^0(G)_n.
 
@@ -147,7 +148,7 @@ def verify_prop_3_3(
     """
     if ideal.k != 2:
         raise ComputationError("prop3.3 checker needs a plane (two-variable) ideal")
-    r, trial_list = filtration.reduction_number(ideal, trials=trials, seed=seed)
+    r, trial_list = filtration.reduction_number(ideal, trials=PROP_3_3_TRIALS, seed=seed)
     best = min(trial_list, key=lambda tr: tr["r"])
     reduction = filtration.minimal_reduction(ideal, best["seed"])
     certificate, h = filtration.cm_h_vector(ideal, reduction, r=r)
@@ -175,19 +176,14 @@ def verify_prop_3_3(
     return BoundReport(instance_id, "prop3.3", r, rhs, _status_le(r, rhs), witness)
 
 
-def verify_prop_3_4(
-    ideal: MonomialIdeal,
-    instance_id: str = "",
-    seed: int = 0,
-    trials: int = 2,
-) -> BoundReport:
+def verify_prop_3_4(ideal: MonomialIdeal, instance_id: str = "", seed: int = 0) -> BoundReport:
     """d >= 3: r_J(I) <= 1 + ell(I^2/JI) + h^(d-1)(G)_(2-d), where a
     Cohen-Macaulay G kills the cohomology term.  Then J is a parameter ideal
     of a Cohen-Macaulay ring, so ell(R/J) = e(I), and ell(I^2/JI) = h_2 + ...
     + h_r from the h-vector of G/J*G."""
     if ideal.k < 3:
         raise ComputationError("prop3.4 checker needs at least three variables")
-    _, trial_list = filtration.reduction_number(ideal, trials=trials, seed=seed)
+    _, trial_list = filtration.reduction_number(ideal, trials=PROP_3_4_TRIALS, seed=seed)
     best = min(trial_list, key=lambda tr: tr["r"])
     reduction = filtration.minimal_reduction(ideal, best["seed"])
     r_j = best["r"]
@@ -254,6 +250,45 @@ def corpus_semigroup(seed: int, count: int):
         yield f"sg-s{seed}-{i}", random_semigroup_ideal(rng)
 
 
+class Bound(NamedTuple):
+    """A checkable bound: `check(instance, instance_id, seed)`, whether it
+    `applies` to an instance, and its seeded `corpus(seed, count, k, deg_bound)`
+    of (instance_id, instance) pairs."""
+
+    check: Callable
+    applies: Callable
+    corpus: Callable
+
+
+def _unseeded(check) -> Callable:
+    return lambda instance, instance_id, seed: check(instance, instance_id)
+
+
+def _monomial(instance) -> bool:
+    return isinstance(instance, MonomialIdeal)
+
+
+BOUNDS = {
+    "thm2.1": Bound(_unseeded(verify_main_bound), _monomial, corpus_monomial),
+    "eg-lower": Bound(_unseeded(verify_eg_inequality), _monomial, corpus_monomial),
+    "prop3.1": Bound(
+        _unseeded(verify_prop_3_1),
+        lambda instance: isinstance(instance, semigroup.SemigroupIdeal),
+        lambda seed, count, k, deg: corpus_semigroup(seed, count),
+    ),
+    "prop3.3": Bound(
+        verify_prop_3_3,
+        lambda instance: _monomial(instance) and instance.k == 2 and instance.is_m_primary(),
+        lambda seed, count, k, deg: corpus_monomial(seed, count, 2, deg),
+    ),
+    "prop3.4": Bound(
+        verify_prop_3_4,
+        lambda instance: _monomial(instance) and instance.k >= 3 and instance.is_m_primary(),
+        lambda seed, count, k, deg: corpus_monomial(seed, count, max(k, 3), min(deg, 3)),
+    ),
+}
+
+
 def aggregate(reports: list[BoundReport]) -> dict:
     counts = {HOLDS: 0, SHARP: 0, VIOLATED: 0, UNVERIFIED: 0, SKIPPED: 0}
     gaps = []
@@ -281,22 +316,11 @@ def run_corpus(
     deg_bound: int = 6,
 ) -> tuple[list[BoundReport], dict]:
     """Run one named bound over a seeded corpus and aggregate the outcomes."""
-    reports: list[BoundReport] = []
-    if bound in ("thm2.1", "eg-lower"):
-        check = verify_main_bound if bound == "thm2.1" else verify_eg_inequality
-        for instance_id, ideal in corpus_monomial(seed, count, k, deg_bound):
-            reports.append(check(ideal, instance_id))
-    elif bound == "prop3.1":
-        for instance_id, ideal in corpus_semigroup(seed, count):
-            reports.append(verify_prop_3_1(ideal, instance_id))
-    elif bound == "prop3.3":
-        for i, (instance_id, ideal) in enumerate(corpus_monomial(seed, count, 2, deg_bound)):
-            reports.append(verify_prop_3_3(ideal, instance_id, seed=instance_seed(seed, i)))
-    elif bound == "prop3.4":
-        for i, (instance_id, ideal) in enumerate(
-            corpus_monomial(seed, count, max(k, 3), min(deg_bound, 3))
-        ):
-            reports.append(verify_prop_3_4(ideal, instance_id, seed=instance_seed(seed, i)))
-    else:
+    spec = BOUNDS.get(bound)
+    if spec is None:
         raise ValueError(f"unknown bound {bound!r}")
+    reports = [
+        spec.check(instance, instance_id, instance_seed(seed, i))
+        for i, (instance_id, instance) in enumerate(spec.corpus(seed, count, k, deg_bound))
+    ]
     return reports, aggregate(reports)

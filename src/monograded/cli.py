@@ -82,8 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check the a-invariant and reduction-number bounds on instances or corpora")
     add_common(p, seed=False)
     p.add_argument("--semigroup", help="semigroup generators, e.g. 4,5,6,7")
-    p.add_argument("--bound", default="all",
-                   choices=("thm2.1", "eg-lower", "prop3.1", "prop3.3", "prop3.4", "all"))
+    p.add_argument("--bound", default="all", choices=(*bounds.BOUNDS, "all"))
     p.add_argument("--corpus-seed", type=int, default=None)
     add_int(p, "--count", 25, 0)
     add_int(p, "--vars", 2, 1, help="variables for monomial corpora")
@@ -192,40 +191,27 @@ def run_reduction(args) -> dict:
 
 def run_verify(args) -> dict:
     seed = args.corpus_seed if args.corpus_seed is not None else default_seed()
-    if args.ideal is not None and args.semigroup:
-        with _parsing_input():
-            S = semigroup.NumericalSemigroup(
-                int(g) for g in args.semigroup.split(",") if g.strip()
-            )
-            E = semigroup.SemigroupIdeal(S, tuple(int(g) for g in args.ideal.split(",")))
-        reports = [bounds.verify_prop_3_1(E, "cli-instance")]
-        return {
-            "reports": [r.to_dict() for r in reports],
-            "aggregate": bounds.aggregate(reports),
-        }
+    names = list(bounds.BOUNDS) if args.bound == "all" else [args.bound]
     if args.ideal is not None:
-        ideal = require_ring_ideal(args)
-        reports = [bounds.verify_main_bound(ideal, "cli-instance"),
-                   bounds.verify_eg_inequality(ideal, "cli-instance")]
-        wants = (
-            lambda name: args.bound in ("all", name)
-        )
-        if ideal.is_m_primary():
-            if ideal.k == 2 and wants("prop3.3"):
-                reports.append(bounds.verify_prop_3_3(ideal, "cli-instance", seed=seed))
-            if ideal.k >= 3 and wants("prop3.4"):
-                reports.append(bounds.verify_prop_3_4(ideal, "cli-instance", seed=seed))
-        if args.bound != "all":
-            reports = [r for r in reports if r.bound == args.bound]
+        if args.semigroup:
+            with _parsing_input():
+                S = semigroup.NumericalSemigroup(
+                    int(g) for g in args.semigroup.split(",") if g.strip()
+                )
+                instance = semigroup.SemigroupIdeal(
+                    S, tuple(int(g) for g in args.ideal.split(","))
+                )
+        else:
+            instance = require_ring_ideal(args)
+        reports = [
+            bounds.BOUNDS[name].check(instance, "cli-instance", seed)
+            for name in names
+            if bounds.BOUNDS[name].applies(instance)
+        ]
         return {
             "reports": [r.to_dict() for r in reports],
             "aggregate": bounds.aggregate(reports),
         }
-    names = (
-        ["thm2.1", "eg-lower", "prop3.1", "prop3.3", "prop3.4"]
-        if args.bound == "all"
-        else [args.bound]
-    )
     out: dict = {"corpora": {}}
     all_reports = []
     for name in names:

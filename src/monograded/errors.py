@@ -25,17 +25,9 @@ class NotAReduction(ComputationError):
     """A candidate ideal failed the reduction test within the search bound."""
 
 
-class ContainmentViolation(ComputationError):
-    """An operation required B to be contained in A, but it is not."""
-
-
 class CertificateFailed(ComputationError):
     """A result was requested whose validity certificate does not hold."""
 
 
 class ReconstructionFailed(ComputationError):
     """A sequence did not stabilize to a rational function within the data given."""
-
-
-class NonIntegralValue(ComputationError):
-    """A polynomial that must be integer-valued took a non-integer value."""

@@ -28,7 +28,7 @@ from .hilbert import (
     reconstruct_series,
 )
 from .monomials import MonomialIdeal
-from .truncation import Echelon, PolyElement
+from .truncation import Echelon
 
 # Steps of the Ratliff-Rush chain before giving up, and extra samples per
 # reduction-number trial whose candidate fails the n-bound.
@@ -39,9 +39,10 @@ RESAMPLES = 4
 @dataclass
 class Reduction:
     """A candidate minimal reduction: d seeded generic combinations of the
-    minimal generators, with integer coefficients in [1, coeff_bound]."""
+    minimal generators, with integer coefficients in [1, coeff_bound], each a
+    tuple of (exponent tuple, coefficient) terms."""
 
-    gens: list[PolyElement]
+    gens: list[tuple[tuple[tuple[int, ...], int], ...]]
     seed: int
     coeff_bound: int
 
@@ -220,12 +221,9 @@ def minimal_reduction(ideal: MonomialIdeal, seed: int, coeff_bound: int = 100) -
     In one variable the minimal-degree generator itself is the reduction."""
     gens = ideal.exps
     if ideal.k == 1:
-        return Reduction([PolyElement.from_monomial(gens[0])], seed, coeff_bound)
+        return Reduction([((gens[0], 1),)], seed, coeff_bound)
     rng = random.Random(seed)
-    combos = []
-    for _ in range(ideal.k):
-        coeffs = [rng.randint(1, coeff_bound) for _ in gens]
-        combos.append(PolyElement.combination(gens, coeffs))
+    combos = [tuple((g, rng.randint(1, coeff_bound)) for g in gens) for _ in range(ideal.k)]
     return Reduction(combos, seed, coeff_bound)
 
 
@@ -259,11 +257,10 @@ def reduction_number_wrt(
     if n_bound is None:
         n_bound = newton_multiplicity(ideal) + 2
     cache = power_cache(ideal)
-    polys = [p.integer_terms() for p in reduction.gens]
     for n in range(n_bound + 1):
         columns = {w: j for j, w in enumerate(cache.power(n + 1).exps)}
         ech = Echelon()
-        for row in _product_rows(polys, cache.power(n).exps, columns):
+        for row in _product_rows(reduction.gens, cache.power(n).exps, columns):
             if ech.add(row) and ech.dim == len(columns):
                 return n
     raise NotAReduction(f"not a reduction within n <= {n_bound}")
@@ -333,7 +330,6 @@ def cm_h_vector(
     h = [cache.colength(1)]
     if r <= 1:
         return True, h + [e - h[0]] * r
-    polys = [p.integer_terms() for p in reduction.gens]
     standard = cache.power(1).standard_monomials()
     below = standard  # the monomials of I^(n-1) outside I^n
     for n in range(1, r + 1):
@@ -343,7 +339,7 @@ def cm_h_vector(
         standard = cache.power(n + 1).standard_monomials()
         layer = [u for u in standard if u not in inner]
         ech = Echelon()
-        for row in _product_rows(polys, below, {u: j for j, u in enumerate(layer)}):
+        for row in _product_rows(reduction.gens, below, {u: j for j, u in enumerate(layer)}):
             ech.add(row)
         h.append(len(layer) - ech.dim)
         below = layer

@@ -5,18 +5,20 @@ exact sequence 0 -> R/(I:p) -> R/I -> R/(I+(p)) -> 0 for a pivot monomial p,
 with the pairwise-coprime product formula as base case (A. M. Bigatti,
 "Computation of Hilbert-Poincare series", JPAA 119, 1997).  The recursion runs
 on minimal sets of exponent tuples, memoized by the set.  From the reduced form
-Q(lambda)/(1-lambda)^d we read off dimension, multiplicity, the Hilbert
-polynomial, and the Serre difference H(n) - P(n).
+Q(lambda)/(1-lambda)^d we read off dimension and multiplicity.  H(n) and the
+Hilbert polynomial P(n) are one integer binomial sum over the numerator: H(n)
+sums the terms with i <= n, P(n) all of them, with C(x, m) read as a polynomial
+in x (Bruns-Herzog, *Cohen-Macaulay Rings*, sec. 4.1), so both are exact
+integers for every n, and so is the Serre difference H(n) - P(n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial, prod
 
-from .errors import NonIntegralValue, ReconstructionFailed, ZeroRing
+from .errors import ReconstructionFailed, ZeroRing
 from .monomials import MonomialIdeal, minimalize
 
 # -- integer polynomials as coefficient lists (zero polynomial = []) -----
@@ -66,8 +68,14 @@ def pdiv_one_minus(p):
     return pstrip(out)
 
 
+def binomial(x: int, m: int) -> int:
+    """C(x, m) = x(x-1)...(x-m+1)/m! as a polynomial in x, read at any integer
+    x; exact, since a product of m consecutive integers is divisible by m!."""
+    return prod(range(x - m + 1, x + 1)) // factorial(m)
+
+
 def one_minus_lambda_power(d: int) -> list[int]:
-    return [(-1) ** i * comb(d, i) for i in range(d + 1)]
+    return [(-1) ** i * binomial(d, i) for i in range(d + 1)]
 
 
 # -- series -------------------------------------------------------------
@@ -115,16 +123,22 @@ class HilbertSeries:
         return peval_one(self.reduced()[0])
 
     def coefficient(self, n: int) -> int:
-        """Coefficient of lambda^n in the expansion of N/(1-lambda)^k."""
+        """H(n): the coefficient of lambda^n in the expansion of N/(1-lambda)^k,
+        sum over i <= n of N_i * C(n - i + k - 1, k - 1)."""
         if n < 0:
             return 0
         if self.k == 0:
             return self.numerator[n] if n < len(self.numerator) else 0
-        return sum(
-            c * comb(n - i + self.k - 1, self.k - 1)
-            for i, c in enumerate(self.numerator)
-            if i <= n
-        )
+        return self._binomial_sum(self.numerator[: n + 1], n)
+
+    def polynomial_value(self, n: int) -> int:
+        """P(n): the same sum over every i, a polynomial in n.  It equals H(n)
+        for n > deg N - k, where each term with i > n has 0 <= n - i + k - 1
+        < k - 1 and vanishes."""
+        return self._binomial_sum(self.numerator, n) if self.k else 0
+
+    def _binomial_sum(self, terms: list[int], n: int) -> int:
+        return sum(c * binomial(n - i + self.k - 1, self.k - 1) for i, c in enumerate(terms))
 
     @property
     def postulation_degree(self) -> int:
@@ -222,33 +236,7 @@ def hilbert_series(ideal: MonomialIdeal) -> HilbertSeries:
     return HilbertSeries(ideal.k, _numerator(ideal.k, ideal.exps, {}))
 
 
-# -- Hilbert polynomial and Serre difference -------------------------------
-
-
-def binomial_poly(shift: int, m: int) -> list[Fraction]:
-    """Coefficients in n of C(n + shift, m) = prod_{t=0}^{m-1} (n + shift - t) / m!."""
-    coeffs = [Fraction(1)]
-    for t in range(m):
-        coeffs = _poly_mul_linear(coeffs, Fraction(shift - t))
-    inv = Fraction(1, factorial(m))
-    return [c * inv for c in coeffs]
-
-
-def _poly_mul_linear(coeffs: list[Fraction], constant: Fraction) -> list[Fraction]:
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for i, c in enumerate(coeffs):
-        out[i + 1] += c
-        out[i] += c * constant
-    return out
-
-
-def poly_value(coeffs, n: int) -> Fraction:
-    acc = Fraction(0)
-    power = Fraction(1)
-    for c in coeffs:
-        acc += c * power
-        power *= n
-    return acc
+# -- Hilbert data and Serre difference -------------------------------------
 
 
 @dataclass(frozen=True)
@@ -258,27 +246,14 @@ class HilbertData:
     series: HilbertSeries
     dim: int
     multiplicity: int
-    hilbert_polynomial: tuple[Fraction, ...]
 
     def polynomial_value(self, n: int) -> int:
-        value = poly_value(self.hilbert_polynomial, n)
-        if value.denominator != 1:
-            raise NonIntegralValue(f"the Hilbert polynomial takes the value {value} at n = {n}")
-        return int(value)
+        return self.series.polynomial_value(n)
 
 
 def hilbert_data_from_series(series: HilbertSeries) -> HilbertData:
     q, d = series.reduced()
-    if d == 0:
-        poly: tuple[Fraction, ...] = ()
-    else:
-        acc = [Fraction(0)] * d
-        for i, c in enumerate(q):
-            if c:
-                for idx, coeff in enumerate(binomial_poly(d - 1 - i, d - 1)):
-                    acc[idx] += c * coeff
-        poly = tuple(acc)
-    return HilbertData(series, d, peval_one(q), poly)
+    return HilbertData(series, d, peval_one(q))
 
 
 @lru_cache(maxsize=256)
@@ -292,12 +267,6 @@ def hilbert_data(ideal: MonomialIdeal) -> HilbertData:
 def hilbert_function(ideal: MonomialIdeal, n: int) -> int:
     """H(R/I, n), counted directly on standard monomials."""
     return ideal.graded_length(n)
-
-
-def hilbert_polynomial(ideal: MonomialIdeal) -> tuple[Fraction, ...]:
-    """Coefficients of the Hilbert polynomial P(n), lowest degree first
-    (empty for dimension zero)."""
-    return hilbert_data(ideal).hilbert_polynomial
 
 
 def serre_difference(ideal: MonomialIdeal, n: int) -> int:

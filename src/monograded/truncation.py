@@ -1,83 +1,22 @@
-"""Exact polynomial rows and their row spaces over the integers.
+"""Exact integer row spaces.
 
-`PolyElement` holds a polynomial with (possibly non-monomial) support, such as
-a seeded generic combination of monomial generators.  `Echelon` keeps a row
-space in sparse echelon form; the ranks of the filtration module (fiber-cone
-ranks, the Hilbert function of G/J*G, affine dimensions of Newton-polyhedron
-faces) go through it.  `TruncatedAlgebra` is the monomial basis of S/m^(N+1) in
-graded order, kept for the truncated-image test oracles.
+`Echelon` keeps a row space in sparse echelon form; the ranks of the
+filtration module (fiber-cone ranks, the Hilbert function of G/J*G, affine
+dimensions of Newton-polyhedron faces) go through it.  Its rows are integer
+vectors, such as the products of a reduction's integer terms with monomials.
+`TruncatedAlgebra` is the monomial basis of S/m^(N+1) in graded order, kept
+for the truncated-image test oracles.
 
-All elimination is fraction-free over the integers; clearing denominators of
-rational inputs does not change spans over the rationals.
+All elimination is fraction-free over the integers, so every rank is the rank
+over the rationals.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import add
 
 from .monomials import MonomialIdeal, compositions
-
-
-class PolyElement:
-    """A polynomial as a finitely supported map from exponent vectors to
-    rational coefficients; zero coefficients are normalized away."""
-
-    __slots__ = ("k", "terms")
-
-    def __init__(self, k: int, terms=None):
-        self.k = k
-        clean = {}
-        for exps, coeff in (terms or {}).items():
-            if coeff:
-                clean[tuple(exps)] = coeff
-        self.terms = clean
-
-    @classmethod
-    def from_monomial(cls, exps: tuple[int, ...], coeff=1) -> "PolyElement":
-        return cls(len(exps), {exps: coeff})
-
-    @classmethod
-    def combination(cls, monomials, coeffs) -> "PolyElement":
-        """sum c*m over exponent tuples m and coefficients c."""
-        terms: dict = {}
-        for m, c in zip(monomials, coeffs):
-            terms[m] = terms.get(m, 0) + c
-        return cls(len(monomials[0]), terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def min_degree(self) -> int:
-        return min(sum(e) for e in self.terms) if self.terms else 0
-
-    def integer_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """The terms scaled by the lcm of the coefficient denominators."""
-        denom = 1
-        for c in self.terms.values():
-            if isinstance(c, Fraction):
-                denom = denom * c.denominator // gcd(denom, c.denominator)
-        return [(exps, int(c * denom)) for exps, c in self.terms.items()]
-
-    def __mul__(self, other: "PolyElement") -> "PolyElement":
-        terms: dict = {}
-        for t1, c1 in self.terms.items():
-            for t2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(t1, t2))
-                terms[key] = terms.get(key, 0) + c1 * c2
-        return PolyElement(self.k, terms)
-
-    def __add__(self, other: "PolyElement") -> "PolyElement":
-        terms = dict(self.terms)
-        for t, c in other.terms.items():
-            terms[t] = terms.get(t, 0) + c
-        return PolyElement(self.k, terms)
-
-    def __repr__(self):
-        return f"PolyElement({self.terms})"
 
 
 class TruncatedAlgebra:

@@ -3,15 +3,123 @@
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import factorial, gcd
 from operator import add
 
-from monograded.errors import ComputationError, ContainmentViolation, NotAReduction, ZeroRing
+from monograded.errors import ComputationError, NotAReduction, ZeroRing
 from monograded.cohomology import CohomologyTable, _class_dims, _extend_kill_masks
-from monograded.filtration import _product_rows, power_cache, reduction_number_wrt
-from monograded.hilbert import padd, pmul, pshift
+from monograded.filtration import Reduction, _product_rows, power_cache, reduction_number_wrt
+from monograded.hilbert import HilbertSeries, padd, pmul, pshift
 from monograded.monomials import MonomialIdeal, minimalize
 from monograded.semigroup import NumericalSemigroup
-from monograded.truncation import Echelon, PolyElement, TruncatedAlgebra
+from monograded.truncation import Echelon, TruncatedAlgebra
+
+
+class ContainmentViolation(ComputationError):
+    """An operation required B to be contained in A, but it is not."""
+
+
+# -- polynomials with rational coefficients --------------------------------
+
+
+class PolyElement:
+    """A polynomial as a finitely supported map from exponent vectors to
+    rational coefficients; zero coefficients are normalized away."""
+
+    __slots__ = ("k", "terms")
+
+    def __init__(self, k: int, terms=None):
+        self.k = k
+        clean = {}
+        for exps, coeff in (terms or {}).items():
+            if coeff:
+                clean[tuple(exps)] = coeff
+        self.terms = clean
+
+    @classmethod
+    def from_monomial(cls, exps: tuple[int, ...], coeff=1) -> "PolyElement":
+        return cls(len(exps), {exps: coeff})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    @property
+    def min_degree(self) -> int:
+        return min(sum(e) for e in self.terms) if self.terms else 0
+
+    def integer_terms(self) -> list[tuple[tuple[int, ...], int]]:
+        """The terms scaled by the lcm of the coefficient denominators."""
+        denom = 1
+        for c in self.terms.values():
+            if isinstance(c, Fraction):
+                denom = denom * c.denominator // gcd(denom, c.denominator)
+        return [(exps, int(c * denom)) for exps, c in self.terms.items()]
+
+    def __mul__(self, other: "PolyElement") -> "PolyElement":
+        terms: dict = {}
+        for t1, c1 in self.terms.items():
+            for t2, c2 in other.terms.items():
+                key = tuple(a + b for a, b in zip(t1, t2))
+                terms[key] = terms.get(key, 0) + c1 * c2
+        return PolyElement(self.k, terms)
+
+    def __add__(self, other: "PolyElement") -> "PolyElement":
+        terms = dict(self.terms)
+        for t, c in other.terms.items():
+            terms[t] = terms.get(t, 0) + c
+        return PolyElement(self.k, terms)
+
+    def __repr__(self):
+        return f"PolyElement({self.terms})"
+
+
+def reduction_polys(reduction: Reduction) -> list[PolyElement]:
+    """The generators of a reduction, given as integer terms, as polynomials."""
+    return [PolyElement(len(terms[0][0]), dict(terms)) for terms in reduction.gens]
+
+
+def monomial_reduction(ideal: MonomialIdeal) -> Reduction:
+    """The monomial ideal as a candidate reduction, one generator per monomial."""
+    return Reduction([((g, 1),) for g in ideal.exps], 0, 1)
+
+
+# -- the Hilbert polynomial with rational coefficients ---------------------
+
+
+def binomial_poly(shift: int, m: int) -> list[Fraction]:
+    """Coefficients in n of C(n + shift, m) = prod_{t=0}^{m-1} (n + shift - t) / m!."""
+    coeffs = [Fraction(1)]
+    for t in range(m):
+        constant = Fraction(shift - t)
+        out = [Fraction(0)] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            out[i + 1] += c
+            out[i] += c * constant
+        coeffs = out
+    inv = Fraction(1, factorial(m))
+    return [c * inv for c in coeffs]
+
+
+def poly_value(coeffs, n: int) -> Fraction:
+    acc = Fraction(0)
+    power = Fraction(1)
+    for c in coeffs:
+        acc += c * power
+        power *= n
+    return acc
+
+
+def fraction_hilbert_polynomial(series: HilbertSeries) -> list[Fraction]:
+    """Coefficients of P(n), lowest degree first (empty for dimension zero):
+    sum of Q_i * C(n - i + d - 1, d - 1) over the reduced numerator Q."""
+    q, d = series.reduced()
+    acc = [Fraction(0)] * d
+    for i, c in enumerate(q):
+        if c and d:
+            for idx, coeff in enumerate(binomial_poly(d - 1 - i, d - 1)):
+                acc[idx] += c * coeff
+    return acc
 
 
 def multiplicity_samuel(ideal: MonomialIdeal, n_bound: int | None = None) -> int:
@@ -159,10 +267,9 @@ def vv_levels(ideal: MonomialIdeal, reduction, r: int | None = None) -> list[VVL
         r = reduction_number_wrt(reduction, ideal)
     cache = power_cache(ideal)
     max_deg = max(map(sum, ideal.exps))
-    polys = [p.integer_terms() for p in reduction.gens]
     levels = []
     for n in range(1, max(r, 1) + 1):
-        prod_gens = PolyProduct(reduction.gens, cache.power(n - 1))
+        prod_gens = PolyProduct(reduction_polys(reduction), cache.power(n - 1))
         t, proof = certified_truncation(prod_gens, ideal.k, max(max_deg * (n + 2), 8))
         ell_prod, ell_power = proof["stable_length"], cache.colength(n)
         if n == 1:  # J*I^0 = J, and J + I = I as J lies in I
@@ -170,7 +277,7 @@ def vv_levels(ideal: MonomialIdeal, reduction, r: int | None = None) -> list[VVL
         else:
             standard = cache.power(n).standard_monomials()
             ech = Echelon()
-            for row in _product_rows(polys, standard, {u: j for j, u in enumerate(standard)}):
+            for row in _product_rows(reduction.gens, standard, {u: j for j, u in enumerate(standard)}):
                 ech.add(row)
             ell_sum = ell_power - ech.dim
         levels.append(VVLevel(t, ell_prod, ell_sum, ell_power, ell_j))
@@ -374,15 +481,16 @@ def least_full_degree(gens, k: int, N: int):
 
 def reduction_colength(reduction, k: int, max_t: int = 40) -> int:
     """ell(R/J) through a certified truncation of J and a fresh image at t - 1."""
-    t, _ = certified_truncation(reduction.gens, k, max_t)
+    gens = reduction_polys(reduction)
+    t, _ = certified_truncation(gens, k, max_t)
     algebra = TruncatedAlgebra(k, t - 1)
-    return algebra.dimension - ideal_image(reduction.gens, algebra).dim
+    return algebra.dimension - ideal_image(gens, algebra).dim
 
 
 def prop34_lengths(ideal: MonomialIdeal, reduction, max_t: int = 40) -> tuple[int, int]:
     """(ell(R/J), ell(I^2/JI)), each on its own certificate, with JI given by
     its expanded generators."""
-    ji = expanded_product(reduction.gens, ideal)
+    ji = expanded_product(reduction_polys(reduction), ideal)
     t, _ = certified_truncation(ji, ideal.k, max_t)
     algebra = TruncatedAlgebra(ideal.k, t - 1)
     ell_i2_ji = len(algebra.ideal_columns(ideal.power(2), t - 1)) - ideal_image(ji, algebra).dim
@@ -415,7 +523,7 @@ def truncated_reduction_number(reduction, ideal: MonomialIdeal, n_bound=None,
         nxt = cache.power(n + 1)
         t = nxt.smallest_contained_m_power() + extra_truncation
         algebra = TruncatedAlgebra(ideal.k, t)
-        jin = PolyProduct(reduction.gens, cache.power(n))
+        jin = PolyProduct(reduction_polys(reduction), cache.power(n))
         if ideal_image(jin, algebra).dim == len(algebra.ideal_columns(nxt, t)):
             return n
     raise NotAReduction(f"not a reduction within n <= {n_bound}")
@@ -428,9 +536,10 @@ def all_vv_levels(ideal: MonomialIdeal, reduction, r: int) -> list:
     in J + I^n, so their colengths there are the true ones."""
     cache = power_cache(ideal)
     max_deg = max(map(sum, ideal.exps))
+    gens = reduction_polys(reduction)
     levels = []
     for n in range(1, r + 2):
-        prod_gens = PolyProduct(reduction.gens, cache.power(n - 1))
+        prod_gens = PolyProduct(gens, cache.power(n - 1))
         power_gens = list(cache.power(n).exps)
         t, _ = certified_truncation(prod_gens, ideal.k, max(max_deg * (n + 2), 8))
         algebra = TruncatedAlgebra(ideal.k, t - 1)
@@ -441,9 +550,9 @@ def all_vv_levels(ideal: MonomialIdeal, reduction, r: int) -> list:
         levels.append(VVLevel(
             t=t,
             ell_prod=colength(prod_gens),
-            ell_sum=colength(reduction.gens + power_gens),
+            ell_sum=colength(gens + power_gens),
             ell_power=colength(power_gens),
-            ell_j=colength(reduction.gens),
+            ell_j=colength(gens),
         ))
         if not levels[-1].holds:
             break

@@ -22,7 +22,6 @@ from monograded.cohomology import cohomology_table
 from monograded.errors import NotAReduction
 from monograded.filtration import (
     G_hilbert_data,
-    Reduction,
     a_G_if_CM,
     cm_h_vector,
     minimal_reduction,
@@ -42,9 +41,7 @@ from monograded.semigroup import (
     reduction_number_sg,
     rr_sg,
 )
-from monograded.truncation import PolyElement
-
-from oracles import monomial_reduction_number, pure_power_variable
+from oracles import monomial_reduction, monomial_reduction_number, pure_power_variable
 
 
 def check(num: int, description: str, passed: bool, detail: str = ""):
@@ -235,9 +232,7 @@ def test_criterion_7_oracle_equivalence():
     for i in range(24):
         rng = random.Random(880_000 + i)
         ideal, param = _plane_instance(rng, closed=True)
-        reduction = Reduction(
-            [PolyElement.from_monomial(g) for g in param.exps], 0, 1
-        )
+        reduction = monomial_reduction(param)
         r_linear = reduction_number_wrt(reduction, ideal)
         r_brute = monomial_reduction_number(ideal, param)
         plane_total += 1
@@ -253,9 +248,7 @@ def test_criterion_7_oracle_equivalence():
             continue
         if newton_multiplicity(ideal) == newton_multiplicity(param):
             continue  # extras did not cut the multiplicity; J is a reduction
-        reduction = Reduction(
-            [PolyElement.from_monomial(g) for g in param.exps], 0, 1
-        )
+        reduction = monomial_reduction(param)
         linear_refused = brute_refused = False
         try:
             reduction_number_wrt(reduction, ideal, n_bound=8)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from monograded.bounds import (
+    BOUNDS,
     HOLDS,
     SHARP,
     SKIPPED,
@@ -163,6 +164,29 @@ def test_aggregate_counts_and_gaps():
     assert agg["min_gap"] is not None and agg["min_gap"] >= 0
     again = aggregate(reports)
     assert again == agg
+
+
+def test_each_bound_applies_to_its_instances():
+    instances = {
+        "plane": parse_ideal("x^2, x*y, y^3", XY),
+        "plane, not m-primary": parse_ideal("x^2, x*y", XY),
+        "three variables": parse_ideal("x^2, y^2, z^2, x*y", ("x", "y", "z")),
+        "three variables, not m-primary": parse_ideal("x^2, y*z", ("x", "y", "z")),
+        "unit": MonomialIdeal.unit(2),
+        "semigroup": SemigroupIdeal(NumericalSemigroup((4, 5, 6, 7)), (4, 5, 6)),
+    }
+    applies = {
+        name: [bound for bound, spec in BOUNDS.items() if spec.applies(instance)]
+        for name, instance in instances.items()
+    }
+    assert applies == {
+        "plane": ["thm2.1", "eg-lower", "prop3.3"],
+        "plane, not m-primary": ["thm2.1", "eg-lower"],
+        "three variables": ["thm2.1", "eg-lower", "prop3.4"],
+        "three variables, not m-primary": ["thm2.1", "eg-lower"],
+        "unit": ["thm2.1", "eg-lower"],
+        "semigroup": ["prop3.1"],
+    }
 
 
 def test_unknown_bound_rejected():

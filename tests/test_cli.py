@@ -126,6 +126,40 @@ def test_verify_single_monomial_instance_runs_reduction_bounds():
     assert reports[0]["status"] == "sharp"
 
 
+def test_verify_instance_computes_only_the_requested_bound(monkeypatch):
+    from monograded import cohomology, hilbert
+
+    def untouched(*args):
+        raise AssertionError("computed for a bound that is not printed")
+
+    monkeypatch.setattr(cohomology, "cohomology_table", untouched)
+    monkeypatch.setattr(hilbert, "hilbert_data", untouched)
+    code, out = run_cli(
+        ["verify", "--ring", "x,y,z", "--ideal", "x^2, y^2, z^2, x*y", "--bound", "prop3.4"]
+    )
+    assert code == 0
+    assert [r["bound"] for r in json.loads(out)["result"]["reports"]] == ["prop3.4"]
+
+
+def test_verify_unit_ideal_with_a_reduction_bound_has_no_reports():
+    # prop3.3 needs an m-primary ideal; the zero ring's invariants are not computed
+    code, out = run_cli(["verify", "--ring", "x,y", "--ideal", "1", "--bound", "prop3.3"])
+    assert code == 0
+    assert json.loads(out)["result"]["reports"] == []
+    code, out = run_cli(["verify", "--ring", "x,y", "--ideal", "1", "--bound", "all"])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "ZeroRing"
+
+
+def test_verify_semigroup_instance_honours_bound():
+    argv = ["verify", "--semigroup", "4,5,6,7", "--ideal", "4,5,6", "--bound"]
+    code, out = run_cli(argv + ["thm2.1"])
+    assert code == 0
+    assert json.loads(out)["result"]["reports"] == []
+    code, out = run_cli(argv + ["all"])
+    assert [r["bound"] for r in json.loads(out)["result"]["reports"]] == ["prop3.1"]
+
+
 def test_env_var_seed(monkeypatch):
     monkeypatch.setenv(cli.SEED_ENV, "17")
     code, out = run_cli(["verify", "--bound", "prop3.1", "--count", "2"])
@@ -245,7 +279,8 @@ SQUARE = "x^4, y^4, z^4, x^2*y^2, x^2*z^2, y^2*z^2, x^3*y*z, x*y^3*z, x*y*z^3"
 
 # sha256 of the JSON output of each command.  The prop3.4 corpus has r_J = 2
 # instances whose G is not Cohen-Macaulay; (x^2, y^2, z^2, xyz)^2 has r_J = 2
-# with G Cohen-Macaulay; the hard ideal has r_J = 3.
+# with G Cohen-Macaulay; the hard ideal has r_J = 3; the worked plane ideal of
+# example 2.2 runs thm2.1, eg-lower and prop3.3 as one instance.
 GOLDEN = [
     pytest.param(["reproduce", "example-2.2"],
                  "f65135823b96f9d67dd8959ab2a61475d4774acf4347f07c01836f41aeecbf35",
@@ -270,6 +305,10 @@ GOLDEN = [
     pytest.param(["reduction", "--ring", "x,y,z", "--ideal", HARD],
                  "2e2777840e15284b68f2293f77574563997baabb3d276a880f936f7d4196d060",
                  id="reduction-hard"),
+    pytest.param(["verify", "--ring", "x,y", "--ideal", "x^3, x^2*y^4, x*y^5, y^7",
+                  "--bound", "all"],
+                 "f9b8c57a844a976ff0e2d93bb42e2e8ed7270fcaae68cc9f91d5f49f10c99ff0",
+                 id="verify-instance-all"),
 ]
 
 

@@ -1,20 +1,18 @@
 import random
-from dataclasses import replace
-from fractions import Fraction
+from math import comb
 
 import pytest
 
-from monograded.errors import ComputationError, NonIntegralValue, ZeroRing
+from monograded.errors import ZeroRing
 from monograded.bounds import random_m_primary_ideal
 from monograded.hilbert import (
-    binomial_poly,
+    binomial,
     hilbert_data,
     hilbert_function,
     hilbert_series,
     codim,
     krull_dim,
     multiplicity,
-    poly_value,
     reconstruct_numerator,
     reconstruct_series,
     serre_difference,
@@ -22,7 +20,7 @@ from monograded.hilbert import (
 )
 from monograded.monomials import MonomialIdeal, parse_ideal
 
-from oracles import lexfirst_numerator
+from oracles import binomial_poly, fraction_hilbert_polynomial, lexfirst_numerator, poly_value
 
 XY = ("x", "y")
 ABCD = ("a", "b", "c", "d")
@@ -101,7 +99,7 @@ def test_serre_difference_examples():
 
     m2 = parse_ideal("x^2, x*y, y^2", XY)
     data = hilbert_data(m2)
-    assert data.dim == 0 and data.hilbert_polynomial == ()
+    assert data.dim == 0 and all(data.polynomial_value(n) == 0 for n in range(-5, 5))
     assert hilbert_function(m2, 2) == 0
     assert serre_difference(m2, 2) == 0
     assert sum(serre_difference(m2, n) for n in (0, 1)) == 3
@@ -130,51 +128,51 @@ def test_polynomial_agrees_beyond_postulation():
             assert ideal.graded_length(n) == data.polynomial_value(n)
 
 
+def _ideals_with_and_without_pure_powers(seed: int, count: int):
+    """Seeded m-primary ideals in k = 1..5 variables, each also with the pure
+    powers of a random set of variables dropped (dimension up to k)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randint(1, 5)
+        ideal = random_m_primary_ideal(rng, k, 4)
+        yield ideal
+        free = {j for j in range(k) if rng.random() < 0.5}
+        kept = [g for g in ideal.exps if not any(g[j] == sum(g) for j in free)]
+        yield MonomialIdeal(k, kept) if kept else MonomialIdeal.zero(k)
+
+
 def test_multiplicity_normalization_against_leading_coefficient():
-    from math import factorial
-
-    rng = random.Random(149)
-    for _ in range(20):
-        k = rng.randint(1, 3)
-        ideal = random_m_primary_ideal(rng, k, 5)
-        if rng.random() < 0.5:
-            # non-Artinian variants too: drop a pure power
-            gens = ideal.exps[1:]
-            if gens:
-                ideal = MonomialIdeal(k, gens)
-        if ideal.is_unit or ideal.is_zero:
-            continue
+    # P has degree d - 1 with leading coefficient e/(d-1)!, so its
+    # (d-1)-th forward difference is the constant e
+    for ideal in _ideals_with_and_without_pure_powers(149, 40):
         data = hilbert_data(ideal)
-        if data.dim >= 1:
-            lead = data.hilbert_polynomial[-1]
-            assert lead * factorial(data.dim - 1) == data.multiplicity
+        if data.dim == 0:
+            continue
+        for n in (-4, 0, 7):
+            values = [data.polynomial_value(n + t) for t in range(data.dim)]
+            for _ in range(data.dim - 1):
+                values = [b - a for a, b in zip(values, values[1:])]
+            assert values == [data.multiplicity]
 
 
-def test_polynomial_integer_valued_at_negatives():
-    data = hilbert_data(N_IDEAL)
-    for n in range(-6, 6):
-        value = poly_value(data.hilbert_polynomial, n)
-        assert value.denominator == 1
+def test_polynomial_value_matches_fraction_reference():
+    dims = set()
+    for ideal in _ideals_with_and_without_pure_powers(151, 60):
+        data = hilbert_data(ideal)
+        reference = fraction_hilbert_polynomial(data.series)
+        dims.add(data.dim)
+        for n in range(-10, 16):
+            assert data.polynomial_value(n) == poly_value(reference, n)
+    assert dims >= {0, 1, 2, 3, 4}
 
 
-def test_non_integral_polynomial_value_raises():
-    # n/2 is not integer-valued; the check must not be an assert, which -O drops
-    data = replace(hilbert_data(N_IDEAL), hilbert_polynomial=(Fraction(0), Fraction(1, 2)))
-    assert data.polynomial_value(2) == 1
-    with pytest.raises(NonIntegralValue) as excinfo:
-        data.polynomial_value(1)
-    assert isinstance(excinfo.value, ComputationError)
-
-
-def test_binomial_poly_matches_comb():
-    from math import comb
-
-    for shift in range(-3, 4):
-        for m in range(4):
-            coeffs = binomial_poly(shift, m)
-            for n in range(m - shift, m - shift + 6):
-                expected = Fraction(comb(n + shift, m))
-                assert poly_value(coeffs, n) == expected
+def test_binomial_matches_comb():
+    for m in range(6):
+        reference = binomial_poly(0, m)  # C(n, m) as a polynomial in n
+        for x in range(-10, 12):
+            assert binomial(x, m) == poly_value(reference, x)
+            if x >= 0:
+                assert binomial(x, m) == comb(x, m)
 
 
 def test_serre_difference_table_matches_pointwise():

@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 from monograded.bounds import random_m_primary_ideal
-from monograded.errors import ContainmentViolation
 from monograded.filtration import minimal_reduction
 from monograded.monomials import MonomialIdeal, parse_ideal
-from monograded.truncation import Echelon, PolyElement, TruncatedAlgebra
+from monograded.truncation import Echelon, TruncatedAlgebra
 
 from oracles import (
+    ContainmentViolation,
     NotCertified,
+    PolyElement,
     PolyProduct,
     certified_truncation,
     contains_mod,
@@ -19,6 +20,7 @@ from oracles import (
     ideal_equal_mod,
     ideal_image,
     least_full_degree,
+    reduction_polys,
     subspace_length_between,
     times_monomial,
 )
@@ -190,7 +192,7 @@ def test_certificate_dim_matches_fresh_image():
     for trial in range(16):
         k = rng.randint(2, 3)
         ideal = random_m_primary_ideal(rng, k, 3)
-        reduction = minimal_reduction(ideal, seed=trial).gens
+        reduction = reduction_polys(minimal_reduction(ideal, seed=trial))
         for gens in (reduction, PolyProduct(reduction, ideal.power(rng.randint(0, 2)))):
             t, proof = certified_truncation(gens, k, 30)
             algebra = TruncatedAlgebra(k, t - 1)
