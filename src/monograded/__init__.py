@@ -27,10 +27,8 @@ from .cohomology import (
     h,
 )
 from .filtration import (
-    FiltrationReport,
     Reduction,
     G_hilbert_data,
-    a_G_if_CM,
     cm_h_vector,
     fiber_cone_series,
     h0_G,

@@ -148,10 +148,8 @@ def verify_prop_3_3(ideal: MonomialIdeal, instance_id: str = "", seed: int = 0) 
     """
     if ideal.k != 2:
         raise ComputationError("prop3.3 checker needs a plane (two-variable) ideal")
-    r, trial_list = filtration.reduction_number(ideal, trials=PROP_3_3_TRIALS, seed=seed)
-    best = min(trial_list, key=lambda tr: tr["r"])
-    reduction = filtration.minimal_reduction(ideal, best["seed"])
-    certificate, h = filtration.cm_h_vector(ideal, reduction, r=r)
+    r, reduction, _ = filtration.reduction_number(ideal, trials=PROP_3_3_TRIALS, seed=seed)
+    certificate, h = filtration.cm_h_vector(ideal, reduction, r)
     if not certificate:
         if not filtration.gamma_positive(ideal, r + 1):
             witness = {"reason": "gamma gate failed: h^0(G) does not vanish", "r": r}
@@ -183,11 +181,8 @@ def verify_prop_3_4(ideal: MonomialIdeal, instance_id: str = "", seed: int = 0) 
     + h_r from the h-vector of G/J*G."""
     if ideal.k < 3:
         raise ComputationError("prop3.4 checker needs at least three variables")
-    _, trial_list = filtration.reduction_number(ideal, trials=PROP_3_4_TRIALS, seed=seed)
-    best = min(trial_list, key=lambda tr: tr["r"])
-    reduction = filtration.minimal_reduction(ideal, best["seed"])
-    r_j = best["r"]
-    certificate, h = filtration.cm_h_vector(ideal, reduction, r=r_j)
+    r_j, reduction, _ = filtration.reduction_number(ideal, trials=PROP_3_4_TRIALS, seed=seed)
+    certificate, h = filtration.cm_h_vector(ideal, reduction, r_j)
     if not certificate:  # the Valabrega-Valla condition holds iff G is Cohen-Macaulay
         witness = {"reason": "Valabrega-Valla certificate false", "r": r_j}
         return BoundReport(instance_id, "prop3.4", None, None, UNVERIFIED, witness)

@@ -5,8 +5,9 @@ same document.  Every document embeds the resolved run configuration and a
 schema version, so identical configurations produce byte-identical output.
 
 Exit codes: 0 success, 1 computation failure, 2 usage error (malformed ring,
-ideal, window or semigroup input and out-of-range numeric options give a JSON
-error document), 3 reproduction mismatch.
+ideal, window or semigroup input, out-of-range numeric options and a `verify`
+instance flag without --ideal give a JSON error document), 3 reproduction
+mismatch.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def run_cohomology(args) -> dict:
 def run_reduction(args) -> dict:
     ideal = require_ring_ideal(args)
     seed = args.seed if args.seed is not None else default_seed()
-    report = filtration.filtration_report(
+    return filtration.filtration_report(
         ideal,
         trials=args.trials,
         seed=seed,
@@ -186,13 +187,16 @@ def run_reduction(args) -> dict:
         n_bound=args.n_bound,
         powers=args.powers,
     )
-    return report.to_dict()
 
 
 def run_verify(args) -> dict:
     seed = args.corpus_seed if args.corpus_seed is not None else default_seed()
     names = list(bounds.BOUNDS) if args.bound == "all" else [args.bound]
-    if args.ideal is not None:
+    if args.ideal is None:
+        for flag, value in (("--ring", args.ring), ("--semigroup", args.semigroup)):
+            if value is not None:
+                raise UsageError(f"{flag} describes a single instance and needs --ideal")
+    else:
         if args.semigroup:
             with _parsing_input():
                 S = semigroup.NumericalSemigroup(

@@ -25,9 +25,5 @@ class NotAReduction(ComputationError):
     """A candidate ideal failed the reduction test within the search bound."""
 
 
-class CertificateFailed(ComputationError):
-    """A result was requested whose validity certificate does not hold."""
-
-
 class ReconstructionFailed(ComputationError):
     """A sequence did not stabilize to a rational function within the data given."""

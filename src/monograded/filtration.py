@@ -14,13 +14,12 @@ finitely many length/generator counts with a verified polynomial tail.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from operator import add, mul, sub
 
-from .errors import CertificateFailed, ComputationError, NotAReduction
+from .errors import ComputationError, NotAReduction
 from .hilbert import (
     HilbertData,
     HilbertSeries,
@@ -36,19 +35,9 @@ RR_MAX_STEPS = 64
 RESAMPLES = 4
 
 
-@dataclass
-class Reduction:
-    """A candidate minimal reduction: d seeded generic combinations of the
-    minimal generators, with integer coefficients in [1, coeff_bound], each a
-    tuple of (exponent tuple, coefficient) terms."""
-
-    gens: list[tuple[tuple[tuple[int, ...], int], ...]]
-    seed: int
-    coeff_bound: int
-
-    @property
-    def size(self) -> int:
-        return len(self.gens)
+# A candidate reduction: d integer combinations of the minimal generators, each
+# a tuple of (exponent tuple, coefficient) terms.
+Reduction = list[tuple[tuple[tuple[int, ...], int], ...]]
 
 
 class PowerCache:
@@ -100,7 +89,7 @@ def h0_G(ideal: MonomialIdeal, n: int) -> int:
     ell((I^n intersect rr(I^(n+1))) / I^(n+1))."""
     cache = power_cache(ideal)
     inner = cache.power(n).intersection(ratliff_rush(ideal, n + 1))
-    return cache.power(n + 1).quotient_length() - inner.quotient_length()
+    return cache.colength(n + 1) - inner.quotient_length()
 
 
 def gamma_positive(ideal: MonomialIdeal, upto: int) -> bool:
@@ -216,15 +205,15 @@ def G_hilbert_data(ideal: MonomialIdeal) -> HilbertData:
 
 
 def minimal_reduction(ideal: MonomialIdeal, seed: int, coeff_bound: int = 100) -> Reduction:
-    """d = k seeded generic integer combinations of the minimal generators.
+    """d = k seeded generic combinations of the minimal generators, with
+    integer coefficients in [1, coeff_bound].
 
     In one variable the minimal-degree generator itself is the reduction."""
     gens = ideal.exps
     if ideal.k == 1:
-        return Reduction([((gens[0], 1),)], seed, coeff_bound)
+        return [((gens[0], 1),)]
     rng = random.Random(seed)
-    combos = [tuple((g, rng.randint(1, coeff_bound)) for g in gens) for _ in range(ideal.k)]
-    return Reduction(combos, seed, coeff_bound)
+    return [tuple((g, rng.randint(1, coeff_bound)) for g in gens) for _ in range(ideal.k)]
 
 
 def _product_rows(polys, monomials, columns: dict):
@@ -260,7 +249,7 @@ def reduction_number_wrt(
     for n in range(n_bound + 1):
         columns = {w: j for j, w in enumerate(cache.power(n + 1).exps)}
         ech = Echelon()
-        for row in _product_rows(reduction.gens, cache.power(n).exps, columns):
+        for row in _product_rows(reduction, cache.power(n).exps, columns):
             if ech.add(row) and ech.dim == len(columns):
                 return n
     raise NotAReduction(f"not a reduction within n <= {n_bound}")
@@ -272,17 +261,19 @@ def reduction_number(
     seed: int = 0,
     coeff_bound: int = 100,
     n_bound: int | None = None,
-) -> tuple[int, list[dict]]:
-    """Minimum of r_J over seeded candidate reductions.
+) -> tuple[int, Reduction, list[dict]]:
+    """(r, J, trials): the minimum r of r_J over seeded candidate reductions,
+    the first candidate J that reaches it, and one {"seed", "r"} record per
+    trial.
 
     Sampling genericity: correct with high probability over the rationals, and
     each candidate that fails the n-bound is resampled a bounded number of
     times before the trial errors out.
     """
-    if n_bound is None:
-        n_bound = newton_multiplicity(ideal) + 2
+    if trials < 1:
+        raise ValueError(f"reduction_number needs at least one trial, got {trials}")
     trials_out = []
-    best = None
+    best = None  # (r_J, J) of the first trial that reaches the least r_J
     for trial in range(trials):
         r = None
         for attempt in range(RESAMPLES + 1):
@@ -298,16 +289,15 @@ def reduction_number(
             raise NotAReduction(
                 f"trial {trial}: no reduction found in {RESAMPLES + 1} samples"
             )
-        best = r if best is None else min(best, r)
-    return best, trials_out
+        if best is None or r < best[0]:
+            best = r, candidate
+    return (*best, trials_out)
 
 
-# -- Cohen-Macaulayness of G and the a-invariant of G -----------------------
+# -- Cohen-Macaulayness of G ------------------------------------------------
 
 
-def cm_h_vector(
-    ideal: MonomialIdeal, reduction: Reduction, r: int | None = None
-) -> tuple[bool, list[int]]:
+def cm_h_vector(ideal: MonomialIdeal, reduction: Reduction, r: int) -> tuple[bool, list[int]]:
     """(is_cm, h): whether G = gr_I(R) is Cohen-Macaulay, decided by the
     colength of G/J*G, where J* holds the initial forms in I/I^2 of the
     reduction J and `r` must be r_J(I) of this reduction.
@@ -323,8 +313,6 @@ def cm_h_vector(
     Cohen-Macaulay with h = (ell(R/I), e - ell(R/I)) (just ell(R/I) = e when
     r = 0).  When G is Cohen-Macaulay, its Hilbert series is h/(1 - l)^d.
     """
-    if r is None:
-        r = reduction_number_wrt(reduction, ideal)
     e = newton_multiplicity(ideal)
     cache = power_cache(ideal)
     h = [cache.colength(1)]
@@ -339,55 +327,14 @@ def cm_h_vector(
         standard = cache.power(n + 1).standard_monomials()
         layer = [u for u in standard if u not in inner]
         ech = Echelon()
-        for row in _product_rows(reduction.gens, below, {u: j for j, u in enumerate(layer)}):
+        for row in _product_rows(reduction, below, {u: j for j, u in enumerate(layer)}):
             ech.add(row)
         h.append(len(layer) - ech.dim)
         below = layer
     return sum(h) == e, h
 
 
-def a_G_if_CM(ideal: MonomialIdeal, reduction: Reduction, r: int | None = None) -> int:
-    """a-invariant of the associated graded ring, valid only when it is
-    Cohen-Macaulay: deg h - d, with h from `cm_h_vector`."""
-    is_cm, h = cm_h_vector(ideal, reduction, r=r)
-    if not is_cm:
-        raise CertificateFailed("the associated graded ring is not Cohen-Macaulay")
-    return len(h) - 1 - ideal.k
-
-
 # -- assembled report ---------------------------------------------------
-
-
-@dataclass
-class FiltrationReport:
-    """Everything the reduction CLI reports for one ideal."""
-
-    ideal: MonomialIdeal
-    multiplicity: int
-    colengths: list[int]
-    ratliff_rush: list[str]
-    mu_table: list[int]
-    h0_table: list[int]
-    g_numerator: list[int]
-    reduction_trials: list[dict]
-    reduction_number: int
-    vv_certificate: bool
-    a_G: int | None
-
-    def to_dict(self) -> dict:
-        return {
-            "ideal": self.ideal.format(),
-            "e": self.multiplicity,
-            "colengths": self.colengths,
-            "ratliff_rush": self.ratliff_rush,
-            "mu": self.mu_table,
-            "h0_G": self.h0_table,
-            "G_numerator": self.g_numerator,
-            "trials": self.reduction_trials,
-            "r": self.reduction_number,
-            "vv_certificate": self.vv_certificate,
-            "a_G": self.a_G,
-        }
 
 
 def filtration_report(
@@ -397,25 +344,24 @@ def filtration_report(
     coeff_bound: int = 100,
     n_bound: int | None = None,
     powers: int = 4,
-) -> FiltrationReport:
-    e = newton_multiplicity(ideal)
+) -> dict:
+    """Everything the reduction CLI reports for one ideal.  a(G) = deg h - d
+    is given only when G is Cohen-Macaulay."""
     cache = power_cache(ideal)
-    r, trial_list = reduction_number(
+    r, reduction, trial_list = reduction_number(
         ideal, trials=trials, seed=seed, coeff_bound=coeff_bound, n_bound=n_bound
     )
-    best = min(trial_list, key=lambda tr: tr["r"])
-    candidate = minimal_reduction(ideal, best["seed"], coeff_bound)
-    certified, h = cm_h_vector(ideal, candidate, r=best["r"])
-    return FiltrationReport(
-        ideal=ideal,
-        multiplicity=e,
-        colengths=[cache.colength(n) for n in range(powers + 1)],
-        ratliff_rush=[ratliff_rush(ideal, n).format() for n in range(1, powers + 1)],
-        mu_table=[mu(ideal, n) for n in range(1, powers + 1)],
-        h0_table=[h0_G(ideal, n) for n in range(powers)],
-        g_numerator=h if certified else G_hilbert_data(ideal).series.numerator,
-        reduction_trials=trial_list,
-        reduction_number=r,
-        vv_certificate=certified,
-        a_G=len(h) - 1 - ideal.k if certified else None,
-    )
+    certified, h = cm_h_vector(ideal, reduction, r)
+    return {
+        "ideal": ideal.format(),
+        "e": newton_multiplicity(ideal),
+        "colengths": [cache.colength(n) for n in range(powers + 1)],
+        "ratliff_rush": [ratliff_rush(ideal, n).format() for n in range(1, powers + 1)],
+        "mu": [mu(ideal, n) for n in range(1, powers + 1)],
+        "h0_G": [h0_G(ideal, n) for n in range(powers)],
+        "G_numerator": h if certified else G_hilbert_data(ideal).series.numerator,
+        "trials": trial_list,
+        "r": r,
+        "vv_certificate": certified,
+        "a_G": len(h) - 1 - ideal.k if certified else None,
+    }

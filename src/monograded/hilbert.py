@@ -68,14 +68,14 @@ def pdiv_one_minus(p):
     return pstrip(out)
 
 
-def binomial(x: int, m: int) -> int:
+def _binomial(x: int, m: int) -> int:
     """C(x, m) = x(x-1)...(x-m+1)/m! as a polynomial in x, read at any integer
     x; exact, since a product of m consecutive integers is divisible by m!."""
     return prod(range(x - m + 1, x + 1)) // factorial(m)
 
 
 def one_minus_lambda_power(d: int) -> list[int]:
-    return [(-1) ** i * binomial(d, i) for i in range(d + 1)]
+    return [(-1) ** i * _binomial(d, i) for i in range(d + 1)]
 
 
 # -- series -------------------------------------------------------------
@@ -138,7 +138,7 @@ class HilbertSeries:
         return self._binomial_sum(self.numerator, n) if self.k else 0
 
     def _binomial_sum(self, terms: list[int], n: int) -> int:
-        return sum(c * binomial(n - i + self.k - 1, self.k - 1) for i, c in enumerate(terms))
+        return sum(c * _binomial(n - i + self.k - 1, self.k - 1) for i, c in enumerate(terms))
 
     @property
     def postulation_degree(self) -> int:

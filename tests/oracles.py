@@ -76,12 +76,12 @@ class PolyElement:
 
 def reduction_polys(reduction: Reduction) -> list[PolyElement]:
     """The generators of a reduction, given as integer terms, as polynomials."""
-    return [PolyElement(len(terms[0][0]), dict(terms)) for terms in reduction.gens]
+    return [PolyElement(len(terms[0][0]), dict(terms)) for terms in reduction]
 
 
 def monomial_reduction(ideal: MonomialIdeal) -> Reduction:
     """The monomial ideal as a candidate reduction, one generator per monomial."""
-    return Reduction([((g, 1),) for g in ideal.exps], 0, 1)
+    return [((g, 1),) for g in ideal.exps]
 
 
 # -- the Hilbert polynomial with rational coefficients ---------------------
@@ -277,7 +277,7 @@ def vv_levels(ideal: MonomialIdeal, reduction, r: int | None = None) -> list[VVL
         else:
             standard = cache.power(n).standard_monomials()
             ech = Echelon()
-            for row in _product_rows(reduction.gens, standard, {u: j for j, u in enumerate(standard)}):
+            for row in _product_rows(reduction, standard, {u: j for j, u in enumerate(standard)}):
                 ech.add(row)
             ell_sum = ell_power - ech.dim
         levels.append(VVLevel(t, ell_prod, ell_sum, ell_power, ell_j))

@@ -21,7 +21,7 @@ from monograded.bounds import (
     verify_prop_3_4,
 )
 from monograded.errors import ComputationError
-from monograded.filtration import minimal_reduction, reduction_number
+from monograded.filtration import reduction_number
 from monograded.monomials import MonomialIdeal, parse_ideal
 from monograded.semigroup import NumericalSemigroup, SemigroupIdeal
 
@@ -106,9 +106,8 @@ def test_prop34_witnesses_match_separate_certificates():
         rep = verify_prop_3_4(ideal, iid, seed=seed)
         if "l_R_J" not in rep.witness:
             continue
-        _, trials = reduction_number(ideal, trials=2, seed=seed)
-        best = min(trials, key=lambda tr: tr["r"])
-        l_r_j, l_i2_ji = prop34_lengths(ideal, minimal_reduction(ideal, best["seed"]))
+        _, reduction, _ = reduction_number(ideal, trials=2, seed=seed)
+        l_r_j, l_i2_ji = prop34_lengths(ideal, reduction)
         assert rep.witness["l_R_J"] == l_r_j, iid
         if "l_I2_JI" in rep.witness:
             assert rep.witness["l_I2_JI"] == l_i2_ji, iid
@@ -136,6 +135,19 @@ def test_corpus_determinism():
     assert first == second
     other = [r.to_dict() for r in run_corpus("thm2.1", seed=10, count=8, k=3)[0]]
     assert first != other
+
+
+def test_corpus_gives_each_instance_its_own_seed(monkeypatch):
+    seen = []
+    spec = BOUNDS["thm2.1"]
+
+    def record(instance, instance_id, seed):
+        seen.append(seed)
+        return spec.check(instance, instance_id, seed)
+
+    monkeypatch.setitem(BOUNDS, "thm2.1", spec._replace(check=record))
+    run_corpus("thm2.1", seed=7, count=3)
+    assert seen == [instance_seed(7, i) for i in range(3)]
 
 
 def test_corpus_generators_deterministic():

@@ -235,6 +235,15 @@ def test_out_of_range_option_is_usage_error(argv):
     assert_usage_error(argv, f"{argv[-2]} must be at least")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--semigroup", "4,5,6,7", "--bound", "prop3.1", "--count", "1"], "--semigroup"),
+    (["verify", "--ring", "x,y,z", "--bound", "thm2.1", "--count", "1"], "--ring"),
+], ids=["semigroup", "ring"])
+def test_instance_flag_without_ideal_is_usage_error(argv, flag):
+    # an instance flag must not fall through to a random corpus
+    assert_usage_error(argv, f"{flag} describes a single instance and needs --ideal")
+
+
 def test_missing_ring_is_computation_error():
     code, out = run_cli(["hilbert"])
     assert code == 1

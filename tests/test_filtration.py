@@ -4,12 +4,11 @@ import pytest
 
 from monograded import filtration
 from monograded.bounds import corpus_monomial, instance_seed, random_m_primary_ideal
-from monograded.errors import CertificateFailed, NotAReduction
+from monograded.errors import NotAReduction
 from monograded.errors import InfiniteLength
 from monograded.filtration import (
     G_hilbert_data,
     PowerCache,
-    a_G_if_CM,
     cm_h_vector,
     fiber_cone_series,
     gamma_positive,
@@ -105,19 +104,17 @@ def test_mu_and_fiber_cone():
 
 def test_minimal_reduction_shapes():
     red = minimal_reduction(parse_ideal("x^2, x*y, y^2", XY), seed=3)
-    assert red.size == 2
-    assert red.seed == 3
-    again = minimal_reduction(parse_ideal("x^2, x*y, y^2", XY), seed=3)
-    assert red.gens == again.gens
+    assert len(red) == 2
+    assert red == minimal_reduction(parse_ideal("x^2, x*y, y^2", XY), seed=3)
+    assert red != minimal_reduction(parse_ideal("x^2, x*y, y^2", XY), seed=4)
     single = minimal_reduction(parse_ideal("x^4", ("x",)), seed=9)
-    assert single.size == 1
-    assert single.gens == [(((4,), 1),)]
+    assert single == [(((4,), 1),)]
 
 
 def test_minimal_reduction_follows_generator_order():
     # seeded coefficients go to the generators in (degree, exps) order
     red = minimal_reduction(EX_IDEAL, seed=0)
-    assert red.gens == [
+    assert red == [
         (((3, 0), 50), ((1, 5), 98), ((2, 4), 54), ((0, 7), 6)),
         (((3, 0), 34), ((1, 5), 66), ((2, 4), 63), ((0, 7), 52)),
     ]
@@ -129,13 +126,26 @@ def test_reduction_number_examples():
     assert reduction_number_wrt(monomial_reduction(param), m2) == 1
     assert monomial_reduction_number(m2, param) == 1
     maximal = parse_ideal("x, y", XY)
-    r, trials = reduction_number(maximal, trials=2, seed=0)
+    r, red, trials = reduction_number(maximal, trials=2, seed=0)
     assert r == 0 and all(t["r"] == 0 for t in trials)
+    assert red == minimal_reduction(maximal, trials[0]["seed"])
     # J = (x^3, y^7) inside the worked ideal: proper subideal forces r >= 1
     param2 = parse_ideal("x^3, y^7", XY)
     r2 = reduction_number_wrt(monomial_reduction(param2), EX_IDEAL)
     assert r2 >= 1
     assert r2 == monomial_reduction_number(EX_IDEAL, param2)
+
+
+def test_reduction_number_keeps_the_first_least_trial(monkeypatch):
+    # scripted r_J of three trials: 2, 1, 1; J is the second trial's candidate
+    script = iter([2, 1, 1])
+    monkeypatch.setattr(filtration, "reduction_number_wrt", lambda *args, **kwargs: next(script))
+    r, red, trials = reduction_number(EX_IDEAL, trials=3, seed=0)
+    assert r == 1 and [t["r"] for t in trials] == [2, 1, 1]
+    assert red == minimal_reduction(EX_IDEAL, trials[1]["seed"])
+    assert red != minimal_reduction(EX_IDEAL, trials[2]["seed"])
+    with pytest.raises(ValueError):
+        reduction_number(EX_IDEAL, trials=0)
 
 
 def test_fiber_route_matches_truncated_oracle():
@@ -178,25 +188,23 @@ def test_g_series_examples():
 
 
 def test_vv_certificate_and_a_invariant():
-    m2 = parse_ideal("x^2, x*y, y^2", XY)
-    red = minimal_reduction(m2, seed=5)
-    assert vv_cm_certificate(m2, red)
-    assert a_G_if_CM(m2, red) == -1
-    maximal = parse_ideal("x, y", XY)
-    red_m = minimal_reduction(maximal, seed=5)
-    assert vv_cm_certificate(maximal, red_m)
-    assert a_G_if_CM(maximal, red_m) == -2
-    # reduction number bridge: r = a(G) + d on these certified instances
-    assert reduction_number_wrt(red, m2) == a_G_if_CM(m2, red) + 2
-    assert reduction_number_wrt(red_m, maximal) == a_G_if_CM(maximal, red_m) + 2
+    # a(G) = deg h - d, and the bridge r_J = a(G) + d on certified instances
+    for text, a_g in (("x^2, x*y, y^2", -1), ("x, y", -2)):
+        ideal = parse_ideal(text, XY)
+        red = minimal_reduction(ideal, seed=5)
+        r = reduction_number_wrt(red, ideal)
+        assert vv_cm_certificate(ideal, red)
+        is_cm, h = cm_h_vector(ideal, red, r)
+        assert is_cm and len(h) - 1 - ideal.k == a_g
+        assert r == a_g + ideal.k
+        assert filtration.filtration_report(ideal)["a_G"] == a_g
 
 
 def test_vv_certificate_false_for_shallow_staircase():
     red = minimal_reduction(STAIR, seed=7)
     r = reduction_number_wrt(red, STAIR)
     assert not vv_cm_certificate(STAIR, red, r=r)
-    with pytest.raises(CertificateFailed):
-        a_G_if_CM(STAIR, red, r=r)
+    assert not cm_h_vector(STAIR, red, r)[0]
 
 
 def test_reduction_colength_equals_multiplicity():
@@ -284,9 +292,8 @@ def test_trimmed_vv_levels_match_all_levels():
     cases += [(ideal, minimal_reduction(ideal, seed=0)) for ideal in (cube, square)]
     for k, deg_bound, trials in ((2, 6, 3), (3, 3, 2)):
         for i, (_, ideal) in enumerate(corpus_monomial(0, 40, k, deg_bound)):
-            _, trial_list = reduction_number(ideal, trials=trials, seed=instance_seed(0, i))
-            best = min(trial_list, key=lambda tr: tr["r"])
-            cases.append((ideal, minimal_reduction(ideal, best["seed"])))
+            _, red, _ = reduction_number(ideal, trials=trials, seed=instance_seed(0, i))
+            cases.append((ideal, red))
     seen = set()
     for ideal, red in cases:
         r = reduction_number_wrt(red, ideal)
@@ -322,11 +329,11 @@ def test_filtration_report_runs_one_certificate(monkeypatch):
     m2 = parse_ideal("x^2, x*y, y^2", XY)
     report = filtration.filtration_report(m2)
     assert calls == [m2]
-    assert report.vv_certificate and report.a_G == -1 and report.g_numerator == [3, 1]
+    assert report["vv_certificate"] and report["a_G"] == -1 and report["G_numerator"] == [3, 1]
     shallow = filtration.filtration_report(STAIR)
     assert calls == [m2, STAIR]
-    assert not shallow.vv_certificate and shallow.a_G is None
-    assert shallow.g_numerator == G_hilbert_data(STAIR).series.numerator
+    assert not shallow["vv_certificate"] and shallow["a_G"] is None
+    assert shallow["G_numerator"] == G_hilbert_data(STAIR).series.numerator
 
 
 # -- the Newton multiplicity and the colength of G/J*G -------------------------
@@ -389,7 +396,7 @@ def test_cm_h_vector_is_the_g_numerator():
     # ell(I^2/JI) = h_2 + ... + h_r = e + (d - 1) ell(R/I) - ell(I/I^2)
     checked = 0
     for ideal, red in _cm_cases():
-        is_cm, h = cm_h_vector(ideal, red)
+        is_cm, h = cm_h_vector(ideal, red, reduction_number_wrt(red, ideal))
         if not is_cm:
             continue
         cache = power_cache(ideal)

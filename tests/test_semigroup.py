@@ -161,7 +161,7 @@ def test_sumset_engine_agrees_with_monomial_engine_over_nat():
         for n in (2, 3):
             assert length_sg(ideal_power_sg(sg_ideal, n)) == mono_ideal.power(n).quotient_length()
         r_sum, _ = reduction_number_sg(sg_ideal)
-        r_mono, _ = reduction_number(mono_ideal, trials=1, seed=0)
+        r_mono, _, _ = reduction_number(mono_ideal, trials=1, seed=0)
         assert r_sum == r_mono
         rr_set = rr_sg(sg_ideal)
         rr_mono = ratliff_rush(mono_ideal)
