@@ -6,12 +6,21 @@ coordinates of a and, for each j outside T, on which interval between
 consecutive distinct exponents of x_j among the generators holds a_j; it is
 zero once some a_j reaches the largest such exponent rho_j (Y. Takayama,
 "Combinatorial characterizations of generalized Cohen-Macaulay monomial
-ideals", 2005).  The table enumerates these breakpoint classes and computes
-each distinct complex once, by exact integer rank computations.  A class
-weighs its dimensions by prod_j (x^lo_j + ... + x^hi_j), whose coefficients
-count its multidegrees by the sum of their coordinates outside T; closed-form
-composition counts turn the weighted sums into the graded lengths h^i(R)_n,
-the a-invariant, depth, and the binomial-weighted invariant EG(R).
+ideals", 2005).  The table enumerates these breakpoint classes.  In a class,
+the subsets F that carry a basis element are those containing T and no kill
+mask (the coordinates j with g_j > a_j of a generator g); they are T joined
+with a simplicial complex D on the coordinates outside T, so the class's
+cohomology is the reduced cohomology of D shifted by |T| (Hochster's formula;
+Miller-Sturmfels, "Combinatorial Commutative Algebra", 2005, ch. 13).  Two
+kinds of class are zero and need no rank: void ones, where a kill mask lies
+inside T, so D has no faces at all, and cones, where a coordinate outside T
+lies in no minimal kill mask, so D is a cone over it and acyclic.  Every
+other distinct complex is computed once, by exact integer rank computations.
+A class weighs its dimensions by prod_j (x^lo_j + ... + x^hi_j), whose
+coefficients count its multidegrees by the sum of their coordinates outside
+T; closed-form composition counts turn the weighted sums into the graded
+lengths h^i(R)_n, the a-invariant, depth, and the binomial-weighted
+invariant EG(R).
 """
 
 from __future__ import annotations
@@ -73,8 +82,18 @@ def _class_dims(k: int, t_mask: int, kill_masks) -> tuple[int, ...]:
     A generator's kill mask holds the coordinates j with g_j > a_j; the
     generator kills a subset F exactly when its kill mask lies inside F.  F
     carries a basis element iff T is inside F and no generator kills it; the
-    differentials are the alternating-sign inclusion maps.
+    differentials are the alternating-sign inclusion maps.  Both shortcuts
+    below hold for any family of masks: a void family (a mask inside T kills
+    every F) and a cone (a coordinate j outside T and every mask: F -> F + {j}
+    pairs off the alive sets) give zero without a rank.
     """
+    cover = t_mask
+    for m in kill_masks:
+        if not m & ~t_mask:
+            return (0,) * (k + 1)
+        cover |= m
+    if cover != (1 << k) - 1:
+        return (0,) * (k + 1)
     alive_by_card: list[list[int]] = [[] for _ in range(k + 1)]
     for f_mask in range(1 << k):
         if not t_mask & ~f_mask and all(m & ~f_mask for m in kill_masks):
@@ -182,7 +201,12 @@ def cohomology_table(ideal: MonomialIdeal) -> CohomologyTable:
 
     def recurse(j: int, t_mask: int, kill_masks: tuple[int, ...], weight: int):
         if j == k:
-            minimal = frozenset(m for m in kill_masks if not any(o & m == o != m for o in kill_masks))
+            masks = set(kill_masks)
+            if any(not m & ~t_mask for m in masks):
+                return  # void: the complex is zero
+            # The cone test in _class_dims needs the minimal masks: the generator
+            # that reaches rho_j always has bit j set.
+            minimal = frozenset(m for m in masks if not any(o & m == o != m for o in masks))
             key = (t_mask, minimal)
             if key not in memo:
                 dims = _class_dims(k, t_mask, minimal)

@@ -115,12 +115,6 @@ class Echelon:
         self.pivots[min(row)] = row
         return True
 
-    def contains(self, row: dict[int, int]) -> bool:
-        return not self.reduce(row)
-
-    def contains_all(self, other: "Echelon") -> bool:
-        return all(self.contains(row) for row in other.pivots.values())
-
     def pivots_below(self, col_bound: int) -> int:
         """dim of the projection to the first `col_bound` columns."""
         return sum(1 for c in self.pivots if c < col_bound)

@@ -285,11 +285,15 @@ def test_config_embedded_in_output():
 
 HARD = "x^5, y^5, z^5, x^2*y^2, y^2*z^2, x*z^3"
 SQUARE = "x^4, y^4, z^4, x^2*y^2, x^2*z^2, y^2*z^2, x^3*y*z, x*y^3*z, x*y*z^3"
+# five variables, not m-primary, with variable maxima 4, 2, 6, 3, 5
+WIDE = "y^2*z^4*u^3, x*y^2*z^6, x^4*z^3*w^3, x^4*y*z^4*w^2*u^4, x^2*y*z^6*w^3*u^5"
 
 # sha256 of the JSON output of each command.  The prop3.4 corpus has r_J = 2
 # instances whose G is not Cohen-Macaulay; (x^2, y^2, z^2, xyz)^2 has r_J = 2
 # with G Cohen-Macaulay; the hard ideal has r_J = 3; the worked plane ideal of
-# example 2.2 runs thm2.1, eg-lower and prop3.3 as one instance.
+# example 2.2 runs thm2.1, eg-lower and prop3.3 as one instance; the two
+# `cohomology` commands are README's window and a breakpoint-class table in
+# five variables.
 GOLDEN = [
     pytest.param(["reproduce", "example-2.2"],
                  "f65135823b96f9d67dd8959ab2a61475d4774acf4347f07c01836f41aeecbf35",
@@ -318,6 +322,13 @@ GOLDEN = [
                   "--bound", "all"],
                  "f9b8c57a844a976ff0e2d93bb42e2e8ed7270fcaae68cc9f91d5f49f10c99ff0",
                  id="verify-instance-all"),
+    pytest.param(["cohomology", "--ring", "a,b,c,d", "--ideal", "b*d, b*c, b^2, c^3",
+                  "--window=-6:3"],
+                 "56217b1dba30e6c17f9f469fa09583cc4093d50807f70c19d15d56b276af9d8b",
+                 id="cohomology-window"),
+    pytest.param(["cohomology", "--ring", "x,y,z,w,u", "--ideal", WIDE],
+                 "ba858836427ed60c78e7f612a3ae6f059640e9fcb78fdd0e6f38a8af2bd1a0fc",
+                 id="cohomology-wide"),
 ]
 
 

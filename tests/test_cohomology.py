@@ -1,10 +1,13 @@
 import random
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
 
+from monograded import cohomology
 from monograded.bounds import random_m_primary_ideal
 from monograded.cohomology import (
+    _class_dims,
     a_invariant,
     cohomology_table,
     depth,
@@ -22,6 +25,7 @@ from oracles import (
     degree_box_top,
     exhaustive_cohomology_table,
     fraction_rank,
+    full_scan_class_dims,
     pure_power_variable,
 )
 
@@ -281,3 +285,42 @@ def test_window_rows_match_h():
             expected = [[i, n, table.h(i, n)] for i in range(ideal.k + 1)
                         for n in range(lo, hi + 1) if table.h(i, n)]
             assert table.rows(lo, hi) == expected, (ideal, lo, hi)
+
+
+def test_class_dims_matches_full_scan_on_every_small_family():
+    for k in (1, 2, 3):
+        for t_mask in range(1 << k):
+            for size in range(4):
+                for family in combinations_with_replacement(range(1 << k), size):
+                    case = (k, t_mask, family)
+                    assert _class_dims(*case) == full_scan_class_dims(*case), case
+
+
+def test_class_dims_matches_full_scan_on_random_families():
+    rng = random.Random(211)
+    for _ in range(6000):
+        k = rng.choice((4, 5))
+        t_mask = rng.randrange(1 << k)
+        family = {rng.randrange(1, 1 << k) for _ in range(rng.randint(1, 6))}
+        if rng.random() < 0.5:
+            # the table passes the inclusion-minimal masks, where cones show
+            family = {m for m in family if not any(o & m == o != m for o in family)}
+        case = (k, t_mask, tuple(family))
+        assert _class_dims(*case) == full_scan_class_dims(*case), case
+
+
+def test_void_and_cone_classes_take_no_rank(monkeypatch):
+    calls = []
+
+    def counting_rank(rows):
+        calls.append(rows)
+        return integer_rank(rows)
+
+    monkeypatch.setattr(cohomology, "integer_rank", counting_rank)
+    # void: the kill mask {x_0} lies inside T = {x_0}
+    void = (3, 0b001, (0b001, 0b110))
+    # cone: x_2 lies outside T = {} and outside every kill mask
+    cone = (3, 0b000, (0b001, 0b010))
+    for case in (void, cone):
+        assert _class_dims(*case) == (0, 0, 0, 0) == full_scan_class_dims(*case)
+    assert calls == []
