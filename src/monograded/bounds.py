@@ -76,14 +76,15 @@ def verify_main_bound(ideal: MonomialIdeal, instance_id: str = "") -> BoundRepor
     ell_r0 = 1
     ell_r1 = ideal.graded_length(1)
     lhs = table.a_invariant
-    rhs = data.multiplicity - ell_r1 + (d - 1) * (ell_r0 - 1) + table.eg_invariant
+    eg = table.eg_invariant
+    rhs = data.multiplicity - ell_r1 + (d - 1) * (ell_r0 - 1) + eg
     witness = {
         "direction": "<=",
         "a": lhs,
         "e": data.multiplicity,
         "l_R1": ell_r1,
         "l_R0": ell_r0,
-        "eg": table.eg_invariant,
+        "eg": eg,
         "dim": d,
         "depth": table.depth,
     }
@@ -100,7 +101,8 @@ def verify_eg_inequality(ideal: MonomialIdeal, instance_id: str = "") -> BoundRe
     table = cohomology.cohomology_table(ideal)
     lhs = data.multiplicity
     codim = ideal.graded_length(1) - data.dim
-    rhs = 1 + codim - table.eg_invariant
+    eg = table.eg_invariant
+    rhs = 1 + codim - eg
     if lhs < rhs:
         status = VIOLATED
     else:
@@ -109,7 +111,7 @@ def verify_eg_inequality(ideal: MonomialIdeal, instance_id: str = "") -> BoundRe
         "direction": ">=",
         "e": lhs,
         "codim": codim,
-        "eg": table.eg_invariant,
+        "eg": eg,
     }
     return BoundReport(instance_id, "eg-lower", lhs, rhs, status, witness)
 

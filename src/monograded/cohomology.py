@@ -8,14 +8,19 @@ zero once some a_j reaches the largest such exponent rho_j (Y. Takayama,
 "Combinatorial characterizations of generalized Cohen-Macaulay monomial
 ideals", 2005).  The table enumerates these breakpoint classes.  In a class,
 the subsets F that carry a basis element are those containing T and no kill
-mask (the coordinates j with g_j > a_j of a generator g); they are T joined
-with a simplicial complex D on the coordinates outside T, so the class's
-cohomology is the reduced cohomology of D shifted by |T| (Hochster's formula;
-Miller-Sturmfels, "Combinatorial Commutative Algebra", 2005, ch. 13).  Two
-kinds of class are zero and need no rank: void ones, where a kill mask lies
-inside T, so D has no faces at all, and cones, where a coordinate outside T
-lies in no minimal kill mask, so D is a cone over it and acyclic.  Every
-other distinct complex is computed once, by exact integer rank computations.
+mask (the coordinates j with g_j > a_j of a generator g).  Every generator
+has g_j > -1, so every kill mask contains T: the alive F are T joined with
+the faces of a simplicial complex D on the coordinates outside T, and the
+class's cohomology is the reduced cohomology of D shifted by |T| (Hochster's
+formula; Miller-Sturmfels, "Combinatorial Commutative Algebra", 2005,
+ch. 13).  The enumeration therefore gives T no bits: the coordinates outside
+T take bits 0, 1, 2, ... in order, and a class's complex is keyed by their
+number and the minimal kill masks alone, in one bounded memo that every
+table shares.  Two kinds of class are zero and need no rank: void ones,
+where a kill mask is empty, so D has no faces at all, and cones, where a
+coordinate lies in no minimal kill mask, so D is a cone over it and
+acyclic.  Every other distinct complex is computed once, by exact integer
+rank computations.
 A class weighs its dimensions by prod_j (x^lo_j + ... + x^hi_j), whose
 coefficients count its multidegrees by the sum of their coordinates outside
 T; closed-form composition counts turn the weighted sums into the graded
@@ -69,34 +74,30 @@ def integer_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def _extend_kill_masks(kill_masks: tuple[int, ...], gen_exps, j: int, a_j: int) -> tuple[int, ...]:
-    """Kill masks after coordinate j takes the value a_j (-1 for j in T): bit j
-    is set for each generator g with g_j > a_j."""
-    bit = 1 << j
-    return tuple(m | bit if exps[j] > a_j else m for m, exps in zip(kill_masks, gen_exps))
-
-
-def _class_dims(k: int, t_mask: int, kill_masks) -> tuple[int, ...]:
-    """Cohomology dimensions (h^0..h^k) of one degree's Cech complex.
+@lru_cache(maxsize=4096)
+def _class_dims(k: int, kill_masks) -> tuple[int, ...]:
+    """Cohomology dimensions (h^0..h^k) of one degree's Cech complex on k
+    coordinates with T = {}; a class with |T| more coordinates, all in T, has
+    these dimensions moved up by |T|.
 
     A generator's kill mask holds the coordinates j with g_j > a_j; the
     generator kills a subset F exactly when its kill mask lies inside F.  F
-    carries a basis element iff T is inside F and no generator kills it; the
-    differentials are the alternating-sign inclusion maps.  Both shortcuts
-    below hold for any family of masks: a void family (a mask inside T kills
-    every F) and a cone (a coordinate j outside T and every mask: F -> F + {j}
-    pairs off the alive sets) give zero without a rank.
+    carries a basis element iff no generator kills it; the differentials are
+    the alternating-sign inclusion maps.  Both shortcuts below hold for
+    any family of masks: a void family (an empty mask kills every F) and a
+    cone (a coordinate j outside every mask: F -> F + {j} pairs off the alive
+    sets) give zero without a rank.
     """
-    cover = t_mask
+    cover = 0
     for m in kill_masks:
-        if not m & ~t_mask:
+        if not m:
             return (0,) * (k + 1)
         cover |= m
     if cover != (1 << k) - 1:
         return (0,) * (k + 1)
     alive_by_card: list[list[int]] = [[] for _ in range(k + 1)]
     for f_mask in range(1 << k):
-        if not t_mask & ~f_mask and all(m & ~f_mask for m in kill_masks):
+        if all(m & ~f_mask for m in kill_masks):
             alive_by_card[bin(f_mask).count("1")].append(f_mask)
 
     ranks = [0] * (k + 1)  # rank of d_i : C^i -> C^(i+1)
@@ -153,7 +154,11 @@ class CohomologyTable:
     @property
     def eg_invariant(self) -> int:
         d = self.dim
-        return sum(comb(d - 1, q) * self.h(q, 1 - q) for q in range(d))
+        return sum(
+            comb(d - 1, q) * dims[q] * _compositions(t_size, clamp_sum, 1 - q)
+            for clamp_sum, t_size, dims in self.classes
+            for q in range(d)
+        )
 
     def rows(self, lo: int, hi: int) -> list[list[int]]:
         """[i, n, h^i(R)_n] for the nonzero values with lo <= n <= hi, ordered
@@ -193,31 +198,30 @@ def cohomology_table(ideal: MonomialIdeal) -> CohomologyTable:
             for lo, hi in zip([0] + cuts[:-1], [c - 1 for c in cuts])
         ])
 
-    # (T mask, inclusion-minimal kill masks, which alone decide the complex)
-    # -> (|T|, dims), or None when the complex is exact.
-    memo: dict = {}
-    # (|T|, dims) -> packed multiplicity of each clamp sum.
+    # (|T|, dims of D) -> packed multiplicity of each clamp sum.
     weights: dict = {}
 
-    def recurse(j: int, t_mask: int, kill_masks: tuple[int, ...], weight: int):
+    # A coordinate sent to T adds no bit to the kill masks (every mask holds
+    # it); the free-th coordinate outside T takes bit free.
+    def recurse(j: int, free: int, kill_masks: tuple[int, ...], weight: int):
         if j == k:
             masks = set(kill_masks)
-            if any(not m & ~t_mask for m in masks):
+            if 0 in masks:
                 return  # void: the complex is zero
             # The cone test in _class_dims needs the minimal masks: the generator
-            # that reaches rho_j always has bit j set.
-            minimal = frozenset(m for m in masks if not any(o & m == o != m for o in masks))
-            key = (t_mask, minimal)
-            if key not in memo:
-                dims = _class_dims(k, t_mask, minimal)
-                memo[key] = (bin(t_mask).count("1"), dims) if any(dims) else None
-            entry = memo[key]
-            if entry is not None:
-                weights[entry] = weights.get(entry, 0) + weight
+            # that reaches rho_j always has the bit of coordinate j set.
+            dims = _class_dims(free, frozenset(
+                m for m in masks if not any(o & m == o != m for o in masks)))
+            if any(dims):
+                key = (k - free, dims)
+                weights[key] = weights.get(key, 0) + weight
             return
-        recurse(j + 1, t_mask | (1 << j), _extend_kill_masks(kill_masks, gen_exps, j, -1), weight)
+        recurse(j + 1, free, kill_masks, weight)
+        bit = 1 << free
         for lo, run in intervals[j]:
-            recurse(j + 1, t_mask, _extend_kill_masks(kill_masks, gen_exps, j, lo), weight * run)
+            recurse(j + 1, free + 1, tuple(
+                m | bit if exps[j] > lo else m for m, exps in zip(kill_masks, gen_exps)
+            ), weight * run)
 
     recurse(0, 0, (0,) * len(gen_exps), 1)
 
@@ -229,7 +233,7 @@ def cohomology_table(ideal: MonomialIdeal) -> CohomologyTable:
             count = packed & digit
             if count:
                 total = totals.setdefault((clamp_sum, t_size), [0] * (k + 1))
-                for i, dim in enumerate(dims):
+                for i, dim in enumerate(dims, t_size):
                     total[i] += count * dim
             packed >>= width
             clamp_sum += 1

@@ -140,12 +140,6 @@ class HilbertSeries:
     def _binomial_sum(self, terms: list[int], n: int) -> int:
         return sum(c * _binomial(n - i + self.k - 1, self.k - 1) for i, c in enumerate(terms))
 
-    @property
-    def postulation_degree(self) -> int:
-        """H(n) = P(n) for all n strictly above deg Q - d."""
-        q, d = self.reduced()
-        return len(q) - 1 - d
-
     def __eq__(self, other):
         return (
             isinstance(other, HilbertSeries)
@@ -273,14 +267,6 @@ def serre_difference(ideal: MonomialIdeal, n: int) -> int:
     """H(n) - P(n)."""
     data = hilbert_data(ideal)
     return hilbert_function(ideal, n) - data.polynomial_value(n)
-
-
-def serre_difference_table(ideal: MonomialIdeal, lo: int, hi: int) -> dict[int, int]:
-    data = hilbert_data(ideal)
-    return {
-        n: hilbert_function(ideal, n) - data.polynomial_value(n)
-        for n in range(lo, hi + 1)
-    }
 
 
 def multiplicity(ideal: MonomialIdeal) -> int:

@@ -7,9 +7,9 @@ from math import factorial, gcd
 from operator import add
 
 from monograded.errors import ComputationError, NotAReduction, ZeroRing
-from monograded.cohomology import CohomologyTable, _extend_kill_masks, integer_rank
+from monograded.cohomology import CohomologyTable, integer_rank
 from monograded.filtration import Reduction, _product_rows, power_cache, reduction_number_wrt
-from monograded.hilbert import HilbertSeries, padd, pmul, pshift
+from monograded.hilbert import HilbertSeries, hilbert_data, padd, pmul, pshift
 from monograded.monomials import MonomialIdeal, minimalize
 from monograded.semigroup import NumericalSemigroup
 from monograded.truncation import Echelon, TruncatedAlgebra
@@ -120,6 +120,18 @@ def fraction_hilbert_polynomial(series: HilbertSeries) -> list[Fraction]:
             for idx, coeff in enumerate(binomial_poly(d - 1 - i, d - 1)):
                 acc[idx] += c * coeff
     return acc
+
+
+def postulation_degree(series: HilbertSeries) -> int:
+    """H(n) = P(n) for all n strictly above deg Q - d."""
+    q, d = series.reduced()
+    return len(q) - 1 - d
+
+
+def serre_difference_table(ideal: MonomialIdeal, lo: int, hi: int) -> dict[int, int]:
+    """H(n) - P(n) for lo <= n <= hi, H counted on standard monomials."""
+    data = hilbert_data(ideal)
+    return {n: ideal.graded_length(n) - data.polynomial_value(n) for n in range(lo, hi + 1)}
 
 
 def multiplicity_samuel(ideal: MonomialIdeal, n_bound: int | None = None) -> int:
@@ -406,6 +418,13 @@ class OrthantClass:
     clamped: tuple  # entry j is None for j in T, else an int in [0, rho_j - 1]
 
 
+def extend_kill_masks(kill_masks: tuple[int, ...], gen_exps, j: int, a_j: int) -> tuple[int, ...]:
+    """Kill masks after coordinate j takes the value a_j (-1 for j in T): bit j
+    is set for each generator g with g_j > a_j."""
+    bit = 1 << j
+    return tuple(m | bit if exps[j] > a_j else m for m, exps in zip(kill_masks, gen_exps))
+
+
 def full_scan_class_dims(k: int, t_mask: int, kill_masks) -> tuple[int, ...]:
     """Cohomology dimensions (h^0..h^k) of one degree's Cech complex, with no
     shortcut: every subset F of the coordinates is tested, and every
@@ -439,7 +458,7 @@ def cech_class_cohomology(ideal: MonomialIdeal, cls: OrthantClass) -> tuple[int,
     kill_masks = (0,) * len(ideal.exps)
     for j in range(ideal.k):
         a_j = -1 if j in cls.negative else cls.clamped[j]
-        kill_masks = _extend_kill_masks(kill_masks, ideal.exps, j, a_j)
+        kill_masks = extend_kill_masks(kill_masks, ideal.exps, j, a_j)
     return full_scan_class_dims(ideal.k, sum(1 << j for j in cls.negative), kill_masks)
 
 

@@ -29,7 +29,6 @@ from monograded.filtration import (
     reduction_number,
     reduction_number_wrt,
 )
-from monograded.hilbert import serre_difference_table
 from monograded.monomials import MonomialIdeal, parse_ideal
 from monograded.semigroup import (
     NumericalSemigroup,
@@ -40,7 +39,12 @@ from monograded.semigroup import (
     reduction_number_sg,
     rr_sg,
 )
-from oracles import monomial_reduction, monomial_reduction_number, pure_power_variable
+from oracles import (
+    monomial_reduction,
+    monomial_reduction_number,
+    pure_power_variable,
+    serre_difference_table,
+)
 
 
 def check(num: int, description: str, passed: bool, detail: str = ""):

@@ -16,11 +16,17 @@ from monograded.hilbert import (
     reconstruct_numerator,
     reconstruct_series,
     serre_difference,
-    serre_difference_table,
 )
 from monograded.monomials import MonomialIdeal, parse_ideal
 
-from oracles import binomial_poly, fraction_hilbert_polynomial, lexfirst_numerator, poly_value
+from oracles import (
+    binomial_poly,
+    fraction_hilbert_polynomial,
+    lexfirst_numerator,
+    poly_value,
+    postulation_degree,
+    serre_difference_table,
+)
 
 XY = ("x", "y")
 ABCD = ("a", "b", "c", "d")
@@ -123,7 +129,7 @@ def test_polynomial_agrees_beyond_postulation():
         ideal = random_m_primary_ideal(rng, k, 5)
         series = hilbert_series(ideal)
         data = hilbert_data(ideal)
-        start = series.postulation_degree + 1
+        start = postulation_degree(series) + 1
         for n in range(start, start + 5):
             assert ideal.graded_length(n) == data.polynomial_value(n)
 
