@@ -1,7 +1,8 @@
 """Invariants of the I-adic filtration of an m-primary monomial ideal.
 
 The ambient polynomial ring is read as a local ring at the origin.  Ratliff-Rush
-closures are colon-stabilizations inside the monomial world; the multiplicity
+closures are colon-stabilizations inside the monomial world, or the powers
+themselves once G is certified Cohen-Macaulay; the multiplicity
 e(I) is d! times the covolume of the Newton polyhedron; reduction numbers are
 exact ranks in the fiber cone (J*I^n = I^(n+1) iff J*I^n spans
 I^(n+1)/m*I^(n+1), by Nakayama); the associated graded ring G is
@@ -71,6 +72,8 @@ def ratliff_rush(ideal: MonomialIdeal, power: int = 1) -> MonomialIdeal:
     (I^(power+n) : I^n), taken at the first repeat plus one confirming step:
     the first n >= 1 with members n - 1, n, n + 1 equal (member 0 is I^power).
     A chain can plateau and grow again, so this stopping rule is not a proof.
+    `filtration_report` runs it only when G is not certified Cohen-Macaulay
+    (when it is, every power of I is closed; Heinzer-Lantz-Shah 1992).
     """
     cache = power_cache(ideal)
     current = cache.power(power)
@@ -86,7 +89,9 @@ def ratliff_rush(ideal: MonomialIdeal, power: int = 1) -> MonomialIdeal:
 
 def h0_G(ideal: MonomialIdeal, n: int) -> int:
     """ell of the degree-n piece of H^0 of the associated graded ring:
-    ell((I^n intersect rr(I^(n+1))) / I^(n+1))."""
+    ell((I^n intersect rr(I^(n+1))) / I^(n+1)), by the heuristic chain of
+    `ratliff_rush`.  `filtration_report` calls it only when G is not certified
+    Cohen-Macaulay; prop3.3's gamma gate always does."""
     cache = power_cache(ideal)
     inner = cache.power(n).intersection(ratliff_rush(ideal, n + 1))
     return cache.colength(n + 1) - inner.quotient_length()
@@ -346,19 +351,28 @@ def filtration_report(
     powers: int = 4,
 ) -> dict:
     """Everything the reduction CLI reports for one ideal.  a(G) = deg h - d
-    is given only when G is Cohen-Macaulay."""
+    is given only when G is Cohen-Macaulay.
+
+    A certified Cohen-Macaulay G of dimension d >= 1 has grade G_+ = d >= 1,
+    so every power of I is Ratliff-Rush closed (W. Heinzer, D. Lantz, K. Shah,
+    "The Ratliff-Rush ideals in a Noetherian ring", Comm. Algebra 20, 1992):
+    the closures are I^n and h^0(G)_n = ell((I^n cap I^(n+1)) / I^(n+1)) = 0,
+    with proof.  The chain of `ratliff_rush` lies between I^n and its closure,
+    so it would return the same I^n; it runs only when G is not certified.
+    """
     cache = power_cache(ideal)
     r, reduction, trial_list = reduction_number(
         ideal, trials=trials, seed=seed, coeff_bound=coeff_bound, n_bound=n_bound
     )
     certified, h = cm_h_vector(ideal, reduction, r)
+    closure = cache.power if certified else lambda n: ratliff_rush(ideal, n)
     return {
         "ideal": ideal.format(),
         "e": newton_multiplicity(ideal),
         "colengths": [cache.colength(n) for n in range(powers + 1)],
-        "ratliff_rush": [ratliff_rush(ideal, n).format() for n in range(1, powers + 1)],
+        "ratliff_rush": [closure(n).format() for n in range(1, powers + 1)],
         "mu": [mu(ideal, n) for n in range(1, powers + 1)],
-        "h0_G": [h0_G(ideal, n) for n in range(powers)],
+        "h0_G": [0 if certified else h0_G(ideal, n) for n in range(powers)],
         "G_numerator": h if certified else G_hilbert_data(ideal).series.numerator,
         "trials": trial_list,
         "r": r,

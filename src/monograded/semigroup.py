@@ -1,10 +1,23 @@
-"""Numerical semigroup rings and their monomial ideals by sumset arithmetic.
+"""Numerical semigroup rings and their monomial ideals as integer bitsets.
 
 An ideal of k[[t^a1, ..., t^ag]] generated by monomials is the set of
-valuations E = union(g_i + S); with the representation (finite prefix,
-threshold c such that [c, infinity) lies in E) every operation -- product,
-colon, length, Ratliff-Rush closure, reduction number -- terminates exactly.
-This is the complete one-dimensional engine.
+valuations E = union(g_i + S).  S and each E are kept as one Python int,
+`bits`: bit n is set iff n lies in the set.  Every such set holds a tail
+[threshold, infinity), which is the int's infinite run of sign bits, so `bits`
+is negative and threshold = (~bits).bit_length().  Every operation is then
+one int expression and terminates exactly:
+
+- S: 1 closed under each generator a by shift-doubling (x |= x << a,
+  x << 2a, ...) below a1*ag > Frobenius; conductor = (~S).bit_length();
+- product E1 + E2: OR of E1 << g over the generators g of E2;
+- translate s + E: E << s;
+- colon (A : B): S AND the A >> g over the generators g of B;
+- intersection: A & B;
+- length ell(R/I_E) = #(S minus E): (S & ~E).bit_count();
+- minimal generators: E & ~OR(E << a) over the generators a of S.
+
+Ratliff-Rush closures and reduction numbers are built on these.  This is the
+complete one-dimensional engine.
 """
 
 from __future__ import annotations
@@ -12,13 +25,41 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .errors import ComputationError, NotAReduction
+from .errors import NotAReduction
 
 
-class NumericalSemigroup:
+def _shifts(bits: int, shifts) -> int:
+    """The union of the sets bits + g over g in `shifts`."""
+    out = 0
+    for g in shifts:
+        out |= bits << g
+    return out
+
+
+def _ones(bits: int) -> list[int]:
+    """Positions of the set bits of a nonnegative int, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+class _Bitset:
+    __slots__ = ()
+
+    def contains(self, n: int) -> bool:
+        return n >= 0 and bool(self.bits >> n & 1)
+
+    def elements_upto(self, bound: int) -> list[int]:
+        return [n for n in range(bound + 1) if self.bits >> n & 1]
+
+
+class NumericalSemigroup(_Bitset):
     """The additive submonoid of N generated by coprime positive integers."""
 
-    __slots__ = ("gens", "conductor", "frobenius", "_member")
+    __slots__ = ("gens", "bits", "conductor", "frobenius")
 
     def __init__(self, gens):
         gens = tuple(sorted(set(int(g) for g in gens)))
@@ -30,38 +71,20 @@ class NumericalSemigroup:
         if g != 1:
             raise ValueError(f"generators {gens} have gcd {g}; complement would be infinite")
         self.gens = gens
-        a_min, a_max = gens[0], gens[-1]
-        cap = a_min * a_max + a_max + 2
-        member = [False] * (cap + 1)
-        member[0] = True
-        run = 0
-        conductor = None
-        for n in range(1, cap + 1):
-            member[n] = any(n >= a and member[n - a] for a in gens)
-            run = run + 1 if member[n] else 0
-            if run >= a_min:
-                conductor = n - a_min + 1
-                break
-        if conductor is None:
-            raise ComputationError("no conductor found below the Frobenius cap")
-        while conductor > 0 and member[conductor - 1]:
-            conductor -= 1
-        self.conductor = conductor
-        self.frobenius = conductor - 1  # -1 when S = N
-        self._member = member
-
-    def contains(self, n: int) -> bool:
-        if n < 0:
-            return False
-        if n >= self.conductor:
-            return True
-        return self._member[n]
-
-    def elements_upto(self, bound: int) -> list[int]:
-        return [n for n in range(bound + 1) if self.contains(n)]
+        cap = gens[0] * gens[-1]  # the Frobenius number is below a1*ag
+        mask = (1 << cap) - 1
+        bits = 1
+        for a in gens:
+            step = a
+            while step < cap:
+                bits |= (bits << step) & mask
+                step <<= 1
+        self.bits = bits | -(1 << cap)
+        self.conductor = (~self.bits).bit_length()
+        self.frobenius = self.conductor - 1  # -1 when S = N
 
     def gaps(self) -> list[int]:
-        return [n for n in range(self.conductor) if not self.contains(n)]
+        return _ones(~self.bits)
 
     def __eq__(self, other):
         return isinstance(other, NumericalSemigroup) and self.gens == other.gens
@@ -73,11 +96,11 @@ class NumericalSemigroup:
         return f"NumericalSemigroup{self.gens}"
 
 
-class SemigroupIdeal:
-    """E = union(g + S) for finitely many generators g in S, kept as the pair
-    (elements below c, threshold c) with [c, infinity) inside E."""
+class SemigroupIdeal(_Bitset):
+    """E = union(g + S) for finitely many generators g in S, kept as the
+    bitset of E with [threshold, infinity) inside E."""
 
-    __slots__ = ("S", "gens", "prefix", "threshold")
+    __slots__ = ("S", "bits", "gens")
 
     def __init__(self, S: NumericalSemigroup, gens):
         gens = tuple(sorted(set(int(g) for g in gens)))
@@ -87,72 +110,33 @@ class SemigroupIdeal:
             raise ValueError("generators must be nonnegative valuations")
         if any(not S.contains(g) for g in gens):
             raise ValueError(f"generators {gens} do not all lie in the semigroup")
-        self.S = S
-        cap = min(gens) + S.conductor
-        elements = {
-            g + s for g in gens for s in S.elements_upto(max(cap - g, 0))
-        }
-        self._finish(elements, cap, gens)
+        self._set(S, _shifts(S.bits, gens))
 
     @classmethod
-    def from_elements(cls, S: NumericalSemigroup, elements, cap: int) -> "SemigroupIdeal":
-        """Build from an element set known to satisfy [cap, infinity) in E."""
+    def _of(cls, S: NumericalSemigroup, bits: int) -> "SemigroupIdeal":
         ideal = object.__new__(cls)
-        ideal.S = S
-        ideal._finish(set(elements), cap, None)
+        ideal._set(S, bits)
         return ideal
 
-    def _finish(self, elements: set[int], cap: int, gens):
-        c = cap
-        while c > 0 and (c - 1) in elements:
-            c -= 1
-        self.threshold = c
-        self.prefix = frozenset(e for e in elements if e < c)
-        if gens is None:
-            self.gens = tuple(self._minimal_generators())
-        else:
-            self.gens = tuple(sorted(self._minimalize(gens)))
-
-    def _minimalize(self, gens) -> set[int]:
-        return {
-            g
-            for g in gens
-            if not any(h != g and self.S.contains(g - h) for h in gens if h <= g)
-        }
-
-    def _minimal_generators(self) -> list[int]:
+    def _set(self, S: NumericalSemigroup, bits: int) -> None:
         # E + S lies in E, so z = w + s with w in E and s != 0 in S iff
-        # z - a lies in E for some generator a of S; no z from
-        # threshold + min(S.gens) on is minimal
-        candidates = sorted(self.prefix) + list(
-            range(self.threshold, self.threshold + self.S.gens[0])
-        )
-        return [z for z in candidates if not any(self.contains(z - a) for a in self.S.gens)]
+        # z - a lies in E for some generator a of S
+        self.S, self.bits = S, bits
+        self.gens = tuple(_ones(bits & ~_shifts(bits, S.gens)))
 
-    # -- membership ------------------------------------------------------
-
-    def contains(self, n: int) -> bool:
-        return n >= self.threshold or n in self.prefix
-
-    def elements_upto(self, bound: int) -> list[int]:
-        out = [e for e in sorted(self.prefix) if e <= bound]
-        out.extend(range(self.threshold, bound + 1))
-        return out
+    @property
+    def threshold(self) -> int:
+        return (~self.bits).bit_length()
 
     @property
     def min_element(self) -> int:
         return self.gens[0]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SemigroupIdeal)
-            and self.S == other.S
-            and self.prefix == other.prefix
-            and self.threshold == other.threshold
-        )
+        return isinstance(other, SemigroupIdeal) and self.S == other.S and self.bits == other.bits
 
     def __hash__(self):
-        return hash((self.S, self.prefix, self.threshold))
+        return hash((self.S, self.bits))
 
     def __repr__(self):
         return f"SemigroupIdeal(gens={self.gens})"
@@ -161,10 +145,14 @@ class SemigroupIdeal:
 # -- operations -----------------------------------------------------------
 
 
-def ideal_product_sg(a: SemigroupIdeal, b: SemigroupIdeal) -> SemigroupIdeal:
+def _same_semigroup(a: SemigroupIdeal, b: SemigroupIdeal) -> None:
     if a.S != b.S:
         raise ValueError("ideals over different semigroups")
-    return SemigroupIdeal(a.S, {x + y for x in a.gens for y in b.gens})
+
+
+def ideal_product_sg(a: SemigroupIdeal, b: SemigroupIdeal) -> SemigroupIdeal:
+    _same_semigroup(a, b)
+    return SemigroupIdeal._of(a.S, _shifts(a.bits, b.gens))
 
 
 @lru_cache(maxsize=512)
@@ -179,37 +167,26 @@ def ideal_power_sg(a: SemigroupIdeal, n: int) -> SemigroupIdeal:
 
 def translate_sg(a: SemigroupIdeal, shift: int) -> SemigroupIdeal:
     """The set shift + E, i.e. the product with the principal ideal (shift)."""
-    elements = {shift + e for e in a.elements_upto(a.threshold)}
-    return SemigroupIdeal.from_elements(a.S, elements, a.threshold + shift)
+    return SemigroupIdeal._of(a.S, a.bits << shift)
 
 
 def colon_sg(a: SemigroupIdeal, b: SemigroupIdeal) -> SemigroupIdeal:
     """(I_A : I_B) = {z in S : z + g in A for every generator g of B}."""
-    if a.S != b.S:
-        raise ValueError("ideals over different semigroups")
-    S = a.S
-    cap = max(S.conductor, a.threshold - min(b.gens))
-    elements = {
-        z
-        for z in S.elements_upto(cap)
-        if all(a.contains(z + g) for g in b.gens)
-    }
-    return SemigroupIdeal.from_elements(S, elements, cap)
+    _same_semigroup(a, b)
+    bits = a.S.bits
+    for g in b.gens:
+        bits &= a.bits >> g
+    return SemigroupIdeal._of(a.S, bits)
 
 
 def intersection_sg(a: SemigroupIdeal, b: SemigroupIdeal) -> SemigroupIdeal:
-    if a.S != b.S:
-        raise ValueError("ideals over different semigroups")
-    cap = max(a.threshold, b.threshold)
-    elements = {e for e in a.elements_upto(cap) if b.contains(e)}
-    return SemigroupIdeal.from_elements(a.S, elements, cap)
+    _same_semigroup(a, b)
+    return SemigroupIdeal._of(a.S, a.bits & b.bits)
 
 
 def length_sg(a: SemigroupIdeal) -> int:
     """ell(R/I_E) = #(S \\ E), a finite gap count."""
-    return sum(
-        1 for s in a.S.elements_upto(a.threshold - 1) if s not in a.prefix
-    ) if a.threshold > 0 else 0
+    return (a.S.bits & ~a.bits).bit_count()
 
 
 def length_between_sg(larger: SemigroupIdeal, smaller: SemigroupIdeal) -> int:
@@ -242,4 +219,3 @@ def reduction_number_sg(a: SemigroupIdeal) -> tuple[int, int]:
         if translate_sg(ideal_power_sg(a, n), j) == ideal_power_sg(a, n + 1):
             return n, j
     raise NotAReduction(f"principal candidate failed below n = {bound}")
-

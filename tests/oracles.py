@@ -522,6 +522,72 @@ def apery_count(S: NumericalSemigroup, a: int) -> int:
     return sum(1 for s in S.elements_upto(bound - 1) if not S.contains(s - a))
 
 
+# -- a set-based semigroup engine: the reference for the bitset engine --------
+
+
+def sieve_semigroup(gens, horizon: int) -> frozenset:
+    """The elements of the semigroup <gens> up to `horizon`, by a membership sieve."""
+    member = [True] + [False] * horizon
+    for n in range(1, horizon + 1):
+        member[n] = any(n >= a and member[n - a] for a in gens)
+    return frozenset(n for n, m in enumerate(member) if m)
+
+
+@dataclass(frozen=True)
+class SetIdeal:
+    """An ideal of S as the set of its elements up to `valid`, exact there;
+    `S` holds the semigroup's elements up to a horizon at least `valid`."""
+
+    S: frozenset
+    elements: frozenset
+    valid: int
+
+    @classmethod
+    def generated(cls, S: frozenset, gens, horizon: int) -> "SetIdeal":
+        return cls(S, frozenset(g + s for g in gens for s in S if g + s <= horizon), horizon)
+
+    def sumset(self, gens) -> "SetIdeal":
+        """E + (gens + S) = {e + g : e in E, g in gens}, as E + S = E."""
+        return SetIdeal(self.S, frozenset(e + g for e in self.elements for g in gens
+                                          if e + g <= self.valid), self.valid)
+
+    def is_ideal(self, semigroup_gens) -> bool:
+        """E + a inside E for every generator a of S, up to `valid` (above the
+        threshold the set is full up to `valid`)."""
+        below = self.threshold()
+        return all(e + a in self.elements or e + a > self.valid
+                   for e in self.elements if e < below for a in semigroup_gens)
+
+    def translate(self, shift: int) -> "SetIdeal":
+        return SetIdeal(self.S, frozenset(e + shift for e in self.elements
+                                          if e + shift <= self.valid), self.valid)
+
+    def colon(self, gens) -> "SetIdeal":
+        """{z in S : z + g in self for every g in gens}, the definition of
+        (self : (gens)) for an ideal self."""
+        valid = self.valid - max(gens)
+        return SetIdeal(self.S, frozenset(z for z in self.S if z <= valid
+                                          and all(z + g in self.elements for g in gens)), valid)
+
+    def intersection(self, other: "SetIdeal") -> "SetIdeal":
+        valid = min(self.valid, other.valid)
+        both = self.elements & other.elements
+        return SetIdeal(self.S, frozenset(e for e in both if e <= valid), valid)
+
+    def threshold(self) -> int:
+        """The least c with [c, valid] inside the set."""
+        return 1 + max((n for n in range(self.valid + 1) if n not in self.elements), default=-1)
+
+    def length(self) -> int:
+        """#(S minus E), counted; exact when the threshold is below `valid`."""
+        return sum(1 for s in self.S if s <= self.valid and s not in self.elements)
+
+    def minimal_generators(self, below: int) -> list[int]:
+        """The z < below in E with no w != z in E and z - w in S, by brute force."""
+        low = sorted(e for e in self.elements if e < below)
+        return [z for z in low if not any(w < z and z - w in self.S for w in low)]
+
+
 def least_full_degree(gens, k: int, N: int):
     """Least 1 <= t < N with every degree-t monomial in the image of the ideal
     in S/m^(N+1), read off the whole image (None if there is none)."""

@@ -293,7 +293,9 @@ WIDE = "y^2*z^4*u^3, x*y^2*z^6, x^4*z^3*w^3, x^4*y*z^4*w^2*u^4, x^2*y*z^6*w^3*u^
 # with G Cohen-Macaulay; the hard ideal has r_J = 3; the worked plane ideal of
 # example 2.2 runs thm2.1, eg-lower and prop3.3 as one instance; the two
 # `cohomology` commands are README's window and a breakpoint-class table in
-# five variables.
+# five variables; (x^5, x^2*y^2, y^5) has a certified Cohen-Macaulay G, so its
+# `reduction` reports proved Ratliff-Rush closures; the prop3.1 corpus and the
+# plateau example pin the semigroup engine.
 GOLDEN = [
     pytest.param(["reproduce", "example-2.2"],
                  "f65135823b96f9d67dd8959ab2a61475d4774acf4347f07c01836f41aeecbf35",
@@ -329,6 +331,15 @@ GOLDEN = [
     pytest.param(["cohomology", "--ring", "x,y,z,w,u", "--ideal", WIDE],
                  "ba858836427ed60c78e7f612a3ae6f059640e9fcb78fdd0e6f38a8af2bd1a0fc",
                  id="cohomology-wide"),
+    pytest.param(["reduction", "--ring", "x,y", "--ideal", "x^5, x^2*y^2, y^5"],
+                 "8b0dca01eec6bc71e474e939df8c5921be7e9b9241dffc8802fc38854702c929",
+                 id="reduction-cm"),
+    pytest.param(["verify", "--bound", "prop3.1", "--corpus-seed", "0", "--count", "200"],
+                 "a1b9bf073c54b46e9c926fa3b12989629908f2bdf500b7df0e9c67892b3bb8e7",
+                 id="prop3.1-corpus"),
+    pytest.param(["verify", "--semigroup", "10,13,15", "--ideal", "38,39", "--bound", "prop3.1"],
+                 "b24ed4ae454b72414caba1bf7dd5d887f44916e4bb94f201364b06d62373f1f1",
+                 id="prop3.1-plateau"),
 ]
 
 

@@ -336,6 +336,47 @@ def test_filtration_report_runs_one_certificate(monkeypatch):
     assert shallow["G_numerator"] == G_hilbert_data(STAIR).series.numerator
 
 
+@pytest.mark.parametrize("k, deg_bound, count, cm_count", [(2, 6, 200, 192), (3, 3, 120, 108)])
+def test_certified_cm_closures_are_the_powers(k, deg_bound, count, cm_count):
+    # Heinzer-Lantz-Shah: a Cohen-Macaulay G has every power Ratliff-Rush
+    # closed, so the heuristic chain must return I^n and h^0(G)_n must vanish
+    certified_count = 0
+    for _, ideal in corpus_monomial(0, count, k, deg_bound):
+        r, reduction, _ = reduction_number(ideal, trials=3)
+        certified, _ = cm_h_vector(ideal, reduction, r)
+        if not certified:
+            continue
+        certified_count += 1
+        assert r <= 1
+        for n in range(1, 5):
+            assert ratliff_rush(ideal, n) == power_cache(ideal).power(n)
+            assert h0_G(ideal, n) == 0
+    assert certified_count == cm_count
+
+
+def test_filtration_report_skips_the_chain_when_certified(monkeypatch):
+    calls = []
+
+    def counting(name):
+        real = getattr(filtration, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("ratliff_rush", "h0_G"):
+        monkeypatch.setattr(filtration, name, counting(name))
+    square = parse_ideal("x^5, x^2*y^2, y^5", XY)
+    report = filtration.filtration_report(square)
+    assert report["vv_certificate"] and calls == []
+    assert report["ratliff_rush"] == [power_cache(square).power(n).format() for n in range(1, 5)]
+    assert report["h0_G"] == [0, 0, 0, 0]
+    hard = filtration.filtration_report(HARD)
+    assert not hard["vv_certificate"]
+    assert "ratliff_rush" in calls and "h0_G" in calls
+
+
 # -- the Newton multiplicity and the colength of G/J*G -------------------------
 
 

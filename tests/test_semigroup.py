@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -21,7 +22,7 @@ from monograded.semigroup import (
     translate_sg,
 )
 
-from oracles import apery_count
+from oracles import SetIdeal, apery_count, sieve_semigroup
 
 S4567 = NumericalSemigroup((4, 5, 6, 7))
 NAT = NumericalSemigroup((1,))
@@ -169,7 +170,7 @@ def test_sumset_engine_agrees_with_monomial_engine_over_nat():
 
 
 def test_minimal_generators_of_derived_ideals():
-    # powers, colons and closures are built from element sets; their generators
+    # powers, colons and closures are built from bitsets; their generators
     # are the elements z of E with no other w in E and z - w in S
     rng = random.Random(149)
     for _ in range(30):
@@ -187,3 +188,75 @@ def test_unit_ideal_allowed_as_colon_value():
     whole = colon_sg(ideal, ideal)
     assert whole.contains(0)
     assert length_sg(whole) == 0
+
+
+# -- the bitset engine against the set-based reference ------------------------
+
+# (semigroup generators, generators of E, generators of F): S = N, ideals that
+# contain 0, single-generator ideals and threshold 0 (E = S = N)
+SPECIAL_CASES = [((1,), (0,), (0,)), ((1,), (2, 5), (1,)), ((1,), (0,), (3,)),
+                 ((2, 3), (0,), (2,)), ((2, 3), (3,), (2, 3)), ((4, 5, 6, 7), (0, 4), (5,)),
+                 ((10, 13, 15), (38, 39), (10,)), ((29, 30), (29,), (30,))]
+
+
+def differential_cases(count: int, seed: int):
+    yield from SPECIAL_CASES
+    rng = random.Random(seed)
+    while count:
+        gens = sorted(rng.sample(range(1, 31), rng.randint(1, 4)))
+        if gcd(*gens) != 1:
+            continue
+        count -= 1
+        S = NumericalSemigroup(gens)
+        pool = S.elements_upto(S.conductor + gens[-1])
+        yield gens, rng.sample(pool, rng.randint(1, 3)), rng.sample(pool, rng.randint(1, 3))
+
+
+def check_against_reference(ideal: SemigroupIdeal, ref: SetIdeal, semigroup_gens):
+    # the reference is S-closed, so a1 consecutive elements prove the tail
+    assert ref.is_ideal(semigroup_gens)
+    threshold = ref.threshold()
+    assert threshold + semigroup_gens[0] <= ref.valid + 1
+    assert ideal.threshold == threshold
+    assert ideal.elements_upto(ref.valid) == sorted(ref.elements)
+    top = threshold + semigroup_gens[-1]
+    below_top = sorted(e for e in ref.elements if e < top)
+    assert [n for n in range(-2, top) if ideal.contains(n)] == below_top
+    assert length_sg(ideal) == ref.length()
+    assert list(ideal.gens) == ref.minimal_generators(threshold + semigroup_gens[0])
+    # equal ideals hash equal: they key the power and reduction-number caches
+    again = SemigroupIdeal(ideal.S, ideal.gens + (ideal.threshold, ideal.threshold + 1))
+    assert again == ideal and hash(again) == hash(ideal)
+
+
+def test_bitset_engine_matches_set_reference():
+    for gens, e_gens, f_gens in differential_cases(300, 151):
+        S = NumericalSemigroup(gens)
+        span = gens[0] * gens[-1] + gens[-1]  # above every generator of E and F
+        horizon = 4 * span + 2 * gens[-1]
+        S_ref = sieve_semigroup(gens, horizon)
+        conductor = SetIdeal(S_ref, S_ref, horizon).threshold()
+        assert S.conductor == conductor and S.frobenius == conductor - 1
+        assert S.gaps() == [n for n in range(conductor) if n not in S_ref]
+        assert S.elements_upto(horizon) == sorted(S_ref)
+        top = conductor + gens[-1]
+        assert [n for n in range(-2, top) if S.contains(n)] == sorted(s for s in S_ref if s < top)
+        E, F = SemigroupIdeal(S, e_gens), SemigroupIdeal(S, f_gens)
+        ref_E = SetIdeal.generated(S_ref, e_gens, horizon)
+        ref_F = SetIdeal.generated(S_ref, f_gens, horizon)
+        ref_E2 = ref_E.sumset(e_gens)
+        shift = F.min_element
+        pairs = [
+            (E, ref_E), (F, ref_F),
+            (ideal_product_sg(E, F), ref_E.sumset(f_gens)),
+            (ideal_power_sg(E, 2), ref_E2),
+            (ideal_power_sg(E, 3), ref_E2.sumset(e_gens)),
+            (colon_sg(ideal_power_sg(E, 2), E), ref_E2.colon(e_gens)),
+            (colon_sg(E, F), ref_E.colon(f_gens)),
+            (intersection_sg(E, F), ref_E.intersection(ref_F)),
+            (translate_sg(E, shift), ref_E.translate(shift)),
+        ]
+        for ideal, ref in pairs:
+            check_against_reference(ideal, ref, gens)
+        product = ideal_product_sg(F, E)
+        assert product == ideal_product_sg(E, F) and hash(product) == hash(ideal_product_sg(E, F))
