@@ -7,25 +7,8 @@ random instances.  All arithmetic is exact, over the integers.
 """
 
 from .monomials import Monomial, MonomialIdeal, parse_ideal, parse_monomial
-from .hilbert import (
-    HilbertData,
-    HilbertSeries,
-    codim,
-    hilbert_data,
-    hilbert_function,
-    hilbert_series,
-    krull_dim,
-    multiplicity,
-    serre_difference,
-)
-from .cohomology import (
-    CohomologyTable,
-    a_invariant,
-    cohomology_table,
-    depth,
-    eg_invariant,
-    h,
-)
+from .hilbert import HilbertData, HilbertSeries, hilbert_data, hilbert_series
+from .cohomology import CohomologyTable, cohomology_table
 from .filtration import (
     Reduction,
     G_hilbert_data,

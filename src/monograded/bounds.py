@@ -103,17 +103,13 @@ def verify_eg_inequality(ideal: MonomialIdeal, instance_id: str = "") -> BoundRe
     codim = ideal.graded_length(1) - data.dim
     eg = table.eg_invariant
     rhs = 1 + codim - eg
-    if lhs < rhs:
-        status = VIOLATED
-    else:
-        status = SHARP if lhs == rhs else HOLDS
     witness = {
         "direction": ">=",
         "e": lhs,
         "codim": codim,
         "eg": eg,
     }
-    return BoundReport(instance_id, "eg-lower", lhs, rhs, status, witness)
+    return BoundReport(instance_id, "eg-lower", lhs, rhs, _status_le(rhs, lhs), witness)
 
 
 def verify_prop_3_1(ideal: semigroup.SemigroupIdeal, instance_id: str = "") -> BoundReport:
@@ -123,10 +119,7 @@ def verify_prop_3_1(ideal: semigroup.SemigroupIdeal, instance_id: str = "") -> B
     inner = semigroup.intersection_sg(ideal, semigroup.rr_sg(ideal, 2))
     ell_mid = semigroup.length_between_sg(ideal, inner)
     mid = e - (ell_mid - 1)
-    if r > mid or mid > e:
-        status = VIOLATED
-    else:
-        status = SHARP if r == mid else HOLDS
+    status = VIOLATED if mid > e else _status_le(r, mid)
     witness = {
         "direction": "<=",
         "r": r,
@@ -270,7 +263,9 @@ BOUNDS = {
     "eg-lower": Bound(_unseeded(verify_eg_inequality), _monomial, corpus_monomial),
     "prop3.1": Bound(
         _unseeded(verify_prop_3_1),
-        lambda instance: isinstance(instance, semigroup.SemigroupIdeal),
+        # an ideal that holds 0 is the whole ring, not m-primary
+        lambda instance: (isinstance(instance, semigroup.SemigroupIdeal)
+                          and instance.min_element > 0),
         lambda seed, count, k, deg: corpus_semigroup(seed, count),
     ),
     "prop3.3": Bound(

@@ -137,12 +137,11 @@ def run_hilbert(args) -> dict:
         "zero_ring": series.is_zero_ring,
     }
     if not series.is_zero_ring:
-        data = hilbert.hilbert_data_from_series(series)
         result.update(
             reduced_numerator=series.reduced_numerator,
-            dim=data.dim,
-            multiplicity=data.multiplicity,
-            codim=ideal.k - data.dim,
+            dim=series.dim,
+            multiplicity=series.multiplicity,
+            codim=ideal.k - series.dim,
         )
         if args.window:
             lo, hi = parse_window(args.window, (0, 0))
@@ -150,7 +149,7 @@ def run_hilbert(args) -> dict:
                 {
                     "n": n,
                     "H": series.coefficient(n),
-                    "P": data.polynomial_value(n),
+                    "P": series.polynomial_value(n),
                 }
                 for n in range(lo, hi + 1)
             ]
@@ -199,9 +198,7 @@ def run_verify(args) -> dict:
     else:
         if args.semigroup:
             with _parsing_input():
-                S = semigroup.NumericalSemigroup(
-                    int(g) for g in args.semigroup.split(",") if g.strip()
-                )
+                S = semigroup.NumericalSemigroup(int(g) for g in args.semigroup.split(","))
                 instance = semigroup.SemigroupIdeal(
                     S, tuple(int(g) for g in args.ideal.split(","))
                 )
@@ -275,9 +272,9 @@ def reproduce_example_22() -> tuple[dict, list[str]]:
     eg = expect("EG", table.eg_invariant, 1)
 
     aux = {
-        "R/J": cohomology.a_invariant(j_ideal),
-        "R/K": cohomology.a_invariant(k_ideal),
-        "R/(J+K)": cohomology.a_invariant(j_ideal + k_ideal),
+        "R/J": cohomology.cohomology_table(j_ideal).a_invariant,
+        "R/K": cohomology.cohomology_table(k_ideal).a_invariant,
+        "R/(J+K)": cohomology.cohomology_table(j_ideal + k_ideal).a_invariant,
     }
     expect("aux a-invariants", aux, {"R/J": 0, "R/K": 0, "R/(J+K)": -1})
 

@@ -239,23 +239,3 @@ def cohomology_table(ideal: MonomialIdeal) -> CohomologyTable:
             clamp_sum += 1
     classes = [(s, t, tuple(dims)) for (s, t), dims in sorted(totals.items())]
     return CohomologyTable(k, rho, classes)
-
-
-def h(ideal: MonomialIdeal, i: int, n: int) -> int:
-    """h^i(R/I)_n: the length of the degree-n component of H^i."""
-    return cohomology_table(ideal).h(i, n)
-
-
-def a_invariant(ideal: MonomialIdeal) -> int:
-    """Top nonvanishing degree of the top local cohomology module."""
-    return cohomology_table(ideal).a_invariant
-
-
-def depth(ideal: MonomialIdeal) -> int:
-    """min{i : H^i(R/I) != 0} with respect to the maximal homogeneous ideal."""
-    return cohomology_table(ideal).depth
-
-
-def eg_invariant(ideal: MonomialIdeal) -> int:
-    """sum_{q<d} C(d-1,q) * h^q(R/I)_{1-q}."""
-    return cohomology_table(ideal).eg_invariant

@@ -4,12 +4,14 @@ The series of R/I is computed exactly as N(lambda)/(1-lambda)^k from the short
 exact sequence 0 -> R/(I:p) -> R/I -> R/(I+(p)) -> 0 for a pivot monomial p,
 with the pairwise-coprime product formula as base case (A. M. Bigatti,
 "Computation of Hilbert-Poincare series", JPAA 119, 1997).  The recursion runs
-on minimal sets of exponent tuples, memoized by the set.  From the reduced form
-Q(lambda)/(1-lambda)^d we read off dimension and multiplicity.  H(n) and the
-Hilbert polynomial P(n) are one integer binomial sum over the numerator: H(n)
-sums the terms with i <= n, P(n) all of them, with C(x, m) read as a polynomial
-in x (Bruns-Herzog, *Cohen-Macaulay Rings*, sec. 4.1), so both are exact
-integers for every n, and so is the Serre difference H(n) - P(n).
+on minimal sets of exponent tuples, memoized by the set.  `HilbertSeries` is
+the one entry point for the invariants: from the reduced form
+Q(lambda)/(1-lambda)^d it reads off dimension and multiplicity, and H(n) and
+the Hilbert polynomial P(n) are one integer binomial sum over the numerator:
+H(n) sums the terms with i <= n, P(n) all of them, with C(x, m) read as a
+polynomial in x (Bruns-Herzog, *Cohen-Macaulay Rings*, sec. 4.1), so both are
+exact integers for every n.  `hilbert_data` caches them per ideal for the
+bounds.
 """
 
 from __future__ import annotations
@@ -148,27 +150,7 @@ class HilbertSeries:
         )
 
     def __repr__(self):
-        return f"HilbertSeries({format_poly(self.numerator)}) / (1-l)^{self.k}"
-
-
-def format_poly(p, var: str = "l") -> str:
-    if not p:
-        return "0"
-    parts = []
-    for i, c in enumerate(p):
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        else:
-            base = var if i == 1 else f"{var}^{i}"
-            if c == 1:
-                parts.append(base)
-            elif c == -1:
-                parts.append(f"-{base}")
-            else:
-                parts.append(f"{c}*{base}")
-    return " + ".join(parts).replace("+ -", "- ")
+        return f"HilbertSeries({self.k}, {self.numerator})"
 
 
 # -- the divide-and-conquer recursion -------------------------------------
@@ -230,7 +212,7 @@ def hilbert_series(ideal: MonomialIdeal) -> HilbertSeries:
     return HilbertSeries(ideal.k, _numerator(ideal.k, ideal.exps, {}))
 
 
-# -- Hilbert data and Serre difference -------------------------------------
+# -- Hilbert data ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -256,29 +238,6 @@ def hilbert_data(ideal: MonomialIdeal) -> HilbertData:
     if ideal.is_unit:
         raise ZeroRing("invariants of the zero ring are undefined")
     return hilbert_data_from_series(hilbert_series(ideal))
-
-
-def hilbert_function(ideal: MonomialIdeal, n: int) -> int:
-    """H(R/I, n), counted directly on standard monomials."""
-    return ideal.graded_length(n)
-
-
-def serre_difference(ideal: MonomialIdeal, n: int) -> int:
-    """H(n) - P(n)."""
-    data = hilbert_data(ideal)
-    return hilbert_function(ideal, n) - data.polynomial_value(n)
-
-
-def multiplicity(ideal: MonomialIdeal) -> int:
-    return hilbert_data(ideal).multiplicity
-
-
-def krull_dim(ideal: MonomialIdeal) -> int:
-    return hilbert_data(ideal).dim
-
-
-def codim(ideal: MonomialIdeal) -> int:
-    return ideal.k - krull_dim(ideal)
 
 
 # -- rational reconstruction of a series from initial values ----------------

@@ -329,7 +329,9 @@ _FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?$")
 def parse_monomial(text: str, names) -> Monomial:
     """Parse `x^3*y` style monomial text against the given variable names."""
     text = text.replace(" ", "")
-    if text in ("1", ""):
+    if not text:
+        raise ValueError("empty monomial (write 1 for the unit)")
+    if text == "1":
         return Monomial((0,) * len(names))
     exps = [0] * len(names)
     index = {name: j for j, name in enumerate(names)}

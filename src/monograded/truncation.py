@@ -4,8 +4,8 @@
 filtration module (fiber-cone ranks, the Hilbert function of G/J*G, affine
 dimensions of Newton-polyhedron faces) go through it.  Its rows are integer
 vectors, such as the products of a reduction's integer terms with monomials.
-`TruncatedAlgebra` is the monomial basis of S/m^(N+1) in graded order, kept
-for the truncated-image test oracles.
+`TruncatedAlgebra` only builds the monomial basis of S/m^(N+1) in graded
+order; the truncated-image test oracles read its fields.
 
 All elimination is fraction-free over the integers, so every rank is the rank
 over the rationals.
@@ -14,9 +14,8 @@ over the rationals.
 from __future__ import annotations
 
 from math import gcd
-from operator import add
 
-from .monomials import MonomialIdeal, compositions
+from .monomials import compositions
 
 
 class TruncatedAlgebra:
@@ -35,32 +34,6 @@ class TruncatedAlgebra:
             self.monomials.extend(block)
             self.degree_starts.append(len(self.monomials))
         self.index = {m: i for i, m in enumerate(self.monomials)}
-
-    @property
-    def dimension(self) -> int:
-        return len(self.monomials)
-
-    def columns_below_degree(self, t: int) -> int:
-        """Number of basis monomials of degree < t."""
-        t = max(0, min(t, self.N + 1))
-        return self.degree_starts[t]
-
-    def ideal_columns(self, ideal: MonomialIdeal | None, top: int):
-        """Ascending columns of the monomials of degree <= top in the monomial
-        ideal (None: the unit ideal), marked as multiples of its generators."""
-        if ideal is None:
-            return range(self.columns_below_degree(top + 1))
-        index, monomials = self.index, self.monomials
-        cols = set()
-        for g in ideal.exps:
-            for u in monomials[: self.columns_below_degree(top + 1 - sum(g))]:
-                cols.add(index[tuple(map(add, g, u))])
-        return sorted(cols)
-
-    def degree_in_span(self, ech: "Echelon", t: int) -> bool:
-        """Whether every monomial of degree t is a pivot column of `ech`."""
-        lo, hi = self.degree_starts[t], self.degree_starts[t + 1]
-        return ech.pivots_below(hi) - ech.pivots_below(lo) == hi - lo
 
 
 def _normalize(row: dict[int, int]) -> dict[int, int]:
@@ -114,7 +87,3 @@ class Echelon:
         row = _normalize(row)
         self.pivots[min(row)] = row
         return True
-
-    def pivots_below(self, col_bound: int) -> int:
-        """dim of the projection to the first `col_bound` columns."""
-        return sum(1 for c in self.pivots if c < col_bound)

@@ -128,6 +128,11 @@ def postulation_degree(series: HilbertSeries) -> int:
     return len(q) - 1 - d
 
 
+def serre_difference(ideal: MonomialIdeal, n: int) -> int:
+    """H(n) - P(n), H counted on standard monomials."""
+    return ideal.graded_length(n) - hilbert_data(ideal).polynomial_value(n)
+
+
 def serre_difference_table(ideal: MonomialIdeal, lo: int, hi: int) -> dict[int, int]:
     """H(n) - P(n) for lo <= n <= hi, H counted on standard monomials."""
     data = hilbert_data(ideal)
@@ -164,6 +169,35 @@ def multiplicity_samuel(ideal: MonomialIdeal, n_bound: int | None = None) -> int
 
 class NotCertified(ComputationError):
     """Truncation stabilization was not reached within the allowed bound."""
+
+
+def columns_below_degree(algebra: TruncatedAlgebra, t: int) -> int:
+    """Number of basis monomials of degree < t."""
+    return algebra.degree_starts[max(0, min(t, algebra.N + 1))]
+
+
+def ideal_columns(algebra: TruncatedAlgebra, ideal: MonomialIdeal | None, top: int):
+    """Ascending columns of the monomials of degree <= top in the monomial
+    ideal (None: the unit ideal), marked as multiples of its generators."""
+    if ideal is None:
+        return range(columns_below_degree(algebra, top + 1))
+    index, monomials = algebra.index, algebra.monomials
+    cols = set()
+    for g in ideal.exps:
+        for u in monomials[: columns_below_degree(algebra, top + 1 - sum(g))]:
+            cols.add(index[tuple(map(add, g, u))])
+    return sorted(cols)
+
+
+def pivots_below(ech: Echelon, col_bound: int) -> int:
+    """dim of the projection of the row space to the first `col_bound` columns."""
+    return sum(1 for c in ech.pivots if c < col_bound)
+
+
+def degree_in_span(algebra: TruncatedAlgebra, ech: Echelon, t: int) -> bool:
+    """Whether every monomial of degree t is a pivot column of `ech`."""
+    lo, hi = algebra.degree_starts[t], algebra.degree_starts[t + 1]
+    return pivots_below(ech, hi) - pivots_below(ech, lo) == hi - lo
 
 
 class PolyProduct:
@@ -203,14 +237,14 @@ def ideal_image(gens, algebra: TruncatedAlgebra, until_full_degree: bool = False
         return ech
     # q*w survives the truncation iff deg w + mindeg q <= N: a column prefix.
     N, index, monomials = algebra.N, algebra.index, algebra.monomials
-    factors = [(p.integer_terms(), algebra.columns_below_degree(N + 1 - p.min_degree))
+    factors = [(p.integer_terms(), columns_below_degree(algebra, N + 1 - p.min_degree))
                for p in product.polys]
     least = min(p.min_degree for p in product.polys)
     t = 1  # the next degree to test for fullness
-    for col in algebra.ideal_columns(product.ideal, N - least):
+    for col in ideal_columns(algebra, product.ideal, N - least):
         w = monomials[col]
         while until_full_degree and t < min(sum(w) + least, N):
-            if algebra.degree_in_span(ech, t):
+            if degree_in_span(algebra, ech, t):
                 return ech
             t += 1
         for terms, bound in factors:
@@ -246,9 +280,9 @@ def certified_truncation(gens, k: int, max_t: int):
         algebra = TruncatedAlgebra(k, attempt)
         ech = ideal_image(gens, algebra, until_full_degree=True)
         for t in range(1, attempt):
-            if algebra.degree_in_span(ech, t):  # ell(S/(A+m^t)) = ell(S/(A+m^(t+1)))
-                dim = ech.pivots_below(algebra.columns_below_degree(t))
-                return t, {"t": t, "stable_length": algebra.columns_below_degree(t) - dim,
+            if degree_in_span(algebra, ech, t):  # ell(S/(A+m^t)) = ell(S/(A+m^(t+1)))
+                dim = pivots_below(ech, columns_below_degree(algebra, t))
+                return t, {"t": t, "stable_length": columns_below_degree(algebra, t) - dim,
                            "image_dim": dim}
         if attempt >= max_t:
             raise NotCertified(f"no truncation certificate up to degree {max_t}")
@@ -594,8 +628,7 @@ def least_full_degree(gens, k: int, N: int):
     algebra = TruncatedAlgebra(k, N)
     image = ideal_image(gens, algebra)
     for t in range(1, N):
-        lo, hi = algebra.columns_below_degree(t), algebra.columns_below_degree(t + 1)
-        if image.pivots_below(hi) - image.pivots_below(lo) == hi - lo:
+        if degree_in_span(algebra, image, t):
             return t
     return None
 
@@ -605,7 +638,7 @@ def reduction_colength(reduction, k: int, max_t: int = 40) -> int:
     gens = reduction_polys(reduction)
     t, _ = certified_truncation(gens, k, max_t)
     algebra = TruncatedAlgebra(k, t - 1)
-    return algebra.dimension - ideal_image(gens, algebra).dim
+    return len(algebra.monomials) - ideal_image(gens, algebra).dim
 
 
 def prop34_lengths(ideal: MonomialIdeal, reduction, max_t: int = 40) -> tuple[int, int]:
@@ -614,7 +647,7 @@ def prop34_lengths(ideal: MonomialIdeal, reduction, max_t: int = 40) -> tuple[in
     ji = expanded_product(reduction_polys(reduction), ideal)
     t, _ = certified_truncation(ji, ideal.k, max_t)
     algebra = TruncatedAlgebra(ideal.k, t - 1)
-    ell_i2_ji = len(algebra.ideal_columns(ideal.power(2), t - 1)) - ideal_image(ji, algebra).dim
+    ell_i2_ji = len(ideal_columns(algebra, ideal.power(2), t - 1)) - ideal_image(ji, algebra).dim
     return reduction_colength(reduction, ideal.k, max_t), ell_i2_ji
 
 
@@ -645,7 +678,7 @@ def truncated_reduction_number(reduction, ideal: MonomialIdeal, n_bound=None,
         t = nxt.smallest_contained_m_power() + extra_truncation
         algebra = TruncatedAlgebra(ideal.k, t)
         jin = PolyProduct(reduction_polys(reduction), cache.power(n))
-        if ideal_image(jin, algebra).dim == len(algebra.ideal_columns(nxt, t)):
+        if ideal_image(jin, algebra).dim == len(ideal_columns(algebra, nxt, t)):
             return n
     raise NotAReduction(f"not a reduction within n <= {n_bound}")
 
@@ -666,7 +699,7 @@ def all_vv_levels(ideal: MonomialIdeal, reduction, r: int) -> list:
         algebra = TruncatedAlgebra(ideal.k, t - 1)
 
         def colength(gens):
-            return algebra.dimension - ideal_image(gens, algebra).dim
+            return len(algebra.monomials) - ideal_image(gens, algebra).dim
 
         levels.append(VVLevel(
             t=t,

@@ -186,6 +186,7 @@ def test_each_bound_applies_to_its_instances():
         "three variables, not m-primary": parse_ideal("x^2, y*z", ("x", "y", "z")),
         "unit": MonomialIdeal.unit(2),
         "semigroup": SemigroupIdeal(NumericalSemigroup((4, 5, 6, 7)), (4, 5, 6)),
+        "semigroup, unit": SemigroupIdeal(NumericalSemigroup((4, 5, 6, 7)), (0,)),
     }
     applies = {
         name: [bound for bound, spec in BOUNDS.items() if spec.applies(instance)]
@@ -198,6 +199,7 @@ def test_each_bound_applies_to_its_instances():
         "three variables, not m-primary": ["thm2.1", "eg-lower"],
         "unit": ["thm2.1", "eg-lower"],
         "semigroup": ["prop3.1"],
+        "semigroup, unit": [],
     }
 
 

@@ -158,6 +158,10 @@ def test_verify_semigroup_instance_honours_bound():
     assert json.loads(out)["result"]["reports"] == []
     code, out = run_cli(argv + ["all"])
     assert [r["bound"] for r in json.loads(out)["result"]["reports"]] == ["prop3.1"]
+    # the ideal generated by 0 is the whole ring: no bound applies
+    code, out = run_cli(["verify", "--semigroup", "4,5,6,7", "--ideal", "0"])
+    assert code == 0
+    assert json.loads(out)["result"]["reports"] == []
 
 
 def test_env_var_seed(monkeypatch):
@@ -213,6 +217,17 @@ def test_non_coprime_semigroup_is_usage_error():
     assert_usage_error(
         ["verify", "--semigroup", "4,6", "--ideal", "4,6", "--bound", "prop3.1"], "gcd 2"
     )
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["hilbert", "--ring", "x,y", "--ideal", "x^2,,y"], "empty monomial"),
+    (["hilbert", "--ring", "x,y", "--ideal", "x^2, y,"], "empty monomial"),
+    (["verify", "--semigroup", "4,,6,7", "--ideal", "4,6", "--bound", "prop3.1"], "''"),
+    (["verify", "--semigroup", "4,5,6,7", "--ideal", "4,,5", "--bound", "prop3.1"], "''"),
+], ids=["ideal", "ideal-trailing", "semigroup", "semigroup-ideal"])
+def test_empty_generator_is_usage_error(argv, message):
+    # an empty piece is neither the unit monomial nor skipped
+    assert_usage_error(argv, message)
 
 
 def test_negative_exponent_is_usage_error():

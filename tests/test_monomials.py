@@ -241,5 +241,8 @@ def test_parse_and_format_roundtrip():
     assert parse_ideal("1", XY).is_unit
     assert str(parse_monomial("x^2*y", XY)) == "x^2*y"
     assert str(parse_monomial("1", XY)) == "1"
+    for text in ("x^2,,y", "x^2, y,", ", y"):
+        with pytest.raises(ValueError, match="empty monomial"):
+            parse_ideal(text, XY)
     with pytest.raises(ValueError):
         parse_ideal("q^2", XY)
