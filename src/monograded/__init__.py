@@ -7,11 +7,11 @@ random instances.  All arithmetic is exact, over the integers.
 """
 
 from .monomials import Monomial, MonomialIdeal, parse_ideal, parse_monomial
-from .hilbert import HilbertData, HilbertSeries, hilbert_data, hilbert_series
+from .hilbert import HilbertSeries, hilbert_series
 from .cohomology import CohomologyTable, cohomology_table
 from .filtration import (
     Reduction,
-    G_hilbert_data,
+    G_hilbert_series,
     cm_h_vector,
     fiber_cone_series,
     h0_G,

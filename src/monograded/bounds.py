@@ -70,18 +70,18 @@ def _status_le(lhs: int, rhs: int) -> str:
 def verify_main_bound(ideal: MonomialIdeal, instance_id: str = "") -> BoundReport:
     """a(R) <= e(R) - ell(R_1) + (d-1)(ell(R_0)-1) + EG(R) over a field, where
     the middle term vanishes because ell(R_0) = 1."""
-    data = hilbert.hilbert_data(ideal)
+    e = hilbert.hilbert_series(ideal).multiplicity  # the zero ring fails here
     table = cohomology.cohomology_table(ideal)
     d = table.dim
     ell_r0 = 1
     ell_r1 = ideal.graded_length(1)
     lhs = table.a_invariant
     eg = table.eg_invariant
-    rhs = data.multiplicity - ell_r1 + (d - 1) * (ell_r0 - 1) + eg
+    rhs = e - ell_r1 + (d - 1) * (ell_r0 - 1) + eg
     witness = {
         "direction": "<=",
         "a": lhs,
-        "e": data.multiplicity,
+        "e": e,
         "l_R1": ell_r1,
         "l_R0": ell_r0,
         "eg": eg,
@@ -97,10 +97,10 @@ def verify_eg_inequality(ideal: MonomialIdeal, instance_id: str = "") -> BoundRe
     codim(R) is the intrinsic embedding codimension ell(R_1) - dim(R); it
     equals (variables - dim) exactly when the ideal has no linear generators.
     """
-    data = hilbert.hilbert_data(ideal)
+    series = hilbert.hilbert_series(ideal)
+    lhs = series.multiplicity  # the zero ring fails here
     table = cohomology.cohomology_table(ideal)
-    lhs = data.multiplicity
-    codim = ideal.graded_length(1) - data.dim
+    codim = ideal.graded_length(1) - series.dim
     eg = table.eg_invariant
     rhs = 1 + codim - eg
     witness = {

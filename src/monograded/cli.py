@@ -104,14 +104,29 @@ def check_option_ranges(args, option_minimum: dict[str, int]) -> None:
             raise UsageError(f"{option} must be at least {least}, got {value}")
 
 
-def parse_window(text: str | None, default: tuple[int, int]) -> tuple[int, int]:
+def parse_window(text: str | None) -> tuple[int, int] | None:
+    """(lo, hi) from `--window lo:hi`, or None without the flag."""
     if not text:
-        return default
+        return None
     try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
+        lo, hi = map(int, text.split(":"))
     except ValueError:
         raise UsageError(f"--window must be lo:hi with integer bounds, got {text!r}") from None
+    if lo > hi:
+        raise UsageError(f"--window lo:hi needs lo <= hi, got {text!r}")
+    return lo, hi
+
+
+def parse_integers(flag: str, text: str) -> tuple[int, ...]:
+    """The comma-separated integers of a semigroup flag; a bad piece raises
+    ValueError naming the flag, its whole input and the piece."""
+    values = []
+    for piece in text.split(","):
+        try:
+            values.append(int(piece))
+        except ValueError:
+            raise ValueError(f"{flag} {text!r}: {piece!r} is not an integer") from None
+    return tuple(values)
 
 
 def require_ring_ideal(args) -> MonomialIdeal:
@@ -129,6 +144,7 @@ def require_ring_ideal(args) -> MonomialIdeal:
 
 def run_hilbert(args) -> dict:
     ideal = require_ring_ideal(args)
+    window = parse_window(args.window)
     series = hilbert.hilbert_series(ideal)
     result: dict = {
         "ring": list(ideal.names),
@@ -143,8 +159,8 @@ def run_hilbert(args) -> dict:
             multiplicity=series.multiplicity,
             codim=ideal.k - series.dim,
         )
-        if args.window:
-            lo, hi = parse_window(args.window, (0, 0))
+        if window:
+            lo, hi = window
             result["table"] = [
                 {
                     "n": n,
@@ -158,10 +174,10 @@ def run_hilbert(args) -> dict:
 
 def run_cohomology(args) -> dict:
     ideal = require_ring_ideal(args)
+    window = parse_window(args.window)
     table = cohomology.cohomology_table(ideal)
     rho_sum = sum(table.rho)
-    lo, hi = parse_window(args.window, (-rho_sum, rho_sum))
-    data = hilbert.hilbert_data(ideal)
+    lo, hi = window or (-rho_sum, rho_sum)
     return {
         "ring": list(ideal.names),
         "ideal": ideal.format(),
@@ -171,7 +187,7 @@ def run_cohomology(args) -> dict:
         "depth": table.depth,
         "eg": table.eg_invariant,
         "dim": table.dim,
-        "multiplicity": data.multiplicity,
+        "multiplicity": hilbert.hilbert_series(ideal).multiplicity,
     }
 
 
@@ -198,10 +214,8 @@ def run_verify(args) -> dict:
     else:
         if args.semigroup:
             with _parsing_input():
-                S = semigroup.NumericalSemigroup(int(g) for g in args.semigroup.split(","))
-                instance = semigroup.SemigroupIdeal(
-                    S, tuple(int(g) for g in args.ideal.split(","))
-                )
+                S = semigroup.NumericalSemigroup(parse_integers("--semigroup", args.semigroup))
+                instance = semigroup.SemigroupIdeal(S, parse_integers("--ideal", args.ideal))
         else:
             instance = require_ring_ideal(args)
         reports = [

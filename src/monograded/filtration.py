@@ -21,12 +21,7 @@ from math import gcd
 from operator import add, mul, sub
 
 from .errors import ComputationError, NotAReduction
-from .hilbert import (
-    HilbertData,
-    HilbertSeries,
-    hilbert_data_from_series,
-    reconstruct_series,
-)
+from .hilbert import HilbertSeries, reconstruct_series
 from .monomials import MonomialIdeal
 from .truncation import Echelon
 
@@ -196,14 +191,11 @@ def fiber_cone_series(ideal: MonomialIdeal) -> HilbertSeries:
     return reconstruct_series(lambda n: cache.power(n).num_generators(), ideal.k)
 
 
-def G_hilbert_data(ideal: MonomialIdeal) -> HilbertData:
-    """Hilbert data of the associated graded ring, reconstructed from the
+def G_hilbert_series(ideal: MonomialIdeal) -> HilbertSeries:
+    """Hilbert series of the associated graded ring, reconstructed from the
     colength differences ell(I^n / I^(n+1))."""
     cache = power_cache(ideal)
-    series = reconstruct_series(
-        lambda n: cache.colength(n + 1) - cache.colength(n), ideal.k
-    )
-    return hilbert_data_from_series(series)
+    return reconstruct_series(lambda n: cache.colength(n + 1) - cache.colength(n), ideal.k)
 
 
 # -- reductions ---------------------------------------------------------
@@ -373,7 +365,7 @@ def filtration_report(
         "ratliff_rush": [closure(n).format() for n in range(1, powers + 1)],
         "mu": [mu(ideal, n) for n in range(1, powers + 1)],
         "h0_G": [0 if certified else h0_G(ideal, n) for n in range(powers)],
-        "G_numerator": h if certified else G_hilbert_data(ideal).series.numerator,
+        "G_numerator": h if certified else G_hilbert_series(ideal).numerator,
         "trials": trial_list,
         "r": r,
         "vv_certificate": certified,

@@ -10,13 +10,12 @@ Q(lambda)/(1-lambda)^d it reads off dimension and multiplicity, and H(n) and
 the Hilbert polynomial P(n) are one integer binomial sum over the numerator:
 H(n) sums the terms with i <= n, P(n) all of them, with C(x, m) read as a
 polynomial in x (Bruns-Herzog, *Cohen-Macaulay Rings*, sec. 4.1), so both are
-exact integers for every n.  `hilbert_data` caches them per ideal for the
-bounds.
+exact integers for every n.  `hilbert_series` is cached per ideal, so the
+CLI and the bounds run one recursion per ideal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
 
@@ -37,23 +36,8 @@ def padd(p, q):
     return pstrip([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
 
 
-def pmul(p, q):
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return pstrip(out)
-
-
 def pshift(p, s: int):
     return [0] * s + list(p) if p else []
-
-
-def peval_one(p) -> int:
-    return sum(p)
 
 
 def pdiv_one_minus(p):
@@ -74,10 +58,6 @@ def _binomial(x: int, m: int) -> int:
     """C(x, m) = x(x-1)...(x-m+1)/m! as a polynomial in x, read at any integer
     x; exact, since a product of m consecutive integers is divisible by m!."""
     return prod(range(x - m + 1, x + 1)) // factorial(m)
-
-
-def one_minus_lambda_power(d: int) -> list[int]:
-    return [(-1) ** i * _binomial(d, i) for i in range(d + 1)]
 
 
 # -- series -------------------------------------------------------------
@@ -101,10 +81,10 @@ class HilbertSeries:
         """(Q, d) with N = Q * (1-lambda)^(k-d) and Q(1) != 0."""
         if self._reduced is None:
             if self.is_zero_ring:
-                raise ZeroRing("zero ring has no reduced Hilbert series")
+                raise ZeroRing("invariants of the zero ring are undefined")
             q = list(self.numerator)
             cancelled = 0
-            while peval_one(q) == 0:
+            while sum(q) == 0:
                 q = pdiv_one_minus(q)
                 cancelled += 1
             if cancelled > self.k:
@@ -122,7 +102,7 @@ class HilbertSeries:
 
     @property
     def multiplicity(self) -> int:
-        return peval_one(self.reduced()[0])
+        return sum(self.reduced()[0])
 
     def coefficient(self, n: int) -> int:
         """H(n): the coefficient of lambda^n in the expansion of N/(1-lambda)^k,
@@ -191,7 +171,7 @@ def _numerator(k: int, gens: tuple, memo: dict) -> list[int]:
     if _pairwise_coprime(gens):
         result = [1]
         for g in gens:
-            result = pmul(result, padd([1], pshift([-1], sum(g))))
+            result = padd(result, pshift([-c for c in result], sum(g)))
     else:
         j, e = _pivot(gens, k)
         pivot = tuple(e if i == j else 0 for i in range(k))
@@ -204,40 +184,18 @@ def _numerator(k: int, gens: tuple, memo: dict) -> list[int]:
     return result
 
 
+@lru_cache(maxsize=256)
 def hilbert_series(ideal: MonomialIdeal) -> HilbertSeries:
-    """Exact Hilbert series of R/I.  The unit ideal yields the flagged zero-ring
-    series with numerator 0."""
-    if ideal.is_unit:
-        return HilbertSeries(ideal.k, [])
+    """Exact Hilbert series of R/I, computed once per ideal.  The unit ideal
+    yields the flagged zero-ring series with numerator 1 - lambda^0 = 0, whose
+    invariants raise `ZeroRing` when read."""
     return HilbertSeries(ideal.k, _numerator(ideal.k, ideal.exps, {}))
 
 
-# -- Hilbert data ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HilbertData:
-    """Series plus the derived numeric invariants of a monomial quotient."""
-
-    series: HilbertSeries
-    dim: int
-    multiplicity: int
-
-    def polynomial_value(self, n: int) -> int:
-        return self.series.polynomial_value(n)
-
-
-def hilbert_data_from_series(series: HilbertSeries) -> HilbertData:
-    q, d = series.reduced()
-    return HilbertData(series, d, peval_one(q))
-
-
-@lru_cache(maxsize=256)
-def hilbert_data(ideal: MonomialIdeal) -> HilbertData:
-    """Hilbert data of R/I, computed once per ideal (the bounds read it twice)."""
-    if ideal.is_unit:
-        raise ZeroRing("invariants of the zero ring are undefined")
-    return hilbert_data_from_series(hilbert_series(ideal))
+def hilbert_data_from_series(series: HilbertSeries) -> HilbertSeries:
+    """The series itself, which carries `.dim`, `.multiplicity` and
+    `.polynomial_value`; only the benchmark's checks still call this name."""
+    return series
 
 
 # -- rational reconstruction of a series from initial values ----------------
@@ -258,13 +216,9 @@ def reconstruct_numerator(values: list[int], denom_power: int):
     polynomial of degree < denom_power; success requires the convolved
     coefficients to vanish on the last TAIL_ZEROS positions.
     """
-    factor = one_minus_lambda_power(denom_power)
-    coeffs = [0] * len(values)
-    for i, v in enumerate(values):
-        if v:
-            for j, f in enumerate(factor):
-                if i + j < len(values):
-                    coeffs[i + j] += v * f
+    coeffs = list(values)
+    for _ in range(denom_power):  # times (1 - lambda), truncated
+        coeffs = coeffs[:1] + [b - a for a, b in zip(coeffs, coeffs[1:])]
     if TAIL_ZEROS > len(values):
         return None
     if any(c != 0 for c in coeffs[len(values) - TAIL_ZEROS:]):

@@ -9,7 +9,7 @@ from operator import add
 from monograded.errors import ComputationError, NotAReduction, ZeroRing
 from monograded.cohomology import CohomologyTable, integer_rank
 from monograded.filtration import Reduction, _product_rows, power_cache, reduction_number_wrt
-from monograded.hilbert import HilbertSeries, hilbert_data, padd, pmul, pshift
+from monograded.hilbert import HilbertSeries, hilbert_series
 from monograded.monomials import MonomialIdeal, minimalize
 from monograded.semigroup import NumericalSemigroup
 from monograded.truncation import Echelon, TruncatedAlgebra
@@ -130,13 +130,13 @@ def postulation_degree(series: HilbertSeries) -> int:
 
 def serre_difference(ideal: MonomialIdeal, n: int) -> int:
     """H(n) - P(n), H counted on standard monomials."""
-    return ideal.graded_length(n) - hilbert_data(ideal).polynomial_value(n)
+    return ideal.graded_length(n) - hilbert_series(ideal).polynomial_value(n)
 
 
 def serre_difference_table(ideal: MonomialIdeal, lo: int, hi: int) -> dict[int, int]:
     """H(n) - P(n) for lo <= n <= hi, H counted on standard monomials."""
-    data = hilbert_data(ideal)
-    return {n: ideal.graded_length(n) - data.polynomial_value(n) for n in range(lo, hi + 1)}
+    series = hilbert_series(ideal)
+    return {n: ideal.graded_length(n) - series.polynomial_value(n) for n in range(lo, hi + 1)}
 
 
 def multiplicity_samuel(ideal: MonomialIdeal, n_bound: int | None = None) -> int:
@@ -421,6 +421,23 @@ def fraction_rank(rows: list[list]) -> int:
     return rank
 
 
+def _poly_add(p: list[int], q: list[int]) -> list[int]:
+    """Sum of two coefficient lists, trailing zeros stripped."""
+    out = [a + b for a, b in zip(p, q)] + p[len(q):] + q[len(p):]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _poly_mul(p: list[int], q: list[int]) -> list[int]:
+    """Product of two coefficient lists, trailing zeros stripped."""
+    out = [0] * (len(p) + len(q))
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _poly_add(out, [])
+
+
 def lexfirst_numerator(ideal: MonomialIdeal) -> list[int]:
     """The Hilbert-series numerator of R/I by the pivot recursion with another
     pivot rule: the smallest-index variable of a non-pure-power generator, at
@@ -432,13 +449,13 @@ def lexfirst_numerator(ideal: MonomialIdeal) -> list[int]:
         if not mixed:  # pure powers and 1 are pairwise coprime
             result = [1]
             for g in gens:
-                result = pmul(result, padd([1], pshift([-1], sum(g))))
+                result = _poly_mul(result, _poly_add([1], [0] * sum(g) + [-1]))
             return result
         j = min(min(i for i, e in enumerate(g) if e) for g in mixed)
         e = min(g[j] for g in mixed if g[j] > 0)
         pivot = tuple(e if i == j else 0 for i in range(k))
         colon = minimalize(tuple(max(a - b, 0) for a, b in zip(g, pivot)) for g in gens)
-        return padd(numerator(minimalize(gens + (pivot,))), pshift(numerator(colon), e))
+        return _poly_add(numerator(minimalize(gens + (pivot,))), [0] * e + numerator(colon))
 
     return [] if ideal.is_unit else numerator(ideal.exps)
 

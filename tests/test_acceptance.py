@@ -21,7 +21,7 @@ from monograded.bounds import (
 from monograded.cohomology import cohomology_table
 from monograded.errors import NotAReduction
 from monograded.filtration import (
-    G_hilbert_data,
+    G_hilbert_series,
     cm_h_vector,
     minimal_reduction,
     newton_multiplicity,
@@ -302,8 +302,7 @@ def test_criterion_8_engine_self_consistency():
     bridge_ok = True
     newton_ok = True
     for idx, ideal in enumerate(instances):
-        g_data = G_hilbert_data(ideal)
-        if newton_multiplicity(ideal) != g_data.multiplicity:
+        if newton_multiplicity(ideal) != G_hilbert_series(ideal).multiplicity:
             newton_ok = False
         reduction = minimal_reduction(ideal, seed=idx)
         try:

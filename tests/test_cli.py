@@ -133,7 +133,7 @@ def test_verify_instance_computes_only_the_requested_bound(monkeypatch):
         raise AssertionError("computed for a bound that is not printed")
 
     monkeypatch.setattr(cohomology, "cohomology_table", untouched)
-    monkeypatch.setattr(hilbert, "hilbert_data", untouched)
+    monkeypatch.setattr(hilbert, "hilbert_series", untouched)
     code, out = run_cli(
         ["verify", "--ring", "x,y,z", "--ideal", "x^2, y^2, z^2, x*y", "--bound", "prop3.4"]
     )
@@ -146,9 +146,23 @@ def test_verify_unit_ideal_with_a_reduction_bound_has_no_reports():
     code, out = run_cli(["verify", "--ring", "x,y", "--ideal", "1", "--bound", "prop3.3"])
     assert code == 0
     assert json.loads(out)["result"]["reports"] == []
-    code, out = run_cli(["verify", "--ring", "x,y", "--ideal", "1", "--bound", "all"])
-    assert code == 1
-    assert json.loads(out)["error"]["type"] == "ZeroRing"
+    # the Hilbert invariants are read, and fail, before the cohomology table
+    for bound in ("all", "thm2.1", "eg-lower"):
+        code, out = run_cli(["verify", "--ring", "x,y", "--ideal", "1", "--bound", bound])
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "ZeroRing", "message": "invariants of the zero ring are undefined",
+        }
+
+
+def test_hilbert_series_is_computed_once_per_ideal():
+    from monograded import hilbert
+
+    hilbert.hilbert_series.cache_clear()
+    plane = ["--ring", "x,y", "--ideal", "x^3, x^2*y^4, x*y^5, y^7"]
+    assert run_cli(["cohomology", *plane])[0] == 0
+    assert run_cli(["verify", *plane, "--bound", "all"])[0] == 0
+    assert hilbert.hilbert_series.cache_info().misses == 1
 
 
 def test_verify_semigroup_instance_honours_bound():
@@ -209,6 +223,16 @@ def test_malformed_window_is_usage_error():
     assert_usage_error(["hilbert", "--ring", "x,y", "--ideal", "x^2, y", "--window", "3"], "lo:hi")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["hilbert", "--ring", "x,y", "--ideal", "x^2, y^3", "--window", "5:1"], "lo <= hi"),
+    (["cohomology", "--ring", "x,y", "--ideal", "x^2, x*y", "--window", "5:-5"], "lo <= hi"),
+    (["hilbert", "--ring", "x,y", "--ideal", "1", "--window", "abc"], "lo:hi"),
+    (["cohomology", "--ring", "x,y", "--ideal", "1", "--window", "abc"], "lo:hi"),
+], ids=["hilbert-reversed", "cohomology-reversed", "hilbert-zero-ring", "cohomology-zero-ring"])
+def test_window_is_checked_before_any_computation(argv, message):
+    assert_usage_error(argv, message)
+
+
 def test_unknown_variable_is_usage_error():
     assert_usage_error(["cohomology", "--ring", "x,y", "--ideal", "x^2, q"], "unknown variable 'q'")
 
@@ -219,15 +243,25 @@ def test_non_coprime_semigroup_is_usage_error():
     )
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["hilbert", "--ring", "x,y", "--ideal", "x^2,,y"], "empty monomial"),
-    (["hilbert", "--ring", "x,y", "--ideal", "x^2, y,"], "empty monomial"),
-    (["verify", "--semigroup", "4,,6,7", "--ideal", "4,6", "--bound", "prop3.1"], "''"),
-    (["verify", "--semigroup", "4,5,6,7", "--ideal", "4,,5", "--bound", "prop3.1"], "''"),
+@pytest.mark.parametrize("argv, message, flag", [
+    (["hilbert", "--ring", "x,y", "--ideal", "x^2,,y"], "empty monomial", None),
+    (["hilbert", "--ring", "x,y", "--ideal", "x^2, y,"], "empty monomial", None),
+    (["verify", "--semigroup", "4,,6,7", "--ideal", "4,6", "--bound", "prop3.1"], "''",
+     "--semigroup"),
+    (["verify", "--semigroup", "4,5,6,7", "--ideal", "4,,5", "--bound", "prop3.1"], "''",
+     "--ideal"),
 ], ids=["ideal", "ideal-trailing", "semigroup", "semigroup-ideal"])
-def test_empty_generator_is_usage_error(argv, message):
+def test_empty_generator_is_usage_error(argv, message, flag):
     # an empty piece is neither the unit monomial nor skipped
     assert_usage_error(argv, message)
+    if flag:  # a semigroup flag names itself and its whole input
+        assert_usage_error(argv, f"{flag} {argv[argv.index(flag) + 1]!r}")
+
+
+def test_non_integer_semigroup_generator_is_usage_error():
+    assert_usage_error(
+        ["verify", "--semigroup", "4,5,6,7", "--ideal", "4,x"], "--ideal '4,x': 'x' is not an integer"
+    )
 
 
 def test_negative_exponent_is_usage_error():

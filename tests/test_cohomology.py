@@ -8,7 +8,7 @@ from monograded import cohomology
 from monograded.bounds import random_m_primary_ideal
 from monograded.cohomology import _class_dims, cohomology_table, integer_rank
 from monograded.errors import ZeroRing
-from monograded.hilbert import hilbert_data
+from monograded.hilbert import hilbert_series
 from monograded.monomials import MonomialIdeal, parse_ideal
 
 from oracles import (
@@ -144,7 +144,7 @@ def test_depth_dim_and_cm_detection():
         ideal = random_m_primary_ideal(rng, k, 5)
         table = cohomology_table(ideal)
         assert table.depth <= table.dim
-        assert table.dim == hilbert_data(ideal).dim
+        assert table.dim == hilbert_series(ideal).dim
     # complete intersections of pure powers are Cohen-Macaulay
     ci = parse_ideal("x^2, y^3", XY)
     # dim R/ci = 0: depth equals dim
@@ -214,7 +214,7 @@ def test_top_cohomology_nonvanishing():
         k = rng.randint(1, 3)
         ideal = random_m_primary_ideal(rng, k, 4)
         table = cohomology_table(ideal)
-        d = hilbert_data(ideal).dim
+        d = hilbert_series(ideal).dim
         assert table.dim == d
         assert any(table.h(d, n) > 0 for n in range(-sum(table.rho) - k, degree_box_top(table) + 1))
         for i in range(d + 1, k + 1):

@@ -7,7 +7,7 @@ from monograded.bounds import corpus_monomial, instance_seed, random_m_primary_i
 from monograded.errors import NotAReduction
 from monograded.errors import InfiniteLength
 from monograded.filtration import (
-    G_hilbert_data,
+    G_hilbert_series,
     PowerCache,
     cm_h_vector,
     fiber_cone_series,
@@ -180,11 +180,11 @@ def test_non_reduction_raises():
 
 def test_g_series_examples():
     m2 = parse_ideal("x^2, x*y, y^2", XY)
-    data = G_hilbert_data(m2)
-    assert data.series.numerator == [3, 1]
-    assert data.multiplicity == 4
+    series = G_hilbert_series(m2)
+    assert series.numerator == [3, 1]
+    assert series.multiplicity == 4
     maximal = parse_ideal("x, y", XY)
-    assert G_hilbert_data(maximal).series.numerator == [1]
+    assert G_hilbert_series(maximal).numerator == [1]
 
 
 def test_vv_certificate_and_a_invariant():
@@ -222,8 +222,7 @@ def test_samuel_multiplicity_matches_g_series_random():
     rng = random.Random(103)
     for _ in range(10):
         ideal = random_m_primary_ideal(rng, 2, 4)
-        data = G_hilbert_data(ideal)
-        assert multiplicity_samuel(ideal) == data.multiplicity
+        assert multiplicity_samuel(ideal) == G_hilbert_series(ideal).multiplicity
 
 
 def test_reduction_engines_agree_on_random_monomial_subideals():
@@ -333,7 +332,7 @@ def test_filtration_report_runs_one_certificate(monkeypatch):
     shallow = filtration.filtration_report(STAIR)
     assert calls == [m2, STAIR]
     assert not shallow["vv_certificate"] and shallow["a_G"] is None
-    assert shallow["G_numerator"] == G_hilbert_data(STAIR).series.numerator
+    assert shallow["G_numerator"] == G_hilbert_series(STAIR).numerator
 
 
 @pytest.mark.parametrize("k, deg_bound, count, cm_count", [(2, 6, 200, 192), (3, 3, 120, 108)])
@@ -443,7 +442,7 @@ def test_cm_h_vector_is_the_g_numerator():
         cache = power_cache(ideal)
         d, e = ideal.k, newton_multiplicity(ideal)
         if d <= 3:
-            assert h == G_hilbert_data(ideal).series.numerator
+            assert h == G_hilbert_series(ideal).numerator
             checked += 1
         assert sum(h) == e
         assert sum(h[2:]) == e + (d - 1) * cache.colength(1) - (cache.colength(2) - cache.colength(1))
@@ -461,4 +460,4 @@ def test_cm_h_vector_stop_rule():
     assert reduction_number_wrt(red, late) == 2 and newton_multiplicity(late) == 60
     assert cm_h_vector(late, red, r=2) == (False, [38, 20, 6])
     # independent: a Cohen-Macaulay G would have this nonnegative h as its numerator
-    assert G_hilbert_data(late).series.numerator == [38, 16, 7, -1]
+    assert G_hilbert_series(late).numerator == [38, 16, 7, -1]

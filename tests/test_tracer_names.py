@@ -99,8 +99,10 @@ def test_every_layer_name_the_benchmark_reads_exists():
 
 def test_instance_attributes_the_benchmark_reads_exist():
     # test_smoke.py reads `g.exps` for g in `ideal.gens`; checks.py reads
-    # `.dim` and `.polynomial_value(n)` of `hilbert_data_from_series(series)`
+    # `.dim` and `.polynomial_value(n)` of `hilbert_data_from_series(series)`,
+    # which is the series itself
     ideal = MonomialIdeal(2, [(2, 0), (1, 1)])
     assert sorted(g.exps for g in ideal.gens) == [(1, 1), (2, 0)]
-    data = hilbert_data_from_series(hilbert_series(ideal))
-    assert data.dim == 1 and data.polynomial_value(5) == 1  # y^5 alone
+    series = hilbert_series(ideal)
+    assert hilbert_data_from_series(series) is series
+    assert series.dim == 1 and series.polynomial_value(5) == 1  # y^5 alone
