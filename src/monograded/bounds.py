@@ -209,12 +209,12 @@ def random_m_primary_ideal(rng: random.Random, k: int, deg_bound: int) -> Monomi
     return MonomialIdeal(k, gens)
 
 
-def random_semigroup_ideal(rng: random.Random, lo: int = 3, hi: int = 15) -> semigroup.SemigroupIdeal:
-    """A random numerical semigroup with generators in [lo, hi] and a random
+def random_semigroup_ideal(rng: random.Random) -> semigroup.SemigroupIdeal:
+    """A random numerical semigroup with generators in [3, 15] and a random
     monomial ideal over it."""
     while True:
         count = rng.randint(2, 4)
-        gens = sorted(rng.sample(range(lo, hi + 1), count))
+        gens = sorted(rng.sample(range(3, 16), count))
         if gcd(*gens) == 1:
             break
     S = semigroup.NumericalSemigroup(gens)

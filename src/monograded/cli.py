@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import contextmanager
 
@@ -23,7 +22,6 @@ from .errors import ComputationError
 from .monomials import MonomialIdeal, parse_ideal
 
 SCHEMA = "monograded/1"
-SEED_ENV = "MONOGRADED_SEED"
 
 
 class UsageError(Exception):
@@ -39,10 +37,6 @@ def _parsing_input():
         raise UsageError(str(exc)) from exc
 
 
-def default_seed() -> int:
-    return int(os.environ.get(SEED_ENV, "0"))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monograded",
@@ -56,13 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
         action = p.add_argument(flag, type=int, default=default, **kwargs)
         parser.option_minimum[action.dest] = least
 
-    def add_common(p, ring=True, seed=False):
-        if ring:
-            p.add_argument("--ring", help="comma-separated variable names, e.g. x,y")
-            p.add_argument("--ideal", help="generators, e.g. 'x^3, x^2*y^4'")
-        if seed:
-            p.add_argument("--seed", type=int, default=None,
-                           help=f"RNG seed (default from ${SEED_ENV} or 0)")
+    def add_common(p):
+        p.add_argument("--ring", help="comma-separated variable names, e.g. x,y")
+        p.add_argument("--ideal", help="generators, e.g. 'x^3, x^2*y^4'")
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
 
     p = sub.add_parser("hilbert", help="Hilbert series, dimension, multiplicity")
@@ -74,17 +64,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", help="degree range lo:hi (default: the support box)")
 
     p = sub.add_parser("reduction", help="filtration report: e, Ratliff-Rush, mu, r")
-    add_common(p, seed=True)
+    add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     add_int(p, "--trials", 3, 1)
     add_int(p, "--coeff-bound", 100, 1)
     add_int(p, "--n-bound", None, 0)
     add_int(p, "--powers", 4, 0, help="table depth for powers of I")
 
     p = sub.add_parser("verify", help="check the a-invariant and reduction-number bounds on instances or corpora")
-    add_common(p, seed=False)
+    add_common(p)
     p.add_argument("--semigroup", help="semigroup generators, e.g. 4,5,6,7")
     p.add_argument("--bound", default="all", choices=(*bounds.BOUNDS, "all"))
-    p.add_argument("--corpus-seed", type=int, default=None)
+    p.add_argument("--corpus-seed", type=int, default=None, help="corpus RNG seed (default 0)")
     add_int(p, "--count", 25, 0)
     add_int(p, "--vars", 2, 1, help="variables for monomial corpora")
     add_int(p, "--degree-bound", 6, 1)
@@ -193,11 +184,10 @@ def run_cohomology(args) -> dict:
 
 def run_reduction(args) -> dict:
     ideal = require_ring_ideal(args)
-    seed = args.seed if args.seed is not None else default_seed()
     return filtration.filtration_report(
         ideal,
         trials=args.trials,
-        seed=seed,
+        seed=args.seed or 0,
         coeff_bound=args.coeff_bound,
         n_bound=args.n_bound,
         powers=args.powers,
@@ -205,7 +195,7 @@ def run_reduction(args) -> dict:
 
 
 def run_verify(args) -> dict:
-    seed = args.corpus_seed if args.corpus_seed is not None else default_seed()
+    seed = args.corpus_seed or 0
     names = list(bounds.BOUNDS) if args.bound == "all" else [args.bound]
     if args.ideal is None:
         for flag, value in (("--ring", args.ring), ("--semigroup", args.semigroup)):

@@ -71,14 +71,11 @@ def ratliff_rush(ideal: MonomialIdeal, power: int = 1) -> MonomialIdeal:
     (when it is, every power of I is closed; Heinzer-Lantz-Shah 1992).
     """
     cache = power_cache(ideal)
-    current = cache.power(power)
-    for n in range(1, RR_MAX_STEPS):
-        nxt = cache.power(power + n).colon(cache.power(n))
-        if nxt == current:
-            confirm = cache.power(power + n + 1).colon(cache.power(n + 1))
-            if confirm == current:
-                return current
-        current = nxt
+    chain = [cache.power(power)]
+    for n in range(1, RR_MAX_STEPS + 1):
+        chain.append(cache.power(power + n).colon(cache.power(n)))
+        if n >= 2 and chain[-3] == chain[-2] == chain[-1]:
+            return chain[-3]
     raise ComputationError(f"Ratliff-Rush chain did not stabilize in {RR_MAX_STEPS} steps")
 
 
@@ -254,7 +251,7 @@ def reduction_number_wrt(
 
 def reduction_number(
     ideal: MonomialIdeal,
-    trials: int = 5,
+    trials: int,
     seed: int = 0,
     coeff_bound: int = 100,
     n_bound: int | None = None,

@@ -129,13 +129,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return bool(self.exps) and not any(self.exps[0])
 
-    def contains_monomial(self, m) -> bool:
-        return _divisible(self._monomial(m), self.exps)
-
-    def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        self._check(other)
-        return all(_divisible(g, self.exps) for g in other.exps)
-
     def is_m_primary(self) -> bool:
         """True iff radical is the maximal ideal: a pure power of each variable."""
         if self.is_unit:
@@ -256,17 +249,11 @@ class MonomialIdeal:
         return sum(1 for exps in compositions(n, self.k) if not _divisible(exps, gens))
 
     def smallest_contained_m_power(self) -> int:
-        """Least t with m^t inside the ideal. Requires an m-primary ideal."""
-        bounds = self.pure_power_bounds()
-        # m^t subset I iff every degree-t monomial is in I; t is at least
-        # max(bounds), and m^upper lies inside I: a monomial of that degree
-        # has some exponent at least bounds[j].
-        upper = sum(b - 1 for b in bounds) + 1
-        gens = self.exps
-        for t in range(max(bounds), upper):
-            if all(_divisible(exps, gens) for exps in compositions(t, self.k)):
-                return t
-        return upper
+        """Least t with m^t inside the ideal. Requires an m-primary ideal.
+
+        The standard monomials are closed under division, so m^t lies inside
+        the ideal exactly when t exceeds their largest degree."""
+        return 1 + max(map(sum, self.standard_monomials()))
 
     # -- dunder plumbing ---------------------------------------------------
 

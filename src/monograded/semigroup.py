@@ -65,9 +65,7 @@ class NumericalSemigroup(_Bitset):
         gens = tuple(sorted(set(int(g) for g in gens)))
         if not gens or any(g <= 0 for g in gens):
             raise ValueError("semigroup generators must be positive")
-        g = 0
-        for a in gens:
-            g = gcd(g, a)
+        g = gcd(*gens)
         if g != 1:
             raise ValueError(f"generators {gens} have gcd {g}; complement would be infinite")
         self.gens = gens

@@ -37,9 +37,7 @@ class TruncatedAlgebra:
 
 
 def _normalize(row: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
+    g = gcd(*row.values())
     if g > 1:
         row = {c: v // g for c, v in row.items()}
     if row[min(row)] < 0:

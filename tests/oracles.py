@@ -362,6 +362,16 @@ def divides(a: tuple, b: tuple) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def contains_monomial(ideal: MonomialIdeal, exps: tuple) -> bool:
+    """Whether the monomial with exponent tuple `exps` lies in the ideal."""
+    return any(divides(g, exps) for g in ideal.exps)
+
+
+def contains_ideal(ideal: MonomialIdeal, other: MonomialIdeal) -> bool:
+    """Whether every generator of `other` lies in `ideal`."""
+    return all(contains_monomial(ideal, g) for g in other.exps)
+
+
 def pure_power_variable(exps: tuple):
     """Index of the single supported variable, or None if not a pure power."""
     support = [j for j, e in enumerate(exps) if e]
@@ -373,7 +383,7 @@ def box_standard_count(ideal: MonomialIdeal) -> int:
     bounds = ideal.pure_power_bounds()
     count = 0
     for exps in product(*(range(b) for b in bounds)):
-        if not ideal.contains_monomial(exps):
+        if not contains_monomial(ideal, exps):
             count += 1
     return count
 
@@ -382,17 +392,17 @@ def brute_colon_matches(ideal: MonomialIdeal, other: MonomialIdeal, computed: Mo
     """Membership-level check of computed = (ideal : other) up to a degree bound."""
     for m in monomials_upto(ideal.k, bound):
         in_colon = all(
-            ideal.contains_monomial(tuple(a + b for a, b in zip(m, g))) for g in other.exps
+            contains_monomial(ideal, tuple(a + b for a, b in zip(m, g))) for g in other.exps
         )
-        if in_colon != computed.contains_monomial(m):
+        if in_colon != contains_monomial(computed, m):
             return False
     return True
 
 
 def brute_intersection_matches(a: MonomialIdeal, b: MonomialIdeal, computed: MonomialIdeal, bound: int) -> bool:
     for m in monomials_upto(a.k, bound):
-        both = a.contains_monomial(m) and b.contains_monomial(m)
-        if both != computed.contains_monomial(m):
+        both = contains_monomial(a, m) and contains_monomial(b, m)
+        if both != contains_monomial(computed, m):
             return False
     return True
 

@@ -8,7 +8,7 @@ import pytest
 from monograded import cli
 
 
-def run_cli(argv, env_seed=None, monkeypatch=None):
+def run_cli(argv):
     buffer = io.StringIO()
     old = sys.stdout
     sys.stdout = buffer
@@ -178,12 +178,16 @@ def test_verify_semigroup_instance_honours_bound():
     assert json.loads(out)["result"]["reports"] == []
 
 
-def test_env_var_seed(monkeypatch):
-    monkeypatch.setenv(cli.SEED_ENV, "17")
-    code, out = run_cli(["verify", "--bound", "prop3.1", "--count", "2"])
-    assert code == 0
-    doc = json.loads(out)
-    assert any("s17" in rep["instance"] for rep in doc["result"]["corpora"]["prop3.1"]["reports"])
+def test_seed_environment_variable_is_ignored(monkeypatch):
+    # the document is a function of its arguments: `"corpus_seed": null` means seed 0
+    argv = ["verify", "--bound", "prop3.1", "--count", "2"]
+    monkeypatch.delenv("MONOGRADED_SEED", raising=False)
+    unset = run_cli(argv)
+    assert unset[0] == 0
+    assert '"instance": "sg-s0-0"' in unset[1]
+    for value in ("17", "abc", ""):
+        monkeypatch.setenv("MONOGRADED_SEED", value)
+        assert run_cli(argv) == unset
 
 
 def test_table_format_renders():
@@ -393,8 +397,7 @@ GOLDEN = [
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN)
-def test_golden_output_digest(argv, digest, monkeypatch):
-    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+def test_golden_output_digest(argv, digest):
     code, out = run_cli(argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
