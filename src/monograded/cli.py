@@ -4,10 +4,11 @@ JSON is the canonical output; csv and table renderings are derived from the
 same document.  Every document embeds the resolved run configuration and a
 schema version, so identical configurations produce byte-identical output.
 
-Exit codes: 0 success, 1 computation failure, 2 usage error (malformed ring,
-ideal, window or semigroup input, out-of-range numeric options and a `verify`
-instance flag without --ideal give a JSON error document), 3 reproduction
-mismatch.
+Exit codes: 0 success, 1 computation failure (also exhausted memory or
+recursion depth), 2 usage error (a missing or malformed ring, ideal, window or
+semigroup input, out-of-range numeric options and a `verify` instance flag
+without --ideal), 3 reproduction mismatch.  Every failure but argparse's own
+is a JSON error document.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_int(p, "--degree-bound", 6, 1)
 
     p = sub.add_parser("reproduce", help="re-run a worked example and compare values")
-    p.add_argument("example", choices=("example-2.2", "example-3.2"))
+    p.add_argument("example", choices=EXAMPLES)
     p.add_argument("--format", choices=("json", "csv", "table"), default="json")
     return parser
 
@@ -122,15 +123,15 @@ def parse_integers(flag: str, text: str) -> tuple[int, ...]:
 
 def require_ring_ideal(args) -> MonomialIdeal:
     if not args.ring or args.ideal is None:
-        raise ComputationError("this subcommand needs --ring and --ideal")
+        raise UsageError("this subcommand needs --ring and --ideal")
     names = tuple(s.strip() for s in args.ring.split(",") if s.strip())
     if not names:
-        raise ComputationError("the ring needs at least one variable")
+        raise UsageError("the ring needs at least one variable")
     with _parsing_input():
         return parse_ideal(args.ideal, names)
 
 
-# -- subcommand handlers --------------------------------------------------
+# -- subcommand handlers: each returns the document's entries ---------------
 
 
 def run_hilbert(args) -> dict:
@@ -160,7 +161,7 @@ def run_hilbert(args) -> dict:
                 }
                 for n in range(lo, hi + 1)
             ]
-    return result
+    return {"result": result}
 
 
 def run_cohomology(args) -> dict:
@@ -169,7 +170,7 @@ def run_cohomology(args) -> dict:
     table = cohomology.cohomology_table(ideal)
     rho_sum = sum(table.rho)
     lo, hi = window or (-rho_sum, rho_sum)
-    return {
+    return {"result": {
         "ring": list(ideal.names),
         "ideal": ideal.format(),
         "window": [lo, hi],
@@ -179,19 +180,19 @@ def run_cohomology(args) -> dict:
         "eg": table.eg_invariant,
         "dim": table.dim,
         "multiplicity": hilbert.hilbert_series(ideal).multiplicity,
-    }
+    }}
 
 
 def run_reduction(args) -> dict:
     ideal = require_ring_ideal(args)
-    return filtration.filtration_report(
+    return {"result": filtration.filtration_report(
         ideal,
         trials=args.trials,
         seed=args.seed or 0,
         coeff_bound=args.coeff_bound,
         n_bound=args.n_bound,
         powers=args.powers,
-    )
+    )}
 
 
 def run_verify(args) -> dict:
@@ -213,10 +214,10 @@ def run_verify(args) -> dict:
             for name in names
             if bounds.BOUNDS[name].applies(instance)
         ]
-        return {
+        return {"result": {
             "reports": [r.to_dict() for r in reports],
             "aggregate": bounds.aggregate(reports),
-        }
+        }}
     out: dict = {"corpora": {}}
     all_reports = []
     for name in names:
@@ -229,7 +230,7 @@ def run_verify(args) -> dict:
             "aggregate": agg,
         }
     out["aggregate"] = bounds.aggregate(all_reports)
-    return out
+    return {"result": out}
 
 
 # -- reproduction of the two worked examples --------------------------------
@@ -337,17 +338,15 @@ def reproduce_example_32() -> tuple[dict, list[str]]:
     return result, expect.mismatches
 
 
-def run_reproduce(args) -> tuple[dict, list[str]]:
-    if args.example == "example-2.2":
-        return reproduce_example_22()
-    return reproduce_example_32()
+EXAMPLES = {"example-2.2": reproduce_example_22, "example-3.2": reproduce_example_32}
+
+
+def run_reproduce(args) -> dict:
+    result, mismatches = EXAMPLES[args.example]()
+    return {"result": result, "mismatches": mismatches}
 
 
 # -- rendering --------------------------------------------------------------
-
-
-def render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def render_csv(doc: dict) -> str:
@@ -416,23 +415,18 @@ def render(doc: dict, fmt: str) -> str:
         return render_csv(doc)
     if fmt == "table":
         return render_table(doc) + "\n"
-    return render_json(doc)
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # -- entry point -------------------------------------------------------------
 
 
 def config_dict(args) -> dict:
-    skip = {"subcommand"}
-    return {
-        "subcommand": args.subcommand,
-        **{
-            key: value
-            for key, value in sorted(vars(args).items())
-            if key not in skip
-        },
-    }
+    return {"subcommand": args.subcommand, **dict(sorted(vars(args).items()))}
 
+
+COMMANDS = {"hilbert": run_hilbert, "cohomology": run_cohomology, "reduction": run_reduction,
+            "verify": run_verify, "reproduce": run_reproduce}
 
 _parser: argparse.ArgumentParser | None = None
 
@@ -445,26 +439,15 @@ def main(argv=None) -> int:
     doc = {"schema": SCHEMA, "config": config_dict(args)}
     try:
         check_option_ranges(args, _parser.option_minimum)
-        if args.subcommand == "hilbert":
-            doc["result"] = run_hilbert(args)
-        elif args.subcommand == "cohomology":
-            doc["result"] = run_cohomology(args)
-        elif args.subcommand == "reduction":
-            doc["result"] = run_reduction(args)
-        elif args.subcommand == "verify":
-            doc["result"] = run_verify(args)
-        elif args.subcommand == "reproduce":
-            result, mismatches = run_reproduce(args)
-            doc["result"] = result
-            doc["mismatches"] = mismatches
-            sys.stdout.write(render(doc, args.format))
-            return 3 if mismatches else 0
-    except (UsageError, ComputationError) as exc:
-        doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        sys.stdout.write(render_json(doc))
-        return 2 if isinstance(exc, UsageError) else 1
-    sys.stdout.write(render(doc, args.format))
-    return 0
+        doc.update(COMMANDS[args.subcommand](args))
+    except (UsageError, ComputationError, MemoryError, RecursionError) as exc:
+        # A MemoryError carries no text; a RecursionError names the depth.
+        doc["error"] = {"type": type(exc).__name__, "message": str(exc) or "out of memory"}
+    error = doc.get("error")
+    sys.stdout.write(render(doc, "json" if error else args.format))  # errors are always JSON
+    if error:
+        return 2 if error["type"] == "UsageError" else 1
+    return 3 if doc.get("mismatches") else 0
 
 
 if __name__ == "__main__":

@@ -83,15 +83,14 @@ def _class_dims(k: int, kill_masks) -> tuple[int, ...]:
     A generator's kill mask holds the coordinates j with g_j > a_j; the
     generator kills a subset F exactly when its kill mask lies inside F.  F
     carries a basis element iff no generator kills it; the differentials are
-    the alternating-sign inclusion maps.  Both shortcuts below hold for
-    any family of masks: a void family (an empty mask kills every F) and a
-    cone (a coordinate j outside every mask: F -> F + {j} pairs off the alive
-    sets) give zero without a rank.
+    the alternating-sign inclusion maps.  A cone (a coordinate j outside
+    every mask: F -> F + {j} pairs off the alive sets) gives zero without a
+    rank.  `recurse` skips void families before it minimalizes; for any other
+    caller, a void family (an empty mask kills every F) leaves no alive F, so
+    the scan below gives zeros too.
     """
     cover = 0
     for m in kill_masks:
-        if not m:
-            return (0,) * (k + 1)
         cover |= m
     if cover != (1 << k) - 1:
         return (0,) * (k + 1)

@@ -8,8 +8,11 @@ exact ranks in the fiber cone (J*I^n = I^(n+1) iff J*I^n spans
 I^(n+1)/m*I^(n+1), by Nakayama); the associated graded ring G is
 Cohen-Macaulay iff ell(G/J*G) = e(I), each degree of G/J*G an exact rank in
 the finite monomial space I^n/I^(n+1).  The fiber cone series, and the
-G-series of a G that is not Cohen-Macaulay, are reconstructed exactly from
-finitely many length/generator counts with a verified polynomial tail.
+G-series of a G that is not Cohen-Macaulay, are reconstructed from finitely
+many length/generator counts: counts are read until their series times
+(1 - lambda)^k ends in five zero coefficients, the last two of which check
+that the numerator before them predicts the two newest counts (a stopping
+rule, not a proof of the tail).
 """
 
 from __future__ import annotations

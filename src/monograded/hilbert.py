@@ -150,8 +150,13 @@ def _pairwise_coprime(gens) -> bool:
 
 
 def _pivot(gens, k: int) -> tuple[int, int]:
-    """(j, e): the most frequent variable x_j among non-pure-power generators,
-    at the least positive exponent e it takes there."""
+    """(j, e): the most frequent variable x_j among the mixed (non-pure-power)
+    generators, at the lower median e of its positive exponents there.  For
+    any such e, (mixed generators, exponent sum) falls lexicographically on
+    both branches: I + (x_j^e) drops at least one mixed generator and adds a
+    pure power; I : x_j^e mixes none and lowers some g_j.  The median splits
+    the mixed generators between the branches, where the least e would
+    recurse once per generator on (x, y)^n."""
     mixed = [g for g in gens if sum(1 for e in g if e) > 1]
     counts = [0] * k
     for g in mixed:
@@ -159,7 +164,8 @@ def _pivot(gens, k: int) -> tuple[int, int]:
             if e:
                 counts[j] += 1
     j = max(range(k), key=lambda i: (counts[i], -i))
-    return j, min(g[j] for g in mixed if g[j] > 0)
+    exps = sorted(g[j] for g in mixed if g[j] > 0)
+    return j, exps[(len(exps) - 1) // 2]
 
 
 def _numerator(k: int, gens: tuple, memo: dict) -> list[int]:
@@ -202,10 +208,8 @@ def hilbert_data_from_series(series: HilbertSeries) -> HilbertSeries:
 
 
 # Reconstruction succeeds once the convolved coefficients vanish on the last
-# TAIL_ZEROS values; a candidate must then match VERIFY_POINTS further values,
-# and at most MAX_TERMS values are read.
-TAIL_ZEROS = 3
-VERIFY_POINTS = 2
+# TAIL_ZEROS values, and at most MAX_TERMS + 4 values are read.
+TAIL_ZEROS = 5
 MAX_TERMS = 64
 
 
@@ -227,20 +231,15 @@ def reconstruct_numerator(values: list[int], denom_power: int):
 
 
 def reconstruct_series(value_fn, k: int) -> HilbertSeries:
-    """Grow values value_fn(0..m) until the rational reconstruction stabilizes,
-    then check the candidate against VERIFY_POINTS further values."""
+    """Grow values value_fn(0..m-1), two at a time, until the rational
+    reconstruction has TAIL_ZEROS vanishing convolved coefficients.  The last
+    two of them are the check that the candidate numerator, of degree at most
+    m - TAIL_ZEROS - 1, predicts the two newest values."""
     values: list[int] = []
-    m = max(2 * k + 4, TAIL_ZEROS + 2)
-    while len(values) <= MAX_TERMS:
+    for m in range(max(2 * k + 6, TAIL_ZEROS + 2), MAX_TERMS + 5, 2):
         while len(values) < m:
             values.append(value_fn(len(values)))
         numerator = reconstruct_numerator(values, k)
         if numerator is not None:
-            series = HilbertSeries(k, numerator)
-            if all(
-                series.coefficient(len(values) + i) == value_fn(len(values) + i)
-                for i in range(VERIFY_POINTS)
-            ):
-                return series
-        m += 2
+            return HilbertSeries(k, numerator)
     raise ReconstructionFailed(f"series did not stabilize within {MAX_TERMS} terms")

@@ -297,10 +297,37 @@ def test_instance_flag_without_ideal_is_usage_error(argv, flag):
     assert_usage_error(argv, f"{flag} describes a single instance and needs --ideal")
 
 
-def test_missing_ring_is_computation_error():
-    code, out = run_cli(["hilbert"])
+def test_missing_ring_or_ideal_is_usage_error():
+    assert_usage_error(["hilbert"], "needs --ring and --ideal")
+    assert_usage_error(["hilbert", "--ring", " , ", "--ideal", "1"], "at least one variable")
+    assert_usage_error(["verify", "--ideal", "x"], "needs --ring and --ideal")
+
+
+@pytest.mark.parametrize("exc, resource", [
+    (MemoryError, "memory"), (RecursionError, "recursion"),
+], ids=["memory", "recursion"])
+def test_exhausted_resource_is_computation_failure(monkeypatch, exc, resource):
+    def exhaust(ideal):
+        if exc is RecursionError:
+            return exhaust(ideal)
+        raise MemoryError  # as the interpreter raises it: no text
+
+    monkeypatch.setattr(cli.hilbert, "hilbert_series", exhaust)
+    code, out = run_cli(["hilbert", "--ring", "x,y", "--ideal", "x^2, y"])
     assert code == 1
-    assert json.loads(out)["error"]["type"] == "ComputationError"
+    error = json.loads(out)["error"]
+    assert error["type"] == exc.__name__
+    assert resource in error["message"]
+
+
+def test_hilbert_of_a_high_power_of_the_plane_maximal_ideal():
+    # (x, y)^1200 has 1201 generators; R/I has length 1200 * 1201 / 2
+    n = 1200
+    gens = ", ".join(f"x^{i}*y^{n - i}" for i in range(n + 1))
+    code, out = run_cli(["hilbert", "--ring", "x,y", "--ideal", gens])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert (result["dim"], result["multiplicity"]) == (0, 720600)
 
 
 def test_reproduce_mismatch_exit_3(monkeypatch):

@@ -1,7 +1,15 @@
-"""The README's library example runs against the current API."""
+"""The README's library example and command lines run against the current
+API and CLI."""
 
+import io
 import re
+import shlex
+from contextlib import redirect_stdout
 from pathlib import Path
+
+import pytest
+
+from monograded import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,3 +28,15 @@ def test_readme_library_example_runs():
     assert namespace["r"] == 2 and len(namespace["trials"]) == 3
     assert namespace["is_cm"] is False
     assert (namespace["r_sg"], namespace["principal"]) == (2, 4)
+
+
+def command_lines() -> list[list[str]]:
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("monograded ")]
+
+
+@pytest.mark.parametrize("argv", command_lines(), ids=lambda argv: " ".join(argv[:2]))
+def test_readme_command_line_exits_0(argv):
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
