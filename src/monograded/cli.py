@@ -78,8 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", default="all", choices=(*bounds.BOUNDS, "all"))
     p.add_argument("--corpus-seed", type=int, default=None, help="corpus RNG seed (default 0)")
     add_int(p, "--count", 25, 0)
-    add_int(p, "--vars", 2, 1, help="variables for monomial corpora")
-    add_int(p, "--degree-bound", 6, 1)
+    add_int(p, "--vars", 2, 1, help="variables for the thm2.1 and eg-lower corpora;"
+            " prop3.3 always uses 2, prop3.4 at least 3, prop3.1 ignores it")
+    add_int(p, "--degree-bound", 6, 1, help="largest pure-power exponent in monomial"
+            " corpora; prop3.4 uses at most 3, prop3.1 ignores it")
 
     p = sub.add_parser("reproduce", help="re-run a worked example and compare values")
     p.add_argument("example", choices=EXAMPLES)
@@ -121,26 +123,28 @@ def parse_integers(flag: str, text: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def require_ring_ideal(args) -> MonomialIdeal:
+def require_ring_ideal(args) -> tuple[tuple[str, ...], MonomialIdeal]:
+    """(names, ideal) from --ring and --ideal; every --ring piece must be a
+    variable name."""
     if not args.ring or args.ideal is None:
         raise UsageError("this subcommand needs --ring and --ideal")
-    names = tuple(s.strip() for s in args.ring.split(",") if s.strip())
-    if not names:
+    names = tuple(s.strip() for s in args.ring.split(","))
+    if not any(names):
         raise UsageError("the ring needs at least one variable")
     with _parsing_input():
-        return parse_ideal(args.ideal, names)
+        return names, parse_ideal(args.ideal, names)
 
 
 # -- subcommand handlers: each returns the document's entries ---------------
 
 
 def run_hilbert(args) -> dict:
-    ideal = require_ring_ideal(args)
+    names, ideal = require_ring_ideal(args)
     window = parse_window(args.window)
     series = hilbert.hilbert_series(ideal)
     result: dict = {
-        "ring": list(ideal.names),
-        "ideal": ideal.format(),
+        "ring": list(names),
+        "ideal": ideal.format(names),
         "numerator": series.numerator,
         "zero_ring": series.is_zero_ring,
     }
@@ -165,14 +169,14 @@ def run_hilbert(args) -> dict:
 
 
 def run_cohomology(args) -> dict:
-    ideal = require_ring_ideal(args)
+    names, ideal = require_ring_ideal(args)
     window = parse_window(args.window)
     table = cohomology.cohomology_table(ideal)
     rho_sum = sum(table.rho)
     lo, hi = window or (-rho_sum, rho_sum)
     return {"result": {
-        "ring": list(ideal.names),
-        "ideal": ideal.format(),
+        "ring": list(names),
+        "ideal": ideal.format(names),
         "window": [lo, hi],
         "h": table.rows(lo, hi),
         "a": table.a_invariant,
@@ -184,9 +188,10 @@ def run_cohomology(args) -> dict:
 
 
 def run_reduction(args) -> dict:
-    ideal = require_ring_ideal(args)
+    names, ideal = require_ring_ideal(args)
     return {"result": filtration.filtration_report(
         ideal,
+        names,
         trials=args.trials,
         seed=args.seed or 0,
         coeff_bound=args.coeff_bound,
@@ -208,7 +213,7 @@ def run_verify(args) -> dict:
                 S = semigroup.NumericalSemigroup(parse_integers("--semigroup", args.semigroup))
                 instance = semigroup.SemigroupIdeal(S, parse_integers("--ideal", args.ideal))
         else:
-            instance = require_ring_ideal(args)
+            _, instance = require_ring_ideal(args)
         reports = [
             bounds.BOUNDS[name].check(instance, "cli-instance", seed)
             for name in names
@@ -287,8 +292,8 @@ def reproduce_example_22() -> tuple[dict, list[str]]:
     expect("main bound status", bound.status, "sharp")
 
     result = {
-        "ideal": ideal.format(),
-        "fiber_presentation": n_ideal.format(),
+        "ideal": ideal.format(plane),
+        "fiber_presentation": n_ideal.format(names4),
         "mu": mu_table,
         "fiber_reduced_numerator": fiber.reduced_numerator,
         "hilbert_reduced_numerator": series.reduced_numerator,

@@ -187,23 +187,26 @@ def cohomology_table(ideal: MonomialIdeal) -> CohomologyTable:
     # become single integer operations.  No coefficient exceeds the number of
     # orthant classes, prod(rho_j + 1).
     width = prod(r + 1 for r in rho).bit_length()
-    # Per coordinate: (lo, packed x^lo + ... + x^hi) for each interval between
-    # consecutive distinct positive exponents of x_j, the last ending at rho_j - 1.
+    # (j, runs) for each coordinate j that some generator involves, where runs
+    # holds (lo, packed x^lo + ... + x^hi) for each interval between consecutive
+    # distinct positive exponents of x_j, the last ending at rho_j - 1.  Any
+    # other coordinate has no interval: it lies in T in every class.
     intervals = []
     for j in range(k):
         cuts = sorted({exps[j] for exps in gen_exps if exps[j]})
-        intervals.append([
-            (lo, sum(1 << (v * width) for v in range(lo, hi + 1)))
-            for lo, hi in zip([0] + cuts[:-1], [c - 1 for c in cuts])
-        ])
+        if cuts:
+            intervals.append((j, [
+                (lo, sum(1 << (v * width) for v in range(lo, hi + 1)))
+                for lo, hi in zip([0] + cuts[:-1], [c - 1 for c in cuts])
+            ]))
 
     # (|T|, dims of D) -> packed multiplicity of each clamp sum.
     weights: dict = {}
 
     # A coordinate sent to T adds no bit to the kill masks (every mask holds
     # it); the free-th coordinate outside T takes bit free.
-    def recurse(j: int, free: int, kill_masks: tuple[int, ...], weight: int):
-        if j == k:
+    def recurse(i: int, free: int, kill_masks: tuple[int, ...], weight: int):
+        if i == len(intervals):
             masks = set(kill_masks)
             if 0 in masks:
                 return  # void: the complex is zero
@@ -215,10 +218,11 @@ def cohomology_table(ideal: MonomialIdeal) -> CohomologyTable:
                 key = (k - free, dims)
                 weights[key] = weights.get(key, 0) + weight
             return
-        recurse(j + 1, free, kill_masks, weight)
+        recurse(i + 1, free, kill_masks, weight)
+        j, runs = intervals[i]
         bit = 1 << free
-        for lo, run in intervals[j]:
-            recurse(j + 1, free + 1, tuple(
+        for lo, run in runs:
+            recurse(i + 1, free + 1, tuple(
                 m | bit if exps[j] > lo else m for m, exps in zip(kill_masks, gen_exps)
             ), weight * run)
 

@@ -44,7 +44,7 @@ class PowerCache:
 
     def __init__(self, ideal: MonomialIdeal):
         self.ideal = ideal
-        self._powers = [MonomialIdeal.unit(ideal.k, ideal.names)]
+        self._powers = [MonomialIdeal.unit(ideal.k)]
         self._lengths: list[int] = [0]
 
     def power(self, n: int) -> MonomialIdeal:
@@ -203,14 +203,10 @@ def G_hilbert_series(ideal: MonomialIdeal) -> HilbertSeries:
 
 def minimal_reduction(ideal: MonomialIdeal, seed: int, coeff_bound: int = 100) -> Reduction:
     """d = k seeded generic combinations of the minimal generators, with
-    integer coefficients in [1, coeff_bound].
-
-    In one variable the minimal-degree generator itself is the reduction."""
-    gens = ideal.exps
-    if ideal.k == 1:
-        return [((gens[0], 1),)]
+    integer coefficients in [1, coeff_bound].  In one variable an m-primary
+    ideal has one generator, and a multiple of it is the reduction (r = 0)."""
     rng = random.Random(seed)
-    return [tuple((g, rng.randint(1, coeff_bound)) for g in gens) for _ in range(ideal.k)]
+    return [tuple((g, rng.randint(1, coeff_bound)) for g in ideal.exps) for _ in range(ideal.k)]
 
 
 def _product_rows(polys, monomials, columns: dict):
@@ -336,14 +332,16 @@ def cm_h_vector(ideal: MonomialIdeal, reduction: Reduction, r: int) -> tuple[boo
 
 def filtration_report(
     ideal: MonomialIdeal,
+    names=None,
     trials: int = 3,
     seed: int = 0,
     coeff_bound: int = 100,
     n_bound: int | None = None,
     powers: int = 4,
 ) -> dict:
-    """Everything the reduction CLI reports for one ideal.  a(G) = deg h - d
-    is given only when G is Cohen-Macaulay.
+    """Everything the reduction CLI reports for one ideal, whose ideals are
+    printed in the variable `names` (the defaults of `ring_names` when None).
+    a(G) = deg h - d is given only when G is Cohen-Macaulay.
 
     A certified Cohen-Macaulay G of dimension d >= 1 has grade G_+ = d >= 1,
     so every power of I is Ratliff-Rush closed (W. Heinzer, D. Lantz, K. Shah,
@@ -359,10 +357,10 @@ def filtration_report(
     certified, h = cm_h_vector(ideal, reduction, r)
     closure = cache.power if certified else lambda n: ratliff_rush(ideal, n)
     return {
-        "ideal": ideal.format(),
+        "ideal": ideal.format(names),
         "e": newton_multiplicity(ideal),
         "colengths": [cache.colength(n) for n in range(powers + 1)],
-        "ratliff_rush": [closure(n).format() for n in range(1, powers + 1)],
+        "ratliff_rush": [closure(n).format(names) for n in range(1, powers + 1)],
         "mu": [mu(ideal, n) for n in range(1, powers + 1)],
         "h0_G": [0 if certified else h0_G(ideal, n) for n in range(powers)],
         "G_numerator": h if certified else G_hilbert_series(ideal).numerator,

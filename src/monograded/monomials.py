@@ -7,6 +7,8 @@ colon, saturation) stay inside this combinatorial world, and length
 computations count standard monomials directly.  `Monomial` is only the
 boundary value that `parse_monomial` returns and `MonomialIdeal.gens` shows;
 the ideal's constructor and monomial arguments accept it as well as a tuple.
+An ideal is its ring size and generators alone: variable names enter only where
+text is parsed (`parse_ideal`) or printed (`format(names)`).
 """
 
 from __future__ import annotations
@@ -19,13 +21,22 @@ from .errors import DimensionMismatch, InfiniteLength, ZeroIdealColon
 
 DEFAULT_NAMES = ("x", "y", "z", "w")
 
+# A variable name the ideal grammar can write: a letter or _, then letters,
+# digits or _.
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+
 
 def ring_names(k: int, names=None) -> tuple[str, ...]:
-    """Display names for a ring with k variables."""
+    """Display names for a ring with k variables: the given ones, checked, or
+    the defaults."""
     if names is not None:
         names = tuple(names)
         if len(names) != k:
             raise DimensionMismatch(f"{len(names)} names for {k} variables")
+        for name in names:
+            if not re.fullmatch(_NAME, name):
+                raise ValueError(f"{name!r} is not a variable name"
+                                 " (a letter or _, then letters, digits or _)")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names}")
         return names
@@ -89,13 +100,12 @@ class MonomialIdeal:
     order; the empty tuple is the zero ideal and ((0,..,0),) the unit ideal.
     """
 
-    __slots__ = ("k", "exps", "names")
+    __slots__ = ("k", "exps")
 
-    def __init__(self, k: int, gens=(), names=None):
+    def __init__(self, k: int, gens=()):
         """`gens` holds exponent tuples (or `Monomial` values) of length k."""
         self.k = k
         self.exps = minimalize([self._monomial(g) for g in gens])
-        self.names = ring_names(k, names)
 
     def _monomial(self, m) -> tuple[int, ...]:
         """The exponent tuple of a monomial of this ring, checked."""
@@ -107,12 +117,12 @@ class MonomialIdeal:
         return exps
 
     @classmethod
-    def zero(cls, k: int, names=None) -> "MonomialIdeal":
-        return cls(k, (), names)
+    def zero(cls, k: int) -> "MonomialIdeal":
+        return cls(k, ())
 
     @classmethod
-    def unit(cls, k: int, names=None) -> "MonomialIdeal":
-        return cls(k, ((0,) * k,), names)
+    def unit(cls, k: int) -> "MonomialIdeal":
+        return cls(k, ((0,) * k,))
 
     @property
     def gens(self) -> frozenset[Monomial]:
@@ -166,17 +176,17 @@ class MonomialIdeal:
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
-        return MonomialIdeal(self.k, self.exps + other.exps, self.names)
+        return MonomialIdeal(self.k, self.exps + other.exps)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
         products = {tuple(map(add, a, b)) for a in self.exps for b in other.exps}
-        return MonomialIdeal(self.k, products, self.names)
+        return MonomialIdeal(self.k, products)
 
     def power(self, n: int) -> "MonomialIdeal":
         if n < 0:
             raise ValueError("negative power of an ideal")
-        result = MonomialIdeal.unit(self.k, self.names)
+        result = MonomialIdeal.unit(self.k)
         for _ in range(n):
             result = result * self
         return result
@@ -184,12 +194,12 @@ class MonomialIdeal:
     def intersection(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
         lcms = {tuple(map(max, a, b)) for a in self.exps for b in other.exps}
-        return MonomialIdeal(self.k, lcms, self.names)
+        return MonomialIdeal(self.k, lcms)
 
     def colon_monomial(self, m) -> "MonomialIdeal":
         m = self._monomial(m)
         quotients = {tuple([a - b if a > b else 0 for a, b in zip(g, m)]) for g in self.exps}
-        return MonomialIdeal(self.k, quotients, self.names)
+        return MonomialIdeal(self.k, quotients)
 
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
@@ -208,7 +218,7 @@ class MonomialIdeal:
         is monotone, so a repeat is a fixed point.
         """
         variables = [tuple(int(i == j) for i in range(self.k)) for j in range(self.k)]
-        maximal = MonomialIdeal(self.k, variables, self.names)
+        maximal = MonomialIdeal(self.k, variables)
         current = self
         while True:
             nxt = current.colon(maximal)
@@ -267,10 +277,11 @@ class MonomialIdeal:
     def __hash__(self) -> int:
         return hash((self.k, self.exps))
 
-    def format(self) -> str:
+    def format(self, names=None) -> str:
         if self.is_zero:
             return "(0)"
-        return "(" + ", ".join(_format_exps(g, self.names) for g in self.exps) + ")"
+        names = ring_names(self.k, names)
+        return "(" + ", ".join(_format_exps(g, names) for g in self.exps) + ")"
 
     def __repr__(self) -> str:
         return f"MonomialIdeal{self.format()}"
@@ -310,7 +321,7 @@ def compositions(n: int, k: int):
 
 # -- parsing ------------------------------------------------------------
 
-_FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?$")
+_FACTOR_RE = re.compile(rf"^({_NAME})(?:\^(\d+))?$")
 
 
 def parse_monomial(text: str, names) -> Monomial:
@@ -336,11 +347,14 @@ def parse_monomial(text: str, names) -> Monomial:
 def parse_ideal(text: str, names) -> MonomialIdeal:
     """Parse a comma-separated generator list, e.g. `x^3, x^2*y^4, x*y^5, y^7`.
 
-    The empty string parses to the zero ideal; `1` yields the unit ideal.
+    The empty string parses to the zero ideal; `1` yields the unit ideal.  The
+    names are checked here, once, and are not kept: print the ideal with
+    `format(names)`.
     """
     names = tuple(names)
+    ring_names(len(names), names)
     text = text.strip()
     if not text or text == "0":
-        return MonomialIdeal.zero(len(names), names)
+        return MonomialIdeal.zero(len(names))
     gens = [parse_monomial(part, names).exps for part in text.split(",")]
-    return MonomialIdeal(len(names), gens, names)
+    return MonomialIdeal(len(names), gens)

@@ -683,7 +683,7 @@ def monomial_reduction_number(
 ) -> int:
     """Least n with J*I^n = I^(n+1) for a monomial J, compared generator by
     generator inside the monomial world."""
-    power = MonomialIdeal.unit(ideal.k, ideal.names)
+    power = MonomialIdeal.unit(ideal.k)
     for n in range(n_bound + 1):
         nxt = power * ideal
         if monomial_reduction * power == nxt:

@@ -239,6 +239,10 @@ def test_window_is_checked_before_any_computation(argv, message):
 
 def test_unknown_variable_is_usage_error():
     assert_usage_error(["cohomology", "--ring", "x,y", "--ideal", "x^2, q"], "unknown variable 'q'")
+    # a --ring piece that the ideal grammar cannot write is no variable name
+    for name in ("x y", "1", "x^2"):
+        assert_usage_error(["hilbert", "--ring", f"{name},z", "--ideal", "z"],
+                           f"{name!r} is not a variable name")
 
 
 def test_non_coprime_semigroup_is_usage_error():
@@ -254,7 +258,9 @@ def test_non_coprime_semigroup_is_usage_error():
      "--semigroup"),
     (["verify", "--semigroup", "4,5,6,7", "--ideal", "4,,5", "--bound", "prop3.1"], "''",
      "--ideal"),
-], ids=["ideal", "ideal-trailing", "semigroup", "semigroup-ideal"])
+    (["hilbert", "--ring", "x,,y", "--ideal", "x^2, y"], "''", None),
+    (["cohomology", "--ring", "x,y,", "--ideal", "x^2, y"], "''", None),
+], ids=["ideal", "ideal-trailing", "semigroup", "semigroup-ideal", "ring", "ring-trailing"])
 def test_empty_generator_is_usage_error(argv, message, flag):
     # an empty piece is neither the unit monomial nor skipped
     assert_usage_error(argv, message)
@@ -318,6 +324,26 @@ def test_exhausted_resource_is_computation_failure(monkeypatch, exc, resource):
     error = json.loads(out)["error"]
     assert error["type"] == exc.__name__
     assert resource in error["message"]
+
+
+@pytest.mark.parametrize("extra, error", [
+    ([], "InfiniteLength"),
+    (["--n-bound", "2"], "NotAReduction"),  # no multiplicity is read, no rank is full
+], ids=["default", "n-bound"])
+def test_reduction_of_the_zero_ideal_in_one_variable_is_computation_error(extra, error):
+    code, out = run_cli(["reduction", "--ring", "x", "--ideal", "0", *extra])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == error
+
+
+def test_cohomology_with_many_variables_not_in_the_ideal():
+    # x1 in 1,100 variables: one class per coordinate choice, without recursing
+    # through the 1,099 coordinates that no generator involves
+    ring = ",".join(f"x{i}" for i in range(1, 1101))
+    code, out = run_cli(["cohomology", "--ring", ring, "--ideal", "x1"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert (result["a"], result["depth"], result["dim"]) == (-1099, 1099, 1099)
 
 
 def test_hilbert_of_a_high_power_of_the_plane_maximal_ideal():
@@ -428,3 +454,21 @@ def test_golden_output_digest(argv, digest):
     code, out = run_cli(argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_renamed_ring_gives_its_own_names():
+    # the engine caches are keyed by the ideal alone, so a document must not
+    # take its spelling from an earlier run on the same ideal in other names
+    run_cli(["reduction", "--ring", "a,b", "--ideal", "a^5, a^2*b^2, b^5"])
+    [(argv, digest)] = [p.values for p in GOLDEN if p.id == "reduction-cm"]
+    test_golden_output_digest(argv, digest)
+    plane = "x^3, x^2*y^4, x*y^5, y^7"  # README's: G is not Cohen-Macaulay
+    assert run_cli(["reduction", "--ring", "x,y", "--ideal", plane])[0] == 0
+    code, out = run_cli(["reduction", "--ring", "u,v", "--ideal",
+                         plane.replace("x", "u").replace("y", "v")])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["vv_certificate"] is False  # the closures come from the colon chain
+    assert result["ideal"] == "(u^3, u*v^5, u^2*v^4, v^7)"
+    for closure in result["ratliff_rush"]:
+        assert "u" in closure and "v" in closure and not set("xy") & set(closure)

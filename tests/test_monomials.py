@@ -104,7 +104,7 @@ def test_intersection_examples():
     k = parse_ideal("c, d, b^2", ABCD)
     assert j.intersection(k) == parse_ideal("b*d, b*c, b^2, c^3", ABCD)
     ideal = parse_ideal("x^2, y^3", XY)
-    assert ideal.intersection(MonomialIdeal.unit(2, XY)) == ideal
+    assert ideal.intersection(MonomialIdeal.unit(2)) == ideal
     assert parse_ideal("x", XY).intersection(parse_ideal("y", XY)) == parse_ideal("x*y", XY)
 
 
@@ -113,7 +113,7 @@ def test_colon_examples():
     assert ideal.colon(parse_ideal("x", XY)) == parse_ideal("x^2, x*y^4, y^5", XY)
     assert parse_ideal("x^2*y, y^3", XY).colon(parse_ideal("y", XY)) == parse_ideal("x^2, y^2", XY)
     with pytest.raises(ZeroIdealColon):
-        ideal.colon(MonomialIdeal.zero(2, XY))
+        ideal.colon(MonomialIdeal.zero(2))
 
 
 def test_saturation_m_primary_is_unit():
@@ -132,7 +132,7 @@ def test_membership_and_m_primary():
     assert not contains_monomial(ideal, mono("x^2*y^3", XY))
     assert ideal.is_m_primary()
     assert not parse_ideal("x*y", XY).is_m_primary()
-    assert not MonomialIdeal.unit(2, XY).is_m_primary()
+    assert not MonomialIdeal.unit(2).is_m_primary()
 
 
 def test_quotient_length_examples():
@@ -244,3 +244,13 @@ def test_parse_and_format_roundtrip():
             parse_ideal(text, XY)
     with pytest.raises(ValueError):
         parse_ideal("q^2", XY)
+    # an ideal is its ring size and generators: names are given to format
+    uv = parse_ideal("u^2, u*v", ("u", "v"))
+    assert uv == parse_ideal("x^2, x*y", XY)
+    assert uv.format() == "(x*y, x^2)"
+    assert (uv * uv).format(("u", "v")) == "(u^2*v^2, u^3*v, u^4)"
+    for names in (("x", ""), ("x", "x y"), ("x", "1"), ("x", "x^2"), ("x", "x")):
+        with pytest.raises(ValueError):
+            parse_ideal("x", names)
+        with pytest.raises(ValueError):
+            uv.format(names)
