@@ -1,8 +1,11 @@
 """Invariants of the I-adic filtration of an m-primary monomial ideal.
 
-The ambient polynomial ring is read as a local ring at the origin.  Ratliff-Rush
-closures are colon-stabilizations inside the monomial world, or the powers
-themselves once G is certified Cohen-Macaulay; the multiplicity
+The ambient polynomial ring is read as a local ring at the origin.  The powers
+I^n are bitsets over a box that holds every monomial outside them
+(`PowerCache`), so products, colons I^(n+k) : I^k, intersections, colengths,
+minimal generators and the layers I^n minus I^(n+1) are whole-int operations.
+Ratliff-Rush closures are stabilizations of the colon chain there, or the
+powers themselves once G is certified Cohen-Macaulay; the multiplicity
 e(I) is d! times the covolume of the Newton polyhedron; reduction numbers are
 exact ranks in the fiber cone (J*I^n = I^(n+1) iff J*I^n spans
 I^(n+1)/m*I^(n+1), by Nakayama); the associated graded ring G is
@@ -18,9 +21,10 @@ rule, not a proof of the tail).
 from __future__ import annotations
 
 import random
+from collections import OrderedDict, namedtuple
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 from operator import add, mul, sub
 
 from .errors import ComputationError, NotAReduction
@@ -32,6 +36,12 @@ from .truncation import Echelon
 # reduction-number trial whose candidate fails the n-bound.
 RR_MAX_STEPS = 64
 RESAMPLES = 4
+# Bits of bitsets that `power_cache` holds in all (4 MiB); its most recent
+# entry stays even when it alone holds more.
+MAX_CACHED_BITS = 1 << 25
+# Largest box of a `PowerCache` (16 MiB per bitset): pure powers of high
+# degree make boxes that would exhaust memory, and the cache refuses them.
+MAX_BOX_BITS = 1 << 27
 
 
 # A candidate reduction: d integer combinations of the minimal generators, each
@@ -39,32 +49,238 @@ RESAMPLES = 4
 Reduction = list[tuple[tuple[tuple[int, ...], int], ...]]
 
 
+def _repunit(period: int, total: int) -> int:
+    """One bit every `period` bits below `total`, built by doubling (a long
+    division of 2^total - 1 by 2^period - 1 takes far longer)."""
+    repunit, width = 1, period
+    while width < total:
+        repunit |= repunit << width
+        width *= 2
+    return repunit & ((1 << total - period + 1) - 1)
+
+
 class PowerCache:
-    """Successive powers of an ideal and their colengths, computed once."""
+    """Successive powers of an m-primary ideal I, as bitsets over one box.
+
+    With b_j the exponent of the pure power of x_j in I, the box holds the
+    exponent vectors a with a_j <= top*b_j, at bit sum_j a_j*S_j (S_0 = 1,
+    S_(j+1) = S_j*N_j, N_j = top*b_j + 1).  The bitset of I^n, n <= top, has
+    bit a set iff x^a is in I^n; every point outside the box is in I^n, and
+    every minimal generator of I^n lies in the box (it has a_j <= n*b_j).  A
+    power past `top` lays the box out again, with `top` at least doubled, and
+    recomputes the powers it is asked for.  Products, colons, intersections,
+    colengths and minimal generators are whole-int operations; `power` gives
+    the boundary `MonomialIdeal`, and every other result is an int or a list
+    of exponent tuples, so no caller sees a layout.
+    """
 
     def __init__(self, ideal: MonomialIdeal):
         self.ideal = ideal
-        self._powers = [MonomialIdeal.unit(ideal.k)]
-        self._lengths: list[int] = [0]
+        self._bounds = ideal.pure_power_bounds()  # InfiniteLength unless m-primary
+        self._ideals: dict[int, MonomialIdeal] = {}
+        self._lengths: list[int] = []
+        self.held_bits = 0  # bits of the bitsets kept, for the bound of `power_cache`
+        self._store = None
+        self._layout(1)
+
+    def _hold(self, bits: int) -> int:
+        """Count a bitset this cache keeps."""
+        self._grew(bits.bit_length())
+        return bits
+
+    def _grew(self, delta: int) -> None:
+        self.held_bits += delta
+        if self._store is not None:
+            self._store.grew(delta)
+
+    def _layout(self, top: int) -> None:
+        """Lay the box out for the powers up to I^top; forget every bitset."""
+        sizes = [top * b + 1 for b in self._bounds]
+        total = prod(sizes)
+        if total > MAX_BOX_BITS:
+            raise ComputationError(f"the powers up to I^{top} need a box of {total} bits,"
+                                   f" more than {MAX_BOX_BITS}")
+        self._top, self._sizes, self._total = top, sizes, total
+        strides = self._strides = [prod(sizes[:j]) for j in range(len(sizes))]
+        full = (1 << total) - 1
+        repunits = [_repunit(stride * size, total) for stride, size in zip(strides, sizes)]
+
+        def below(j: int, v: int) -> int:
+            """The points with a_j < v: v*S_j ones in every period S_j*N_j."""
+            return ((1 << v * strides[j]) - 1) * repunits[j]
+
+        # (offset, fits) per generator g: x^g shifts a point by offset, and
+        # fits holds the points a with a + g still in the box
+        self._shifts = []
+        for g in self.ideal.exps:
+            fits = full
+            for j, e in enumerate(g):
+                if e:
+                    fits &= below(j, sizes[j] - e)
+            self._shifts.append((sum(map(mul, g, strides)), fits))
+        self._ge1 = [full ^ below(j, 1) for j in range(len(sizes))]  # the points with a_j >= 1
+        self._powers = [full]
+        self._closures: dict[int, int] = {}
+        kept = [full, *self._ge1, *(fits for _, fits in self._shifts)]
+        self._grew(sum(bits.bit_length() for bits in kept) - self.held_bits)
+
+    def _bits(self, n: int) -> int:
+        """The bitset of I^n, in the box as it is laid out after the call."""
+        if n > self._top:
+            self._layout(max(n, 2 * self._top))
+        powers = self._powers
+        while len(powers) <= n:
+            last = powers[-1]
+            product = 0
+            for offset, fits in self._shifts:
+                product |= (last & fits) << offset
+            powers.append(self._hold(product))
+        return powers[n]
+
+    def _generators(self, bits: int) -> int:
+        """The minimal generators of an ideal's bitset: its points a with no
+        a - e_j in it."""
+        covered = 0
+        for stride, ge1 in zip(self._strides, self._ge1):
+            covered |= (bits << stride) & ge1
+        return bits & ~covered
+
+    def _points(self, bits: int) -> list[tuple[int, ...]]:
+        """The exponent tuples of the set bits, in (degree, exps) order."""
+        text = format(bits, "b")
+        last = len(text) - 1
+        points = []
+        i = text.find("1")
+        while i >= 0:
+            index, exps = last - i, []
+            for size in self._sizes:
+                index, a = divmod(index, size)
+                exps.append(a)
+            points.append(tuple(exps))
+            i = text.find("1", i + 1)
+        points.sort(key=lambda t: (sum(t), t))
+        return points
+
+    def _ideal_of(self, bits: int) -> MonomialIdeal:
+        """The ideal of a bitset in the present box."""
+        return MonomialIdeal._from_minimal(self.ideal.k, tuple(self._points(self._generators(bits))))
 
     def power(self, n: int) -> MonomialIdeal:
-        while len(self._powers) <= n:
-            self._powers.append(self._powers[-1] * self.ideal)
-        return self._powers[n]
+        ideal = self._ideals.get(n)
+        if ideal is None:
+            bits = self._bits(n)
+            ideal = self._ideals[n] = self._ideal_of(bits)
+        return ideal
 
     def colength(self, n: int) -> int:
+        """ell(R/I^n): the box size less the points of I^n in it."""
         while len(self._lengths) <= n:
-            self._lengths.append(self.power(len(self._lengths)).quotient_length())
+            bits = self._bits(len(self._lengths))
+            self._lengths.append(self._total - bits.bit_count())
         return self._lengths[n]
 
+    def layer(self, n: int) -> list[tuple[int, ...]]:
+        """The monomials of I^n outside I^(n+1), in (degree, exps) order."""
+        inner = self._bits(n + 1)  # first: it may lay the box out again
+        return self._points(self._bits(n) & ~inner)
 
-@lru_cache(maxsize=512)
+    def _colon_by_ideal(self, bits: int, t: int) -> int:
+        """X : I for the bitset of an ideal X containing I^t, t <= top.  A point
+        a outside I^(t-1) has a_j < (t-1)*b_j, so a_j + g_j < t*b_j < N_j for
+        every generator g (g_j <= b_j): no shift wraps there.  The points of
+        I^(t-1) all lie in X : I."""
+        colon = -1
+        for offset, _ in self._shifts:
+            colon &= bits >> offset
+        return colon | self._powers[t - 1]
+
+    def _closure(self, p: int) -> int:
+        """The bitset of the Ratliff-Rush chain's value for I^p (see
+        `ratliff_rush`): member n is I^(p+n) : I^n, taken as n colons by I
+        (J : I^n = (J : I) : I^(n-1))."""
+        closure = self._closures.get(p)
+        if closure is None:
+            top = self._top
+            chain = [self._bits(p)]
+            while not (len(chain) >= 3 and chain[-3] == chain[-2] == chain[-1]):
+                n = len(chain)
+                if n > RR_MAX_STEPS:
+                    raise ComputationError(
+                        f"Ratliff-Rush chain did not stabilize in {RR_MAX_STEPS} steps")
+                member = self._bits(p + n)
+                if self._top != top:  # laid out again: start over in the new box
+                    top, chain = self._top, [self._bits(p)]
+                    continue
+                for i in range(n):
+                    member = self._colon_by_ideal(member, p + n - i)
+                chain.append(member)
+            closure = self._closures[p] = self._hold(chain[-3])
+        return closure
+
+    def closure(self, p: int) -> MonomialIdeal:
+        bits = self._closure(p)
+        return self._ideal_of(bits)
+
+    def h0(self, n: int) -> int:
+        """ell((I^n cap rr(I^(n+1))) / I^(n+1)), rr by the chain of `ratliff_rush`."""
+        closure = self._closure(n + 1)
+        inner = self._bits(n) & closure
+        inner_length = self._total - inner.bit_count()
+        return self.colength(n + 1) - inner_length
+
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _Entries:
+    """The `PowerCache` of each ideal, least recently used first.  Once their
+    bitsets hold more than MAX_CACHED_BITS bits in all, the oldest entries are
+    dropped, down to the most recent one, which always stays."""
+
+    def __init__(self):
+        self.caches: OrderedDict = OrderedDict()
+        self.held_bits = self.hits = self.misses = 0
+
+    def grew(self, delta: int) -> None:
+        self.held_bits += delta
+        while self.held_bits > MAX_CACHED_BITS and len(self.caches) > 1:
+            _, cache = self.caches.popitem(last=False)
+            cache._store = None
+            self.held_bits -= cache.held_bits
+
+    def info(self):
+        return CacheInfo(self.hits, self.misses, MAX_CACHED_BITS, len(self.caches))
+
+    def clear(self) -> None:
+        for cache in self.caches.values():
+            cache._store = None
+        self.caches.clear()
+        self.held_bits = self.hits = self.misses = 0
+
+
+_ENTRIES = _Entries()
+
+
 def power_cache(ideal: MonomialIdeal) -> PowerCache:
-    """Shared per-ideal cache of powers and colengths."""
-    return PowerCache(ideal)
+    """Shared per-ideal cache of powers and colengths.  It is bounded by the
+    bits it holds (see `_Entries`), and `cache_info().maxsize` is that bound."""
+    entries = _ENTRIES
+    cache = entries.caches.get(ideal)
+    if cache is None:
+        entries.misses += 1
+        cache = entries.caches[ideal] = PowerCache(ideal)
+        cache._store = entries
+        entries.grew(cache.held_bits)
+    else:
+        entries.hits += 1
+        entries.caches.move_to_end(ideal)
+    return cache
 
 
-@lru_cache(maxsize=256)
+power_cache.cache_info = _ENTRIES.info
+power_cache.cache_clear = _ENTRIES.clear
+
+
 def ratliff_rush(ideal: MonomialIdeal, power: int = 1) -> MonomialIdeal:
     """Ratliff-Rush closure of I^power, the union of the increasing chain
     (I^(power+n) : I^n), taken at the first repeat plus one confirming step:
@@ -73,13 +289,7 @@ def ratliff_rush(ideal: MonomialIdeal, power: int = 1) -> MonomialIdeal:
     `filtration_report` runs it only when G is not certified Cohen-Macaulay
     (when it is, every power of I is closed; Heinzer-Lantz-Shah 1992).
     """
-    cache = power_cache(ideal)
-    chain = [cache.power(power)]
-    for n in range(1, RR_MAX_STEPS + 1):
-        chain.append(cache.power(power + n).colon(cache.power(n)))
-        if n >= 2 and chain[-3] == chain[-2] == chain[-1]:
-            return chain[-3]
-    raise ComputationError(f"Ratliff-Rush chain did not stabilize in {RR_MAX_STEPS} steps")
+    return power_cache(ideal).closure(power)
 
 
 def h0_G(ideal: MonomialIdeal, n: int) -> int:
@@ -87,9 +297,7 @@ def h0_G(ideal: MonomialIdeal, n: int) -> int:
     ell((I^n intersect rr(I^(n+1))) / I^(n+1)), by the heuristic chain of
     `ratliff_rush`.  `filtration_report` calls it only when G is not certified
     Cohen-Macaulay; prop3.3's gamma gate always does."""
-    cache = power_cache(ideal)
-    inner = cache.power(n).intersection(ratliff_rush(ideal, n + 1))
-    return cache.colength(n + 1) - inner.quotient_length()
+    return power_cache(ideal).h0(n)
 
 
 def gamma_positive(ideal: MonomialIdeal, upto: int) -> bool:
@@ -311,14 +519,11 @@ def cm_h_vector(ideal: MonomialIdeal, reduction: Reduction, r: int) -> tuple[boo
     h = [cache.colength(1)]
     if r <= 1:
         return True, h + [e - h[0]] * r
-    standard = cache.power(1).standard_monomials()
-    below = standard  # the monomials of I^(n-1) outside I^n
+    below = cache.layer(0)  # the monomials of I^(n-1) outside I^n
     for n in range(1, r + 1):
         if sum(h) + r - (n - 1) > e:
             return False, h
-        inner = set(standard)
-        standard = cache.power(n + 1).standard_monomials()
-        layer = [u for u in standard if u not in inner]
+        layer = cache.layer(n)
         ech = Echelon()
         for row in _product_rows(reduction, below, {u: j for j, u in enumerate(layer)}):
             ech.add(row)

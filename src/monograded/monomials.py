@@ -117,6 +117,14 @@ class MonomialIdeal:
         return exps
 
     @classmethod
+    def _from_minimal(cls, k: int, exps: tuple) -> "MonomialIdeal":
+        """The ideal whose minimal generators are `exps`, exponent tuples of
+        length k already in (degree, exps) order; nothing is checked."""
+        ideal = cls.__new__(cls)
+        ideal.k, ideal.exps = k, exps
+        return ideal
+
+    @classmethod
     def zero(cls, k: int) -> "MonomialIdeal":
         return cls(k, ())
 

@@ -8,7 +8,9 @@ from operator import add
 
 from monograded.errors import ComputationError, NotAReduction, ZeroRing
 from monograded.cohomology import CohomologyTable, integer_rank
-from monograded.filtration import Reduction, _product_rows, power_cache, reduction_number_wrt
+from monograded.filtration import (
+    RR_MAX_STEPS, Reduction, _product_rows, power_cache, reduction_number_wrt,
+)
 from monograded.hilbert import HilbertSeries, hilbert_series
 from monograded.monomials import MonomialIdeal, minimalize
 from monograded.semigroup import NumericalSemigroup
@@ -149,10 +151,10 @@ def multiplicity_samuel(ideal: MonomialIdeal, n_bound: int | None = None) -> int
     d = ideal.k
     if n_bound is None:
         n_bound = 6 * d + 14
-    cache = power_cache(ideal)
-    values = [cache.colength(0), cache.colength(1)]
+    powers = [MonomialIdeal.unit(ideal.k), ideal]  # tuple products: independent of the bitsets
+    values = [0, ideal.quotient_length()]
     while len(values) <= n_bound:
-        values.append(cache.colength(len(values)))
+        values.append(tuple_power(powers, len(values)).quotient_length())
         diffs = values
         for _ in range(d):
             diffs = [b - a for a, b in zip(diffs, diffs[1:])]
@@ -738,3 +740,52 @@ def all_vv_levels(ideal: MonomialIdeal, reduction, r: int) -> list:
         if not levels[-1].holds:
             break
     return levels
+
+
+# -- the tuple engine's filtration: the reference for the bitset powers ------
+
+
+def tuple_powers(ideal: MonomialIdeal, top: int) -> list[MonomialIdeal]:
+    """I^0, ..., I^top as products of exponent tuples."""
+    powers = [MonomialIdeal.unit(ideal.k), ideal]
+    tuple_power(powers, top)
+    return powers[: top + 1]
+
+
+def tuple_power(powers: list[MonomialIdeal], n: int) -> MonomialIdeal:
+    """I^n from the list I^0, I^1, ..., extended in place as far as n."""
+    while len(powers) <= n:
+        powers.append(powers[-1] * powers[1])
+    return powers[n]
+
+
+def tuple_ratliff_rush(powers: list[MonomialIdeal], p: int) -> MonomialIdeal:
+    """The Ratliff-Rush chain of `filtration.ratliff_rush` for I^p, with the
+    members I^(p+n) : I^n taken as tuple colons of `tuple_power`."""
+    chain = [tuple_power(powers, p)]
+    for n in range(1, RR_MAX_STEPS + 1):
+        chain.append(tuple_power(powers, p + n).colon(tuple_power(powers, n)))
+        if n >= 2 and chain[-3] == chain[-2] == chain[-1]:
+            return chain[-3]
+    raise ComputationError(f"Ratliff-Rush chain did not stabilize in {RR_MAX_STEPS} steps")
+
+
+def tuple_layer(powers: list[MonomialIdeal], n: int) -> list[tuple[int, ...]]:
+    """The monomials of I^n outside I^(n+1), in (degree, exps) order."""
+    inner = set(powers[n].standard_monomials()) if n else set()  # R/I^0 = 0
+    return [u for u in powers[n + 1].standard_monomials() if u not in inner]
+
+
+def tuple_h_vector(ideal: MonomialIdeal, reduction: Reduction, r: int) -> list[int]:
+    """h_0, ..., h_r of G/J*G as `filtration.cm_h_vector` defines them (without
+    its early stop), from tuple powers and their standard monomials."""
+    powers = tuple_powers(ideal, r + 1)
+    h = [powers[1].quotient_length()]
+    for n in range(1, r + 1):
+        layer = tuple_layer(powers, n)
+        ech = Echelon()
+        for row in _product_rows(reduction, tuple_layer(powers, n - 1),
+                                 {u: j for j, u in enumerate(layer)}):
+            ech.add(row)
+        h.append(len(layer) - ech.dim)
+    return h

@@ -326,14 +326,22 @@ def test_exhausted_resource_is_computation_failure(monkeypatch, exc, resource):
     assert resource in error["message"]
 
 
-@pytest.mark.parametrize("extra, error", [
-    ([], "InfiniteLength"),
-    (["--n-bound", "2"], "NotAReduction"),  # no multiplicity is read, no rank is full
-], ids=["default", "n-bound"])
-def test_reduction_of_the_zero_ideal_in_one_variable_is_computation_error(extra, error):
+@pytest.mark.parametrize("extra", [[], ["--n-bound", "2"]], ids=["default", "n-bound"])
+def test_reduction_of_the_zero_ideal_in_one_variable_is_computation_error(extra):
+    # with a given --n-bound no multiplicity is read, but the powers are
+    # bitsets of an m-primary ideal, checked before the first trial
     code, out = run_cli(["reduction", "--ring", "x", "--ideal", "0", *extra])
     assert code == 1
-    assert json.loads(out)["error"]["type"] == error
+    assert json.loads(out)["error"]["type"] == "InfiniteLength"
+
+
+def test_reduction_whose_box_is_too_large_is_computation_error():
+    # the powers are bitsets over a box of (b_1 + 1)(b_2 + 1) bits at I^1,
+    # here more than MAX_BOX_BITS: refused before anything is allocated
+    code, out = run_cli(["reduction", "--ring", "x,y", "--ideal", "x^100000, y^100000"])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ComputationError" and "box of 10000200001 bits" in error["message"]
 
 
 def test_cohomology_with_many_variables_not_in_the_ideal():
@@ -390,6 +398,8 @@ def test_config_embedded_in_output():
 
 
 HARD = "x^5, y^5, z^5, x^2*y^2, y^2*z^2, x*z^3"
+HARD_B = "x^6, y^6, z^6, x^2*y^3, y^2*z^3, x^3*z^2"
+HARD_C = "x^7, y^7, z^7, x^3*y^2, y^3*z^2, x^2*z^4, x*y*z^3"
 SQUARE = "x^4, y^4, z^4, x^2*y^2, x^2*z^2, y^2*z^2, x^3*y*z, x*y^3*z, x*y*z^3"
 # five variables, not m-primary, with variable maxima 4, 2, 6, 3, 5
 WIDE = "y^2*z^4*u^3, x*y^2*z^6, x^4*z^3*w^3, x^4*y*z^4*w^2*u^4, x^2*y*z^6*w^3*u^5"
@@ -446,6 +456,12 @@ GOLDEN = [
     pytest.param(["verify", "--semigroup", "10,13,15", "--ideal", "38,39", "--bound", "prop3.1"],
                  "b24ed4ae454b72414caba1bf7dd5d887f44916e4bb94f201364b06d62373f1f1",
                  id="prop3.1-plateau"),
+    pytest.param(["reduction", "--ring", "x,y,z", "--ideal", HARD_B],
+                 "b28890a8629fda5d0b44beb3b1ceda1e70f9c58a1003eb63f0d2f0907da022aa",
+                 id="reduction-hard-b"),
+    pytest.param(["reduction", "--ring", "x,y,z", "--ideal", HARD_C],
+                 "34d090ee2b4f27bb9286d08f5ee0e2ec7979d9d1f4e19bb3182c21e71ab25f5e",
+                 id="reduction-hard-c"),
 ]
 
 

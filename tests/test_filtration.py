@@ -21,6 +21,7 @@ from monograded.filtration import (
     reduction_number,
     reduction_number_wrt,
 )
+from monograded.hilbert import reconstruct_series
 from monograded.monomials import MonomialIdeal, parse_ideal
 
 from oracles import (
@@ -31,6 +32,11 @@ from oracles import (
     multiplicity_samuel,
     reduction_colength,
     truncated_reduction_number,
+    tuple_h_vector,
+    tuple_layer,
+    tuple_power,
+    tuple_powers,
+    tuple_ratliff_rush,
     vv_cm_certificate,
     vv_levels,
 )
@@ -40,6 +46,12 @@ EX_IDEAL = parse_ideal("x^3, x^2*y^4, x*y^5, y^7", XY)
 STAIR = parse_ideal("x^4, x^3*y, x*y^3, y^4", XY)
 XYZ = ("x", "y", "z")
 HARD = parse_ideal("x^5, y^5, z^5, x^2*y^2, y^2*z^2, x*z^3", XYZ)
+HARD_LADDER = {  # A is HARD; none of A-D has a Cohen-Macaulay G
+    "A": HARD,
+    "B": parse_ideal("x^6, y^6, z^6, x^2*y^3, y^2*z^3, x^3*z^2", XYZ),
+    "C": parse_ideal("x^7, y^7, z^7, x^3*y^2, y^3*z^2, x^2*z^4, x*y*z^3", XYZ),
+    "D": parse_ideal("x^10, y^10, z^10, x^4*y^3, y^4*z^3, x^3*z^5, x^2*y^2*z^2", XYZ),
+}
 
 
 def test_ratliff_rush_examples():
@@ -463,3 +475,109 @@ def test_cm_h_vector_stop_rule():
     assert cm_h_vector(late, red, r=2) == (False, [38, 20, 6])
     # independent: a Cohen-Macaulay G would have this nonnegative h as its numerator
     assert G_hilbert_series(late).numerator == [38, 16, 7, -1]
+
+
+# -- the bitset powers against the tuple engine --------------------------------
+
+
+def _bitset_cases():
+    cases = [pytest.param([ideal], 4, id=f"hard-{name}") for name, ideal in HARD_LADDER.items()]
+    for k, deg_bound, count, top in ((2, 6, 25, 5), (3, 3, 25, 4), (4, 2, 12, 3)):
+        ideals = [ideal for _, ideal in corpus_monomial(7, count, k, deg_bound)]
+        cases.append(pytest.param(ideals, top, id=f"corpus-k{k}"))
+    return cases
+
+
+@pytest.mark.parametrize("ideals, top", _bitset_cases())
+def test_bitset_engine_matches_tuple_engine(ideals, top):
+    # powers, colengths, mu, layers, colons I^t : I^k, Ratliff-Rush closures
+    # and h^0(G) against products, colons, intersections and standard
+    # monomials of exponent tuples
+    for ideal in ideals:
+        powers = tuple_powers(ideal, top)
+        cache = PowerCache(ideal)
+        for n in range(top + 1):
+            assert cache.power(n) == powers[n]
+            assert cache.colength(n) == (powers[n].quotient_length() if n else 0)
+            assert mu(ideal, n) == powers[n].num_generators()
+        for n in range(top):
+            assert cache.layer(n) == tuple_layer(powers, n)
+        for t in range(2, top + 1):
+            for k in range(1, t):
+                bits = cache._bits(t)
+                for i in range(k):
+                    bits = cache._colon_by_ideal(bits, t - i)
+                assert cache._ideal_of(bits) == powers[t].colon(powers[k]), (ideal, t, k)
+        for p in (1, 2):
+            closure = tuple_ratliff_rush(powers, p)
+            assert cache.closure(p) == ratliff_rush(ideal, p) == closure
+            inner = powers[p - 1].intersection(closure)
+            expected = powers[p].quotient_length() - inner.quotient_length()
+            assert cache.h0(p - 1) == h0_G(ideal, p - 1) == expected
+
+
+def test_bitset_box_laid_out_again_mid_work():
+    # a cache starts with the box of I^1, so every chain, layer loop and
+    # colength sequence below lays it out again while it runs
+    b = HARD_LADDER["B"]
+    cache = PowerCache(b)
+    assert cache._top == 1
+    powers = tuple_powers(b, 1)
+    closure = tuple_ratliff_rush(powers, 2)
+    assert closure != powers[2]  # B^2 is not Ratliff-Rush closed
+    inner = powers[1].intersection(closure)
+    assert cache.h0(1) == powers[2].quotient_length() - inner.quotient_length()
+    assert cache._top >= 4
+    assert cache.closure(2) == closure
+    fresh = PowerCache(b)
+    assert fresh.layer(1) == tuple_layer(powers, 1)  # needs I^2: laid out again
+    assert fresh._top == 2
+    # cm_h_vector's layers from a cold cache, in a G that is Cohen-Macaulay
+    square = parse_ideal("x^2, y^2, z^2, x*y*z", XYZ).power(2)
+    red = minimal_reduction(square, seed=0)
+    r = reduction_number_wrt(red, square)
+    power_cache.cache_clear()
+    is_cm, h = cm_h_vector(square, red, r)
+    assert r == 2 and is_cm and h == tuple_h_vector(square, red, r)
+    assert power_cache(square)._top >= r + 1
+    # the G-series from a cold cache, whose colength differences run past
+    # every box it lays out, against tuple colengths
+    power_cache.cache_clear()
+    powers = tuple_powers(STAIR, 1)
+
+    def length(n):
+        return tuple_power(powers, n).quotient_length() if n else 0
+
+    expected = reconstruct_series(lambda n: length(n + 1) - length(n), 2)
+    assert G_hilbert_series(STAIR).numerator == expected.numerator != []
+    assert expected.numerator[-1] != 0
+
+
+def test_power_cache_is_bounded_by_the_bits_it_holds(monkeypatch):
+    ideals = list(dict.fromkeys(ideal for _, ideal in corpus_monomial(11, 14, 3, 3)))
+    held = []
+    for ideal in ideals[:3]:
+        cache = PowerCache(ideal)
+        cache.power(4)
+        held.append(cache.held_bits)
+    monkeypatch.setattr(filtration, "MAX_CACHED_BITS", 2 * max(held))
+    power_cache.cache_clear()
+    for ideal in ideals:
+        cache = power_cache(ideal)
+        cache.power(4)
+        caches = list(filtration._ENTRIES.caches.values())
+        total = sum(c.held_bits for c in caches)
+        assert caches[-1] is cache  # the most recent entry always stays
+        assert filtration._ENTRIES.held_bits == total
+        assert total <= filtration.MAX_CACHED_BITS or len(caches) == 1
+        assert cache.held_bits >= sum(bits.bit_length() for bits in cache._powers)
+    assert 1 < power_cache.cache_info().currsize < len(ideals)
+    # a dropped entry is computed again, to the same powers
+    first = power_cache(ideals[0])
+    assert power_cache.cache_info().misses == len(ideals) + 1
+    assert first.power(4) == tuple_powers(ideals[0], 4)[4]
+    # one entry larger than the bound stays, alone
+    monkeypatch.setattr(filtration, "MAX_CACHED_BITS", 1)
+    power_cache(ideals[1]).power(2)
+    assert power_cache.cache_info().currsize == 1
+    assert power_cache.cache_info().maxsize == 1

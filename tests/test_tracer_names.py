@@ -9,6 +9,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from monograded.filtration import power_cache
 from monograded.hilbert import hilbert_data_from_series, hilbert_series
 from monograded.monomials import MonomialIdeal
 
@@ -106,3 +107,23 @@ def test_instance_attributes_the_benchmark_reads_exist():
     series = hilbert_series(ideal)
     assert hilbert_data_from_series(series) is series
     assert series.dim == 1 and series.polynomial_value(5) == 1  # y^5 alone
+
+
+def test_power_cache_state_the_benchmark_reads_exists():
+    # layertrace.py counts a power hit as `n < len(cache._powers)`, the powers
+    # computed so far; run.py reads `power_cache.cache_info().currsize` and
+    # empties every cache of the package with `cache_clear()`
+    assert "len(args[0]._powers)" in LAYERTRACE.read_text()
+    run = (PERFBENCH / "run.py").read_text()
+    assert "power_cache.cache_info().currsize" in run and "cache.cache_clear()" in run
+    power_cache.cache_clear()
+    assert power_cache.cache_info().currsize == 0
+    cache = power_cache(MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)]))
+    assert len(cache._powers) == 1  # I^0
+    cache.power(3)
+    assert len(cache._powers) == 4
+    cache.power(2)
+    assert len(cache._powers) == 4
+    assert power_cache.cache_info().currsize == 1
+    power_cache.cache_clear()
+    assert power_cache.cache_info().currsize == 0
