@@ -21,11 +21,11 @@ rule, not a proof of the tail).
 from __future__ import annotations
 
 import random
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, prod
-from operator import add, mul, sub
+from operator import add, attrgetter, mul, sub
 
 from .errors import ComputationError, NotAReduction
 from .hilbert import HilbertSeries, reconstruct_series
@@ -36,12 +36,17 @@ from .truncation import Echelon
 # reduction-number trial whose candidate fails the n-bound.
 RR_MAX_STEPS = 64
 RESAMPLES = 4
-# Bits of bitsets that `power_cache` holds in all (4 MiB); its most recent
-# entry stays even when it alone holds more.
-MAX_CACHED_BITS = 1 << 25
-# Largest box of a `PowerCache` (16 MiB per bitset): pure powers of high
-# degree make boxes that would exhaust memory, and the cache refuses them.
-MAX_BOX_BITS = 1 << 27
+# Bits that the bitsets of one `PowerCache` may hold (512 MiB): the least
+# power of two that lets `x^7, y^7, z^7, w^7, x^2*y^2*z^2`, whose G is not
+# Cohen-Macaulay, read ell(R/I^14).  A box is laid out only when everything
+# it can hold stays below this.
+MAX_ENTRY_BITS = 1 << 32
+# Bits of bitsets that `power_cache` keeps across lookups (2 MiB, under a
+# tenth of the benchmark's peak RSS); the entry returned stays even when it
+# alone holds more.
+MAX_CACHED_BITS = 1 << 24
+# Bytes of a bitset that `_points` reads at a time.
+_CHUNK = 1 << 16
 
 
 # A candidate reduction: d integer combinations of the minimal generators, each
@@ -67,8 +72,8 @@ class PowerCache:
     S_(j+1) = S_j*N_j, N_j = top*b_j + 1).  The bitset of I^n, n <= top, has
     bit a set iff x^a is in I^n; every point outside the box is in I^n, and
     every minimal generator of I^n lies in the box (it has a_j <= n*b_j).  A
-    power past `top` lays the box out again, with `top` at least doubled, and
-    recomputes the powers it is asked for.  Products, colons, intersections,
+    power past `top` lays the box out again (see `_layout`) and recomputes
+    the powers it is asked for.  Products, colons, intersections,
     colengths and minimal generators are whole-int operations; `power` gives
     the boundary `MonomialIdeal`, and every other result is an int or a list
     of exponent tuples, so no caller sees a layout.
@@ -79,27 +84,35 @@ class PowerCache:
         self._bounds = ideal.pure_power_bounds()  # InfiniteLength unless m-primary
         self._ideals: dict[int, MonomialIdeal] = {}
         self._lengths: list[int] = []
-        self.held_bits = 0  # bits of the bitsets kept, for the bound of `power_cache`
-        self._store = None
+        self._top = 0
         self._layout(1)
 
     def _hold(self, bits: int) -> int:
         """Count a bitset this cache keeps."""
-        self._grew(bits.bit_length())
+        self.held_bits += bits.bit_length()
         return bits
 
-    def _grew(self, delta: int) -> None:
-        self.held_bits += delta
-        if self._store is not None:
-            self._store.grew(delta)
-
-    def _layout(self, top: int) -> None:
-        """Lay the box out for the powers up to I^top; forget every bitset."""
+    def _box(self, top: int) -> tuple[list[int], int, int]:
+        """(N_j, box bits, the most bits its bitsets can hold) for the powers up
+        to I^top.  Those are the powers I^0..I^top, the closures (p <= top - 2,
+        as a chain reads I^(p+2)), one mask per generator and one per
+        variable: at most 2*top + |gens| + k bitsets, none longer than the box."""
         sizes = [top * b + 1 for b in self._bounds]
         total = prod(sizes)
-        if total > MAX_BOX_BITS:
-            raise ComputationError(f"the powers up to I^{top} need a box of {total} bits,"
-                                   f" more than {MAX_BOX_BITS}")
+        return sizes, total, total * (2 * top + len(self.ideal.exps) + len(sizes))
+
+    def _layout(self, n: int) -> None:
+        """Lay the box out for the powers up to I^top, top the least of twice
+        the present top and the largest one whose bitsets can hold at most
+        MAX_ENTRY_BITS, but at least n; forget every bitset."""
+        top = max(n, 2 * self._top)
+        while top > n and self._box(top)[2] > MAX_ENTRY_BITS:
+            top -= 1
+        sizes, total, most = self._box(top)
+        if most > MAX_ENTRY_BITS:
+            raise ComputationError(
+                f"the powers up to I^{top} need a box of {total} bits, whose bitsets"
+                f" can hold {most} bits, more than {MAX_ENTRY_BITS}")
         self._top, self._sizes, self._total = top, sizes, total
         strides = self._strides = [prod(sizes[:j]) for j in range(len(sizes))]
         full = (1 << total) - 1
@@ -122,12 +135,12 @@ class PowerCache:
         self._powers = [full]
         self._closures: dict[int, int] = {}
         kept = [full, *self._ge1, *(fits for _, fits in self._shifts)]
-        self._grew(sum(bits.bit_length() for bits in kept) - self.held_bits)
+        self.held_bits = sum(bits.bit_length() for bits in kept)
 
     def _bits(self, n: int) -> int:
         """The bitset of I^n, in the box as it is laid out after the call."""
         if n > self._top:
-            self._layout(max(n, 2 * self._top))
+            self._layout(n)
         powers = self._powers
         while len(powers) <= n:
             last = powers[-1]
@@ -146,18 +159,22 @@ class PowerCache:
         return bits & ~covered
 
     def _points(self, bits: int) -> list[tuple[int, ...]]:
-        """The exponent tuples of the set bits, in (degree, exps) order."""
-        text = format(bits, "b")
-        last = len(text) - 1
+        """The exponent tuples of the set bits, in (degree, exps) order.  The
+        bits are read in pieces of _CHUNK bytes, so no text as long as the box
+        is built."""
+        data = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
         points = []
-        i = text.find("1")
-        while i >= 0:
-            index, exps = last - i, []
-            for size in self._sizes:
-                index, a = divmod(index, size)
-                exps.append(a)
-            points.append(tuple(exps))
-            i = text.find("1", i + 1)
+        for start in range(0, len(data), _CHUNK):
+            text = format(int.from_bytes(data[start:start + _CHUNK], "little"), "b")
+            last = 8 * start + len(text) - 1
+            i = text.find("1")
+            while i >= 0:
+                index, exps = last - i, []
+                for size in self._sizes:
+                    index, a = divmod(index, size)
+                    exps.append(a)
+                points.append(tuple(exps))
+                i = text.find("1", i + 1)
         points.sort(key=lambda t: (sum(t), t))
         return points
 
@@ -233,47 +250,42 @@ CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 class _Entries:
-    """The `PowerCache` of each ideal, least recently used first.  Once their
-    bitsets hold more than MAX_CACHED_BITS bits in all, the oldest entries are
-    dropped, down to the most recent one, which always stays."""
+    """The `PowerCache` of each ideal, least recently used first."""
 
     def __init__(self):
-        self.caches: OrderedDict = OrderedDict()
-        self.held_bits = self.hits = self.misses = 0
+        self.caches: dict[MonomialIdeal, PowerCache] = {}
+        self.hits = self.misses = 0
 
-    def grew(self, delta: int) -> None:
-        self.held_bits += delta
-        while self.held_bits > MAX_CACHED_BITS and len(self.caches) > 1:
-            _, cache = self.caches.popitem(last=False)
-            cache._store = None
-            self.held_bits -= cache.held_bits
+    def held_bits(self) -> int:
+        return sum(map(attrgetter("held_bits"), self.caches.values()))
 
     def info(self):
         return CacheInfo(self.hits, self.misses, MAX_CACHED_BITS, len(self.caches))
 
     def clear(self) -> None:
-        for cache in self.caches.values():
-            cache._store = None
         self.caches.clear()
-        self.held_bits = self.hits = self.misses = 0
+        self.hits = self.misses = 0
 
 
 _ENTRIES = _Entries()
 
 
 def power_cache(ideal: MonomialIdeal) -> PowerCache:
-    """Shared per-ideal cache of powers and colengths.  It is bounded by the
-    bits it holds (see `_Entries`), and `cache_info().maxsize` is that bound."""
+    """Shared per-ideal cache of powers and colengths.  Once the entries hold
+    more than MAX_CACHED_BITS bits in all, the least recently used are dropped,
+    down to the one returned; `cache_info().maxsize` is that bound."""
     entries = _ENTRIES
-    cache = entries.caches.get(ideal)
+    caches = entries.caches
+    cache = caches.pop(ideal, None)
     if cache is None:
         entries.misses += 1
-        cache = entries.caches[ideal] = PowerCache(ideal)
-        cache._store = entries
-        entries.grew(cache.held_bits)
+        cache = PowerCache(ideal)
     else:
         entries.hits += 1
-        entries.caches.move_to_end(ideal)
+    caches[ideal] = cache
+    held = entries.held_bits()
+    while held > MAX_CACHED_BITS and len(caches) > 1:
+        held -= caches.pop(next(iter(caches))).held_bits
     return cache
 
 

@@ -337,7 +337,8 @@ def test_reduction_of_the_zero_ideal_in_one_variable_is_computation_error(extra)
 
 def test_reduction_whose_box_is_too_large_is_computation_error():
     # the powers are bitsets over a box of (b_1 + 1)(b_2 + 1) bits at I^1,
-    # here more than MAX_BOX_BITS: refused before anything is allocated
+    # whose bitsets could hold more than MAX_ENTRY_BITS: refused before
+    # anything is allocated
     code, out = run_cli(["reduction", "--ring", "x,y", "--ideal", "x^100000, y^100000"])
     assert code == 1
     error = json.loads(out)["error"]
@@ -462,6 +463,11 @@ GOLDEN = [
     pytest.param(["reduction", "--ring", "x,y,z", "--ideal", HARD_C],
                  "34d090ee2b4f27bb9286d08f5ee0e2ec7979d9d1f4e19bb3182c21e71ab25f5e",
                  id="reduction-hard-c"),
+    # four variables, G not Cohen-Macaulay: the G-series reads ell(R/I^14),
+    # whose box (99^4 bits) is the largest that MAX_ENTRY_BITS allows here
+    pytest.param(["reduction", "--ring", "x,y,z,w", "--ideal", "x^7, y^7, z^7, w^7, x^2*y^2*z^2"],
+                 "fd87b3872df1622cb32473e89776c2341e5ecf9932abe50dd7e856e018ad7b36",
+                 id="reduction-4var-x7"),
 ]
 
 

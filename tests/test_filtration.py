@@ -4,8 +4,7 @@ import pytest
 
 from monograded import filtration
 from monograded.bounds import corpus_monomial, instance_seed, random_m_primary_ideal
-from monograded.errors import NotAReduction
-from monograded.errors import InfiniteLength
+from monograded.errors import ComputationError, InfiniteLength, NotAReduction
 from monograded.filtration import (
     G_hilbert_series,
     PowerCache,
@@ -553,6 +552,51 @@ def test_bitset_box_laid_out_again_mid_work():
     assert expected.numerator[-1] != 0
 
 
+def test_box_grows_only_as_far_as_the_entry_bound_allows(monkeypatch):
+    cache = PowerCache(STAIR)
+    cache.power(4)
+    assert cache._top == 4
+    # doubling to I^8 would pass the bound: the box is laid out for the
+    # largest top that stays below it
+    monkeypatch.setattr(filtration, "MAX_ENTRY_BITS", cache._box(6)[2])
+    powers = tuple_powers(STAIR, 6)
+    assert cache.power(5) == powers[5] and cache._top == 6
+    assert cache.power(6) == powers[6] and cache.colength(6) == powers[6].quotient_length()
+    assert cache.closure(4) == tuple_ratliff_rush(powers, 4)
+    # a power whose own box passes the bound is refused before it is laid out
+    with pytest.raises(ComputationError, match=r"up to I\^7 need a box of 841 bits"):
+        cache.power(7)
+    assert cache._top == 6 and cache.power(6) == powers[6]
+
+
+@pytest.mark.parametrize("name", ["B", "C"])
+def test_entry_holds_no_more_than_its_box_bound(name):
+    # after a whole report (powers, layers, closures, h^0, the G-series) an
+    # entry holds at most 2*top + |gens| + k bitsets, none longer than the box
+    ideal = HARD_LADDER[name]
+    power_cache.cache_clear()
+    filtration.filtration_report(ideal)
+    cache = power_cache(ideal)
+    held = [*cache._powers, *cache._closures.values(), *cache._ge1,
+            *(fits for _, fits in cache._shifts)]
+    assert cache.held_bits == sum(bits.bit_length() for bits in held)
+    assert len(held) <= 2 * cache._top + len(ideal.exps) + ideal.k
+    assert cache.held_bits <= cache._box(cache._top)[2] <= filtration.MAX_ENTRY_BITS
+    assert max(bits.bit_length() for bits in held) <= cache._total
+
+
+def test_where_the_entry_bound_refuses_in_four_variables():
+    # a G that is not Cohen-Macaulay in four variables reads ell(R/I^14): its
+    # box fits the bound for pure powers x_j^7 and is refused from x_j^8
+    wxyz = ("x", "y", "z", "w")
+    seven = PowerCache(parse_ideal("x^7, y^7, z^7, w^7, x^2*y^2*z^2", wxyz))
+    assert seven._box(14)[2] <= filtration.MAX_ENTRY_BITS < seven._box(15)[2]
+    eight = PowerCache(parse_ideal("x^8, y^8, z^8, w^8, x^2*y^2*z^2", wxyz))
+    assert eight._box(13)[2] <= filtration.MAX_ENTRY_BITS < eight._box(14)[2]
+    with pytest.raises(ComputationError, match=r"up to I\^14 need a box of 163047361 bits"):
+        eight.power(14)
+
+
 def test_power_cache_is_bounded_by_the_bits_it_holds(monkeypatch):
     ideals = list(dict.fromkeys(ideal for _, ideal in corpus_monomial(11, 14, 3, 3)))
     held = []
@@ -563,13 +607,13 @@ def test_power_cache_is_bounded_by_the_bits_it_holds(monkeypatch):
     monkeypatch.setattr(filtration, "MAX_CACHED_BITS", 2 * max(held))
     power_cache.cache_clear()
     for ideal in ideals:
+        # the bound holds after every lookup; the entry returned may then grow
         cache = power_cache(ideal)
-        cache.power(4)
         caches = list(filtration._ENTRIES.caches.values())
-        total = sum(c.held_bits for c in caches)
         assert caches[-1] is cache  # the most recent entry always stays
-        assert filtration._ENTRIES.held_bits == total
+        total = filtration._ENTRIES.held_bits()
         assert total <= filtration.MAX_CACHED_BITS or len(caches) == 1
+        cache.power(4)
         assert cache.held_bits >= sum(bits.bit_length() for bits in cache._powers)
     assert 1 < power_cache.cache_info().currsize < len(ideals)
     # a dropped entry is computed again, to the same powers
