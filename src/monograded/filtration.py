@@ -214,24 +214,25 @@ class PowerCache:
     def _closure(self, p: int) -> int:
         """The bitset of the Ratliff-Rush chain's value for I^p (see
         `ratliff_rush`): member n is I^(p+n) : I^n, taken as n colons by I
-        (J : I^n = (J : I) : I^(n-1))."""
+        (J : I^n = (J : I) : I^(n-1)).  Only the three newest members are
+        kept."""
         closure = self._closures.get(p)
         if closure is None:
-            top = self._top
-            chain = [self._bits(p)]
-            while not (len(chain) >= 3 and chain[-3] == chain[-2] == chain[-1]):
-                n = len(chain)
+            top, n = self._top, 0
+            newest = [self._bits(p)]  # members n-2, n-1, n
+            while not (len(newest) == 3 and newest[0] == newest[1] == newest[2]):
+                n += 1
                 if n > RR_MAX_STEPS:
                     raise ComputationError(
                         f"Ratliff-Rush chain did not stabilize in {RR_MAX_STEPS} steps")
                 member = self._bits(p + n)
                 if self._top != top:  # laid out again: start over in the new box
-                    top, chain = self._top, [self._bits(p)]
+                    top, n, newest = self._top, 0, [self._bits(p)]
                     continue
                 for i in range(n):
                     member = self._colon_by_ideal(member, p + n - i)
-                chain.append(member)
-            closure = self._closures[p] = self._hold(chain[-3])
+                newest = [*newest[-2:], member]
+            closure = self._closures[p] = self._hold(newest[0])
         return closure
 
     def closure(self, p: int) -> MonomialIdeal:
