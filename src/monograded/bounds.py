@@ -4,10 +4,11 @@ Every checker evaluates both sides of one inequality on a concrete instance,
 with every hypothesis machine-checked; `hypothesis-unverified` and `skipped`
 are first-class outcomes, never silently folded into the pass column.  The
 reduction-number bounds prop3.3 and prop3.4 are checked where the associated
-graded ring G is Cohen-Macaulay, decided exactly as ell(G/J*G) = e(I); its
-h-vector then gives the lengths they need.  `BOUNDS` maps each bound's name
-to its checker, the instances it applies to and its corpus; corpus runs are
-seeded and deterministic.
+graded ring G is Cohen-Macaulay, decided exactly as ell(G/J*G) = e(I), once
+per ideal (`filtration.cm_reduction_number`); its h-vector then gives the
+lengths they need, and r(I) = deg h with no further trial.  `BOUNDS` maps
+each bound's name to its checker, the instances it applies to and its
+corpus; corpus runs are seeded and deterministic.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ VIOLATED = "violated"
 UNVERIFIED = "hypothesis-unverified"
 SKIPPED = "skipped"
 
-# Seeded candidate reductions per instance; r(I) is the least r_J among them.
+# Seeded candidate reductions per instance when G is not Cohen-Macaulay; r(I)
+# is the least r_J among them.  A Cohen-Macaulay G needs one trial, or none
+# once its verdict is known: r_J = deg h for every minimal reduction J.
 PROP_3_3_TRIALS = 3
 PROP_3_4_TRIALS = 2
 
@@ -143,8 +146,7 @@ def verify_prop_3_3(ideal: MonomialIdeal, instance_id: str = "", seed: int = 0) 
     """
     if ideal.k != 2:
         raise ComputationError("prop3.3 checker needs a plane (two-variable) ideal")
-    r, reduction, _ = filtration.reduction_number(ideal, trials=PROP_3_3_TRIALS, seed=seed)
-    certificate, h = filtration.cm_h_vector(ideal, reduction, r)
+    r, certificate, h = filtration.cm_reduction_number(ideal, PROP_3_3_TRIALS, seed)
     if not certificate:
         if not filtration.gamma_positive(ideal, r + 1):
             witness = {"reason": "gamma gate failed: h^0(G) does not vanish", "r": r}
@@ -176,8 +178,7 @@ def verify_prop_3_4(ideal: MonomialIdeal, instance_id: str = "", seed: int = 0) 
     + h_r from the h-vector of G/J*G."""
     if ideal.k < 3:
         raise ComputationError("prop3.4 checker needs at least three variables")
-    r_j, reduction, _ = filtration.reduction_number(ideal, trials=PROP_3_4_TRIALS, seed=seed)
-    certificate, h = filtration.cm_h_vector(ideal, reduction, r_j)
+    r_j, certificate, h = filtration.cm_reduction_number(ideal, PROP_3_4_TRIALS, seed)
     if not certificate:  # the Valabrega-Valla condition holds iff G is Cohen-Macaulay
         witness = {"reason": "Valabrega-Valla certificate false", "r": r_j}
         return BoundReport(instance_id, "prop3.4", None, None, UNVERIFIED, witness)

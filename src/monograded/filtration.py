@@ -10,12 +10,12 @@ e(I) is d! times the covolume of the Newton polyhedron; reduction numbers are
 exact ranks in the fiber cone (J*I^n = I^(n+1) iff J*I^n spans
 I^(n+1)/m*I^(n+1), by Nakayama); the associated graded ring G is
 Cohen-Macaulay iff ell(G/J*G) = e(I), each degree of G/J*G an exact rank in
-the finite monomial space I^n/I^(n+1).  The fiber cone series, and the
-G-series of a G that is not Cohen-Macaulay, are reconstructed from finitely
-many length/generator counts: counts are read until their series times
-(1 - lambda)^k ends in five zero coefficients, the last two of which check
-that the numerator before them predicts the two newest counts (a stopping
-rule, not a proof of the tail).
+the finite monomial space I^n/I^(n+1), decided once per ideal.  The fiber
+cone series, and the G-series of a G that is not Cohen-Macaulay, are
+reconstructed from finitely many length/generator counts: counts are read
+until their series times (1 - lambda)^k ends in five zero coefficients, the
+last two of which check that the numerator before them predicts the two
+newest counts (a stopping rule, not a proof of the tail).
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, count, islice
 from math import gcd, prod
-from operator import add, attrgetter, mul, sub
+from operator import add, attrgetter, itemgetter, mul, sub
 
 from .errors import ComputationError, NotAReduction
 from .hilbert import HilbertSeries, reconstruct_series
@@ -85,6 +85,9 @@ class PowerCache:
         self._ideals: dict[int, MonomialIdeal] = {}
         self._lengths: list[int] = []
         self._top = 0
+        # (is_cm, h) of `cm_h_vector` once decided on some minimal reduction;
+        # neither depends on which (see `cm_reduction_number`)
+        self.verdict: tuple[bool, list[int]] | None = None
         self._layout(1)
 
     def _hold(self, bits: int) -> int:
@@ -109,7 +112,9 @@ class PowerCache:
         while top > n and self._box(top)[2] > MAX_ENTRY_BITS:
             top -= 1
         sizes, total, most = self._box(top)
-        if most > MAX_ENTRY_BITS:
+        if most > MAX_ENTRY_BITS:  # name the least power refused, as asking one by one would
+            top = next(m for m in range(self._top + 1, n + 1) if self._box(m)[2] > MAX_ENTRY_BITS)
+            sizes, total, most = self._box(top)
             raise ComputationError(
                 f"the powers up to I^{top} need a box of {total} bits, whose bitsets"
                 f" can hold {most} bits, more than {MAX_ENTRY_BITS}")
@@ -469,6 +474,26 @@ def reduction_number_wrt(
     raise NotAReduction(f"not a reduction within n <= {n_bound}")
 
 
+def _trials(ideal: MonomialIdeal, seed: int, coeff_bound: int = 100, n_bound: int | None = None):
+    """The seeded trials of `reduction_number`, without end: (r_J, J, record)
+    per trial, each candidate that fails the n-bound resampled a bounded
+    number of times before the trial errors out."""
+    for trial in count():
+        for attempt in range(RESAMPLES + 1):
+            trial_seed = seed * 1_000_003 + trial * 1_009 + attempt
+            candidate = minimal_reduction(ideal, trial_seed, coeff_bound)
+            try:
+                r = reduction_number_wrt(candidate, ideal, n_bound=n_bound)
+            except NotAReduction:
+                continue
+            yield r, candidate, {"seed": trial_seed, "r": r}
+            break
+        else:
+            raise NotAReduction(
+                f"trial {trial}: no reduction found in {RESAMPLES + 1} samples"
+            )
+
+
 def reduction_number(
     ideal: MonomialIdeal,
     trials: int,
@@ -480,32 +505,52 @@ def reduction_number(
     the first candidate J that reaches it, and one {"seed", "r"} record per
     trial.
 
-    Sampling genericity: correct with high probability over the rationals, and
-    each candidate that fails the n-bound is resampled a bounded number of
-    times before the trial errors out.
+    Sampling genericity: correct with high probability over the rationals.
+    Each r_J is exact, so r is an upper bound for r(I).  It is r(I) itself
+    when G is Cohen-Macaulay, where r_J = deg h for every minimal reduction
+    (N. V. Trung, Proc. AMS 101, 1987), so one trial decides it there; see
+    `cm_reduction_number`.
     """
     if trials < 1:
         raise ValueError(f"reduction_number needs at least one trial, got {trials}")
-    trials_out = []
-    best = None  # (r_J, J) of the first trial that reaches the least r_J
-    for trial in range(trials):
-        r = None
-        for attempt in range(RESAMPLES + 1):
-            trial_seed = seed * 1_000_003 + trial * 1_009 + attempt
-            candidate = minimal_reduction(ideal, trial_seed, coeff_bound)
-            try:
-                r = reduction_number_wrt(candidate, ideal, n_bound=n_bound)
-            except NotAReduction:
-                continue
-            trials_out.append({"seed": trial_seed, "r": r})
-            break
-        if r is None:
-            raise NotAReduction(
-                f"trial {trial}: no reduction found in {RESAMPLES + 1} samples"
-            )
-        if best is None or r < best[0]:
-            best = r, candidate
-    return (*best, trials_out)
+    runs = list(islice(_trials(ideal, seed, coeff_bound, n_bound), trials))
+    r, reduction, _ = min(runs, key=itemgetter(0))  # the first least trial
+    return r, reduction, [record for _, _, record in runs]
+
+
+def _check_cm(r: int, h: list[int]) -> None:
+    """A Cohen-Macaulay G has r_J = deg h and h_r >= 1 for every minimal
+    reduction J (Trung 1987); a mismatch is a fault of this engine."""
+    if len(h) - 1 != r or h[-1] < 1:
+        raise ComputationError(
+            f"self-check failed: r_J = {r}, but G is Cohen-Macaulay with h = {h}")
+
+
+def cm_reduction_number(
+    ideal: MonomialIdeal, trials: int, seed: int = 0
+) -> tuple[int, bool, list[int]]:
+    """(r, is_cm, h): r(I) from `trials` seeded trials, and whether G is
+    Cohen-Macaulay with the h-vector of `cm_h_vector`.
+
+    The verdict is decided once per ideal, on the first trial's J, and kept
+    on its `power_cache` entry: neither it nor h depends on J.  A
+    Cohen-Macaulay G gives r = deg h for every minimal reduction (Trung
+    1987), so no further trial runs; otherwise r is the minimum over all
+    `trials` trials, as `reduction_number` takes it.
+    """
+    cache = power_cache(ideal)
+    if cache.verdict is not None:
+        is_cm, h = cache.verdict
+        return (len(h) - 1 if is_cm else reduction_number(ideal, trials, seed)[0]), is_cm, h
+    runs = _trials(ideal, seed)
+    r, reduction, _ = next(runs)
+    is_cm, h = cm_h_vector(ideal, reduction, r)
+    if is_cm:
+        _check_cm(r, h)
+    else:
+        r = min([r, *(r_j for r_j, _, _ in islice(runs, trials - 1))])
+    cache.verdict = is_cm, h  # kept only once checked
+    return r, is_cm, h
 
 
 # -- Cohen-Macaulayness of G ------------------------------------------------
@@ -567,12 +612,22 @@ def filtration_report(
     the closures are I^n and h^0(G)_n = ell((I^n cap I^(n+1)) / I^(n+1)) = 0,
     with proof.  The chain of `ratliff_rush` lies between I^n and its closure,
     so it would return the same I^n; it runs only when G is not certified.
+
+    Every trial runs and is printed.  The verdict on G is the one that
+    `cm_reduction_number` keeps on the ideal's `power_cache` entry, decided
+    here on the least trial's J when there is none yet; with a Cohen-Macaulay
+    G, every trial's r_J must be deg h.
     """
     cache = power_cache(ideal)
+    cache.power(powers)  # lays the box out for the powers reported, or refuses it now
     r, reduction, trial_list = reduction_number(
         ideal, trials=trials, seed=seed, coeff_bound=coeff_bound, n_bound=n_bound
     )
-    certified, h = cm_h_vector(ideal, reduction, r)
+    certified, h = cache.verdict or cm_h_vector(ideal, reduction, r)
+    if certified:
+        for trial in trial_list:
+            _check_cm(trial["r"], h)
+    cache.verdict = certified, h  # kept only once checked
     closure = cache.power if certified else lambda n: ratliff_rush(ideal, n)
     return {
         "ideal": ideal.format(names),

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from monograded import filtration
 from monograded.bounds import (
     BOUNDS,
     HOLDS,
+    PROP_3_3_TRIALS,
+    PROP_3_4_TRIALS,
     SHARP,
     SKIPPED,
     UNVERIFIED,
@@ -21,13 +24,14 @@ from monograded.bounds import (
     verify_prop_3_4,
 )
 from monograded.errors import ComputationError
-from monograded.filtration import reduction_number
+from monograded.filtration import power_cache, reduction_number
 from monograded.monomials import MonomialIdeal, parse_ideal
 from monograded.semigroup import NumericalSemigroup, SemigroupIdeal
 
 from oracles import prop34_lengths
 
 XY = ("x", "y")
+XYZ = ("x", "y", "z")
 ABCD = ("a", "b", "c", "d")
 N_IDEAL = parse_ideal("b*d, b*c, b^2, c^3", ABCD)
 
@@ -113,6 +117,52 @@ def test_prop34_witnesses_match_separate_certificates():
             assert rep.witness["l_I2_JI"] == l_i2_ji, iid
             compared.add(rep.witness["r_J"])
     assert {0, 1, 2} <= compared
+
+
+@pytest.mark.parametrize("bound, k, deg_bound, count",
+                         [("prop3.3", 2, 6, 60), ("prop3.4", 3, 3, 120)])
+def test_cold_and_warm_documents_agree(bound, k, deg_bound, count):
+    # a warm run reads the verdict on G that a run at another seed decided:
+    # the same document as from cold caches
+    check = BOUNDS[bound].check
+    for i, (iid, ideal) in enumerate(corpus_monomial(0, count, k, deg_bound)):
+        seed = instance_seed(0, i)
+        power_cache.cache_clear()
+        cold = check(ideal, iid, seed).to_dict()
+        power_cache.cache_clear()
+        check(ideal, iid, seed + 1)
+        check(ideal, iid, seed + 2)
+        assert check(ideal, iid, seed).to_dict() == cold, iid
+
+
+@pytest.mark.parametrize("check, trials, cm, not_cm", [
+    (verify_prop_3_4, PROP_3_4_TRIALS, parse_ideal("x^2, y^2, z^2, x*y*z", XYZ).power(2),
+     parse_ideal("x^4, x^3*y, x*y^3, y^4, z", XYZ)),
+    (verify_prop_3_3, PROP_3_3_TRIALS, parse_ideal("x^5, x^2*y^2, y^5", XY),
+     parse_ideal("x^4, x^3*y, x*y^3, y^4", XY)),
+], ids=["prop3.4", "prop3.3"])
+def test_trials_in_a_warm_session(monkeypatch, check, trials, cm, not_cm):
+    # a Cohen-Macaulay G: one trial and one verdict for three seeds; otherwise
+    # every seed runs all its trials, and the verdict is still decided once
+    calls = {"reduction_number_wrt": 0, "cm_h_vector": 0}
+
+    def counting(name):
+        real = getattr(filtration, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(filtration, name, counting(name))
+    power_cache.cache_clear()
+    cases = ((cm, (HOLDS, SHARP), 1), (not_cm, (SKIPPED, UNVERIFIED), 3 * trials))
+    for ideal, status, runs in cases:
+        calls.update(dict.fromkeys(calls, 0))
+        for seed in (0, 1, 2):
+            assert check(ideal, "warm", seed).status in status
+        assert calls == {"reduction_number_wrt": runs, "cm_h_vector": 1}
 
 
 def test_statuses_and_no_violations_on_corpora():

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from monograded import cli
+from monograded import cli, filtration
 
 
 def run_cli(argv):
@@ -343,6 +343,54 @@ def test_reduction_whose_box_is_too_large_is_computation_error():
     assert code == 1
     error = json.loads(out)["error"]
     assert error["type"] == "ComputationError" and "box of 10000200001 bits" in error["message"]
+
+
+@pytest.mark.parametrize("ideal, refused", [
+    ("x^5000, y^5000", "I^4 need a box of 400040001 bits, whose bitsets can hold 4800480012"),
+    ("x^20000, y^20000", "I^2 need a box of 1600080001 bits, whose bitsets can hold 12800640008"),
+], ids=["x5000", "x20000"])
+def test_refused_powers_are_refused_before_the_first_trial(monkeypatch, ideal, refused):
+    # the report reads I^4, so that box is asked for first: it is laid out
+    # twice (I^1, then the refused one), not once per power on the way, and
+    # the document names the least power refused, as it did when reached there
+    layouts = []
+    real = filtration.PowerCache._layout
+
+    def counting(self, n):
+        layouts.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(filtration.PowerCache, "_layout", counting)
+    filtration.power_cache.cache_clear()
+    code, out = run_cli(["reduction", "--ring", "x,y", "--ideal", ideal])
+    assert code == 1 and layouts == [1, 4]
+    assert json.loads(out)["error"] == {
+        "type": "ComputationError",
+        "message": f"the powers up to {refused} bits, more than 4294967296"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--ring", "x,y", "--ideal", "x^5, x^2*y^2, y^5", "--bound", "prop3.3"],
+    ["verify", "--ring", "x,y,z", "--ideal", "x^2, y^2, z^2", "--bound", "prop3.4"],
+    ["reduction", "--ring", "x,y", "--ideal", "x^5, x^2*y^2, y^5"],
+], ids=["prop3.3", "prop3.4", "reduction"])
+def test_self_check_of_a_cohen_macaulay_g_fails_with_exit_1(monkeypatch, argv):
+    # an h-vector one entry short no longer gives r_J = deg h
+    real = filtration.cm_h_vector
+
+    def short(*args):
+        is_cm, h = real(*args)
+        return is_cm, h[:-1]
+
+    monkeypatch.setattr(filtration, "cm_h_vector", short)
+    filtration.power_cache.cache_clear()
+    code, out = run_cli(argv)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ComputationError"
+    assert error["message"].startswith("self-check failed: r_J = ")
+    # a verdict that failed its check is not kept for later runs
+    assert all(cache.verdict is None for cache in filtration._ENTRIES.caches.values())
 
 
 def test_cohomology_with_many_variables_not_in_the_ideal():

@@ -329,7 +329,8 @@ def test_hard_ideal_reduction_and_vv_failure():
 
 
 def test_filtration_report_runs_one_certificate(monkeypatch):
-    # the report's a(G) and G-numerator read the verdict it already has
+    # the report's a(G) and G-numerator read the verdict it already has, and
+    # a verdict kept from an earlier run on the same ideal is not decided again
     calls = []
     real = filtration.cm_h_vector
 
@@ -338,6 +339,7 @@ def test_filtration_report_runs_one_certificate(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(filtration, "cm_h_vector", counting)
+    power_cache.cache_clear()
     m2 = parse_ideal("x^2, x*y, y^2", XY)
     report = filtration.filtration_report(m2)
     assert calls == [m2]
@@ -346,6 +348,9 @@ def test_filtration_report_runs_one_certificate(monkeypatch):
     assert calls == [m2, STAIR]
     assert not shallow["vv_certificate"] and shallow["a_G"] is None
     assert shallow["G_numerator"] == G_hilbert_series(STAIR).numerator
+    assert filtration.filtration_report(m2, seed=5)["trials"] != report["trials"]
+    assert filtration.filtration_report(STAIR, seed=5)["G_numerator"] == shallow["G_numerator"]
+    assert calls == [m2, STAIR]
 
 
 @pytest.mark.parametrize("k, deg_bound, count, cm_count", [(2, 6, 200, 192), (3, 3, 120, 108)])
@@ -364,6 +369,25 @@ def test_certified_cm_closures_are_the_powers(k, deg_bound, count, cm_count):
             assert ratliff_rush(ideal, n) == power_cache(ideal).power(n)
             assert h0_G(ideal, n) == 0
     assert certified_count == cm_count
+
+
+@pytest.mark.parametrize("k, deg_bound, count, cm_count", [(2, 6, 60, 59), (3, 3, 120, 108)])
+def test_trung_invariance_on_the_corpora(k, deg_bound, count, cm_count):
+    # a Cohen-Macaulay G has r_J = deg h for every minimal reduction J (Trung
+    # 1987), and whether G is Cohen-Macaulay does not depend on J: so one
+    # trial decides both, as `cm_reduction_number` trusts
+    certified = 0
+    for i, (_, ideal) in enumerate(corpus_monomial(0, count, k, deg_bound)):
+        _, _, trials = reduction_number(ideal, trials=3, seed=instance_seed(0, i))
+        verdicts = [(t["r"], *cm_h_vector(ideal, minimal_reduction(ideal, t["seed"]), t["r"]))
+                    for t in trials]
+        if verdicts[0][1]:
+            certified += 1
+            r, _, h = verdicts[0]
+            assert verdicts == [(r, True, h)] * 3 and r == len(h) - 1 and h[-1] >= 1
+        else:
+            assert not any(is_cm for _, is_cm, _ in verdicts)
+    assert certified == cm_count
 
 
 def test_filtration_report_skips_the_chain_when_certified(monkeypatch):
