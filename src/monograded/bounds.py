@@ -73,11 +73,12 @@ def _status_le(lhs: int, rhs: int) -> str:
 def verify_main_bound(ideal: MonomialIdeal, instance_id: str = "") -> BoundReport:
     """a(R) <= e(R) - ell(R_1) + (d-1)(ell(R_0)-1) + EG(R) over a field, where
     the middle term vanishes because ell(R_0) = 1."""
-    e = hilbert.hilbert_series(ideal).multiplicity  # the zero ring fails here
+    series = hilbert.hilbert_series(ideal)
+    e = series.multiplicity  # the zero ring fails here
     table = cohomology.cohomology_table(ideal)
     d = table.dim
     ell_r0 = 1
-    ell_r1 = ideal.graded_length(1)
+    ell_r1 = series.coefficient(1)
     lhs = table.a_invariant
     eg = table.eg_invariant
     rhs = e - ell_r1 + (d - 1) * (ell_r0 - 1) + eg
@@ -103,7 +104,7 @@ def verify_eg_inequality(ideal: MonomialIdeal, instance_id: str = "") -> BoundRe
     series = hilbert.hilbert_series(ideal)
     lhs = series.multiplicity  # the zero ring fails here
     table = cohomology.cohomology_table(ideal)
-    codim = ideal.graded_length(1) - series.dim
+    codim = series.coefficient(1) - series.dim
     eg = table.eg_invariant
     rhs = 1 + codim - eg
     witness = {

@@ -28,7 +28,7 @@ from math import gcd, prod
 from operator import add, attrgetter, itemgetter, mul, sub
 
 from .errors import ComputationError, NotAReduction
-from .hilbert import HilbertSeries, reconstruct_series
+from .hilbert import HilbertSeries, initial_terms, reconstruct_series
 from .monomials import MonomialIdeal
 from .truncation import Echelon
 
@@ -196,10 +196,12 @@ class PowerCache:
 
     def colength(self, n: int) -> int:
         """ell(R/I^n): the box size less the points of I^n in it."""
-        while len(self._lengths) <= n:
-            bits = self._bits(len(self._lengths))
-            self._lengths.append(self._total - bits.bit_count())
-        return self._lengths[n]
+        lengths = self._lengths
+        if len(lengths) <= n:
+            self._bits(n)  # first: it may lay the box out again
+            while len(lengths) <= n:
+                lengths.append(self._total - self._bits(len(lengths)).bit_count())
+        return lengths[n]
 
     def layer(self, n: int) -> list[tuple[int, ...]]:
         """The monomials of I^n outside I^(n+1), in (degree, exps) order."""
@@ -379,12 +381,11 @@ def newton_multiplicity(ideal: MonomialIdeal) -> int:
     and no generator below it; coplanar generators share one normal.  Every
     other facet lies in a coordinate hyperplane, so the faces of a compact
     facet are its intersections with the compact facets and with the sets
-    {g : g_i = 0}.  In one variable e(I) is the least exponent.
+    {g : g_i = 0}.  In one variable the one generator x^a is the one compact
+    facet, with normal (1), and e(I) = a.
     """
-    bounds = ideal.pure_power_bounds()  # InfiniteLength unless m-primary
+    ideal.pure_power_bounds()  # InfiniteLength unless m-primary
     d, gens = ideal.k, ideal.exps
-    if d == 1:
-        return bounds[0]
     facets = {}
     for points in combinations(gens, d):
         diffs = [list(map(sub, p, points[0])) for p in points[1:]]
@@ -616,7 +617,9 @@ def filtration_report(
     Every trial runs and is printed.  The verdict on G is the one that
     `cm_reduction_number` keeps on the ideal's `power_cache` entry, decided
     here on the least trial's J when there is none yet; with a Cohen-Macaulay
-    G, every trial's r_J must be deg h.
+    G, every trial's r_J must be deg h.  Otherwise the G-series is
+    reconstructed, which reads at least ell(R/I^m), m = `initial_terms(k)`:
+    that box is laid out, or refused, before the Ratliff-Rush chains run.
     """
     cache = power_cache(ideal)
     cache.power(powers)  # lays the box out for the powers reported, or refuses it now
@@ -628,6 +631,8 @@ def filtration_report(
         for trial in trial_list:
             _check_cm(trial["r"], h)
     cache.verdict = certified, h  # kept only once checked
+    if not certified:  # lay out, or refuse, the box the G-series reads first
+        cache.colength(initial_terms(ideal.k))
     closure = cache.power if certified else lambda n: ratliff_rush(ideal, n)
     return {
         "ideal": ideal.format(names),

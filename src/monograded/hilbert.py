@@ -230,13 +230,20 @@ def reconstruct_numerator(values: list[int], denom_power: int):
     return pstrip(coeffs)
 
 
+def initial_terms(k: int) -> int:
+    """How many values `reconstruct_series` reads before its first attempt,
+    for a denominator (1 - lambda)^k."""
+    return max(2 * k + 6, TAIL_ZEROS + 2)
+
+
 def reconstruct_series(value_fn, k: int) -> HilbertSeries:
-    """Grow values value_fn(0..m-1), two at a time, until the rational
-    reconstruction has TAIL_ZEROS vanishing convolved coefficients.  The last
-    two of them are the check that the candidate numerator, of degree at most
-    m - TAIL_ZEROS - 1, predicts the two newest values."""
+    """Grow values value_fn(0..m-1), two at a time from m = initial_terms(k),
+    until the rational reconstruction has TAIL_ZEROS vanishing convolved
+    coefficients.  The last two of them are the check that the candidate
+    numerator, of degree at most m - TAIL_ZEROS - 1, predicts the two newest
+    values."""
     values: list[int] = []
-    for m in range(max(2 * k + 6, TAIL_ZEROS + 2), MAX_TERMS + 5, 2):
+    for m in range(initial_terms(k), MAX_TERMS + 5, 2):
         while len(values) < m:
             values.append(value_fn(len(values)))
         numerator = reconstruct_numerator(values, k)

@@ -3,10 +3,12 @@
 A monomial is its exponent vector, a tuple of nonnegative ints, and a monomial
 ideal stores its unique minimal generating set once, as such tuples in
 (degree, exps) order.  All operations (sum, product, power, intersection,
-colon, saturation) stay inside this combinatorial world, and length
-computations count standard monomials directly.  `Monomial` is only the
-boundary value that `parse_monomial` returns and `MonomialIdeal.gens` shows;
-the ideal's constructor and monomial arguments accept it as well as a tuple.
+colon, saturation) stay inside this combinatorial world.  The length of an
+Artinian R/I and its top degree are read from its cached Hilbert series
+(`hilbert`); `graded_length` counts the standard monomials of one degree.
+`Monomial` is only the boundary value that `parse_monomial` returns and
+`MonomialIdeal.gens` shows; the ideal's constructor and monomial arguments
+accept it as well as a tuple.
 An ideal is its ring size and generators alone: variable names enter only where
 text is parsed (`parse_ideal`) or printed (`format(names)`).
 """
@@ -236,28 +238,18 @@ class MonomialIdeal:
 
     # -- lengths ---------------------------------------------------------
 
-    def quotient_length(self) -> int:
-        """ell(R/I): the number of standard monomials. Requires m-primary I.
+    def _artinian_series(self):
+        """The cached Hilbert series of an Artinian R/I; `hilbert` imports this
+        module, so it is imported here, at call time."""
+        from .hilbert import hilbert_series
 
-        Counted by slicing off the last variable: monomials with last exponent
-        e are standard exactly when their truncation avoids the subideal of
-        generators whose last exponent is at most e.
-        """
         self.pure_power_bounds()  # precondition check: Artinian quotient
-        return _count_standard(self.k, self.exps, {})
+        return hilbert_series(self)
 
-    def standard_monomials(self) -> list[tuple[int, ...]]:
-        """The quotient_length() monomials outside the ideal, the basis of R/I,
-        in (degree, exps) order.  Requires m-primary I.
-
-        Grown one coordinate at a time: (e_1..e_j) is a standard prefix iff it
-        avoids the generators supported on the first j variables."""
-        found = [()]
-        for j, bound in enumerate(self.pure_power_bounds()):
-            gens = [g[: j + 1] for g in self.exps if not any(g[j + 1:])]
-            found = [p + (e,) for p in found for e in range(bound)
-                     if not _divisible(p + (e,), gens)]
-        return sorted(found, key=lambda u: (sum(u), u))
+    def quotient_length(self) -> int:
+        """ell(R/I), the multiplicity of the series of an Artinian R/I.
+        Requires m-primary I."""
+        return self._artinian_series().multiplicity
 
     def graded_length(self, n: int) -> int:
         """ell((R/I)_n): standard monomials of total degree n."""
@@ -269,9 +261,9 @@ class MonomialIdeal:
     def smallest_contained_m_power(self) -> int:
         """Least t with m^t inside the ideal. Requires an m-primary ideal.
 
-        The standard monomials are closed under division, so m^t lies inside
-        the ideal exactly when t exceeds their largest degree."""
-        return 1 + max(map(sum, self.standard_monomials()))
+        The series of R/I is a polynomial of degree s, the top degree of R/I,
+        so its numerator N = H * (1 - lambda)^k has degree s + k, and t = s + 1."""
+        return len(self._artinian_series().numerator) - self.k
 
     # -- dunder plumbing ---------------------------------------------------
 
@@ -293,28 +285,6 @@ class MonomialIdeal:
 
     def __repr__(self) -> str:
         return f"MonomialIdeal{self.format()}"
-
-
-def _count_standard(k: int, gens: tuple, memo: dict) -> int:
-    if gens and not any(gens[0]):
-        return 0
-    if k == 0:
-        return 1
-    key = (k, gens)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if k == 1:
-        value = min(g[0] for g in gens)
-    else:
-        last = k - 1
-        pure_last = min(g[last] for g in gens if not any(g[:last]))
-        value = 0
-        for e in range(pure_last):
-            sub = minimalize(g[:last] for g in gens if g[last] <= e)
-            value += _count_standard(last, sub, memo)
-    memo[key] = value
-    return value
 
 
 def compositions(n: int, k: int):

@@ -333,7 +333,7 @@ def vv_levels(ideal: MonomialIdeal, reduction, r: int | None = None) -> list[VVL
         if n == 1:  # J*I^0 = J, and J + I = I as J lies in I
             ell_j, ell_sum = ell_prod, ell_power
         else:
-            standard = cache.power(n).standard_monomials()
+            standard = standard_monomials(cache.power(n))
             ech = Echelon()
             for row in _product_rows(reduction, standard, {u: j for j, u in enumerate(standard)}):
                 ech.add(row)
@@ -388,6 +388,19 @@ def box_standard_count(ideal: MonomialIdeal) -> int:
         if not contains_monomial(ideal, exps):
             count += 1
     return count
+
+
+def standard_monomials(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
+    """The monomials outside an m-primary ideal, the basis of R/I, in
+    (degree, exps) order.  Grown one coordinate at a time: (e_1..e_j) is a
+    standard prefix iff it avoids the generators supported on the first j
+    variables."""
+    found = [()]
+    for j, bound in enumerate(ideal.pure_power_bounds()):  # InfiniteLength unless m-primary
+        gens = [g[: j + 1] for g in ideal.exps if not any(g[j + 1:])]
+        found = [p + (e,) for p in found for e in range(bound)
+                 if not any(divides(g, p + (e,)) for g in gens)]
+    return sorted(found, key=lambda u: (sum(u), u))
 
 
 def brute_colon_matches(ideal: MonomialIdeal, other: MonomialIdeal, computed: MonomialIdeal, bound: int) -> bool:
@@ -772,8 +785,8 @@ def tuple_ratliff_rush(powers: list[MonomialIdeal], p: int) -> MonomialIdeal:
 
 def tuple_layer(powers: list[MonomialIdeal], n: int) -> list[tuple[int, ...]]:
     """The monomials of I^n outside I^(n+1), in (degree, exps) order."""
-    inner = set(powers[n].standard_monomials()) if n else set()  # R/I^0 = 0
-    return [u for u in powers[n + 1].standard_monomials() if u not in inner]
+    inner = set(standard_monomials(powers[n])) if n else set()  # R/I^0 = 0
+    return [u for u in standard_monomials(powers[n + 1]) if u not in inner]
 
 
 def tuple_h_vector(ideal: MonomialIdeal, reduction: Reduction, r: int) -> list[int]:

@@ -53,6 +53,25 @@ def test_eg_inequality_examples():
     assert (hyper.lhs, hyper.rhs, hyper.status) == (2, 2, SHARP)
 
 
+def test_l_r1_and_codim_match_graded_length():
+    # both witnesses read ell(R_1) as the series coefficient H(1); graded_length
+    # counts the standard monomials of degree one, and the dimension comes from
+    # the cohomology table.  Linear generators make ell(R_1) < k.
+    rng = random.Random(31)
+    ideals = [parse_ideal(text, XYZ) for text in
+              ("x", "x, y^3", "x, y, z^2", "x, y*z, z^4", "x*y, y^2", "x^2, y^2, z^2")]
+    ideals += [random_m_primary_ideal(rng, k, 3) for k in (1, 2, 3, 4) for _ in range(4)]
+    ideals += [ideal for _, ideal in corpus_monomial(3, 10, 3, 4)]
+    linear = 0
+    for ideal in ideals:
+        ell_r1 = ideal.graded_length(1)
+        main = verify_main_bound(ideal)
+        assert main.witness["l_R1"] == ell_r1
+        assert verify_eg_inequality(ideal).witness["codim"] == ell_r1 - main.witness["dim"]
+        linear += ell_r1 < ideal.k
+    assert linear >= 4
+
+
 def test_prop31_examples():
     S = NumericalSemigroup((4, 5, 6, 7))
     report = verify_prop_3_1(SemigroupIdeal(S, (4, 5, 6)), "ex3.2")

@@ -369,6 +369,29 @@ def test_refused_powers_are_refused_before_the_first_trial(monkeypatch, ideal, r
         "message": f"the powers up to {refused} bits, more than 4294967296"}
 
 
+def test_series_box_is_refused_before_the_ratliff_rush_chains(monkeypatch):
+    # G is not Cohen-Macaulay, so the report reconstructs the G-series, which
+    # reads ell(R/I^16) at least in five variables; that box is refused (I^14
+    # is the least power refused) before any Ratliff-Rush chain runs, with the
+    # same document as when the chains ran first and the series met the box
+    closures = []
+    real = filtration.PowerCache._closure
+
+    def counting(self, p):
+        closures.append(p)
+        return real(self, p)
+
+    monkeypatch.setattr(filtration.PowerCache, "_closure", counting)
+    filtration.power_cache.cache_clear()
+    ideal = "x^3, y^3, z^3, w^3, v^3, x*y*z, z*w*v"
+    code, out = run_cli(["reduction", "--ring", "x,y,z,w,v", "--ideal", ideal])
+    assert code == 1 and closures == []
+    assert json.loads(out)["error"]["message"].startswith(
+        "the powers up to I^14 need a box of 147008443 bits")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ad514c0fe53a82555cd5ac8d6e085d1d05a2327e287d2c42adc9952b6ad4226c")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--ring", "x,y", "--ideal", "x^5, x^2*y^2, y^5", "--bound", "prop3.3"],
     ["verify", "--ring", "x,y,z", "--ideal", "x^2, y^2, z^2", "--bound", "prop3.4"],

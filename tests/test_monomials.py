@@ -21,6 +21,7 @@ from oracles import (
     contains_monomial,
     divides,
     monomials_upto,
+    standard_monomials,
 )
 
 XY = ("x", "y")
@@ -162,7 +163,7 @@ def test_standard_monomials_match_quotient_length_random():
             ideal = random_m_primary_ideal(rng, k, 5 if k < 4 else 3)
             if rng.random() < 0.5:
                 ideal = ideal.power(2)
-            standard = ideal.standard_monomials()
+            standard = standard_monomials(ideal)
             assert len(standard) == ideal.quotient_length()
             assert standard == sorted(set(standard), key=lambda u: (sum(u), u))
             assert not any(contains_monomial(ideal, u) for u in standard)
@@ -178,7 +179,21 @@ def test_quotient_length_requires_artinian():
     with pytest.raises(InfiniteLength):
         parse_ideal("x", XY).quotient_length()
     with pytest.raises(InfiniteLength):
-        parse_ideal("x", XY).standard_monomials()
+        standard_monomials(parse_ideal("x", XY))
+
+
+def test_smallest_contained_m_power_matches_standard_monomials():
+    # m^t lies in I iff t exceeds the largest degree of a standard monomial,
+    # read here from the oracle's enumeration, not from the Hilbert series
+    rng = random.Random(23)
+    for k in (1, 2, 3, 4):
+        for _ in range(8):
+            ideal = random_m_primary_ideal(rng, k, 5 if k < 4 else 3)
+            top = max(map(sum, standard_monomials(ideal)))
+            assert ideal.smallest_contained_m_power() == 1 + top
+    for ideal in (MonomialIdeal.unit(2), parse_ideal("x", XY), parse_ideal("x^2, x*y", XY)):
+        with pytest.raises(InfiniteLength):
+            ideal.smallest_contained_m_power()
 
 
 def test_graded_length_sums_match_enumeration():
