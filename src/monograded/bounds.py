@@ -5,8 +5,9 @@ with every hypothesis machine-checked; `hypothesis-unverified` and `skipped`
 are first-class outcomes, never silently folded into the pass column.  The
 reduction-number bounds prop3.3 and prop3.4 are checked where the associated
 graded ring G is Cohen-Macaulay, decided exactly as ell(G/J*G) = e(I), once
-per ideal (`filtration.cm_reduction_number`); its h-vector then gives the
-lengths they need, and r(I) = deg h with no further trial.  `BOUNDS` maps
+per ideal (`filtration.cm_reduction_number`); its h-vector h then gives
+every number they read: r(I) = deg h with no further trial, ell(R/I) = h_0,
+ell(I/I^2) = d*h_0 + h_1 and ell(I^2/JI) = h_2 + ... + h_r.  `BOUNDS` maps
 each bound's name to its checker, the instances it applies to and its
 corpus; corpus runs are seeded and deterministic.
 """
@@ -144,6 +145,8 @@ def verify_prop_3_3(ideal: MonomialIdeal, instance_id: str = "", seed: int = 0) 
     h^1(G)_0 is known only when G is Cohen-Macaulay, where it vanishes.  The
     gate then passes (depth G >= 1), so it runs only when G is not
     Cohen-Macaulay and decides between skipped and hypothesis-unverified.
+    The lengths come from the h-vector of G/J*G: HS_G = h/(1 - t)^2, so
+    ell(R/I) = h_0 and ell(I/I^2) = 2*h_0 + h_1 (h_1 = 0 when deg h = 0).
     """
     if ideal.k != 2:
         raise ComputationError("prop3.3 checker needs a plane (two-variable) ideal")
@@ -154,10 +157,9 @@ def verify_prop_3_3(ideal: MonomialIdeal, instance_id: str = "", seed: int = 0) 
             return BoundReport(instance_id, "prop3.3", None, None, SKIPPED, witness)
         witness = {"reason": "no guarded route: certificate false and r > 1", "r": r}
         return BoundReport(instance_id, "prop3.3", None, None, UNVERIFIED, witness)
-    cache = filtration.power_cache(ideal)
     e = sum(h)
-    ell_r_i = cache.colength(1)
-    ell_i_i2 = cache.colength(2) - cache.colength(1)
+    ell_r_i = h[0]
+    ell_i_i2 = 2 * h[0] + (h[1] if len(h) > 1 else 0)
     rhs = 1 + e - ell_i_i2 + ell_r_i
     witness = {
         "direction": "<=",

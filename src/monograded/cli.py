@@ -1,8 +1,9 @@
 """Command-line front end.
 
-JSON is the canonical output; csv and table renderings are derived from the
-same document.  Every document embeds the resolved run configuration and a
-schema version, so identical configurations produce byte-identical output.
+JSON is the canonical output; table renderings, and the csv rows of the bound
+reports of `verify` and `reproduce`, are derived from the same document.
+Every document embeds the resolved run configuration and a schema version, so
+identical configurations produce byte-identical output.
 
 Exit codes: 0 success, 1 computation failure (also exhausted memory or
 recursion depth), 2 usage error (a missing or malformed ring, ideal, window or
@@ -23,6 +24,8 @@ from .errors import ComputationError
 from .monomials import MonomialIdeal, parse_ideal
 
 SCHEMA = "monograded/1"
+# csv renders bound reports, which only `verify` and `reproduce` make.
+REPORT_FORMATS = ("json", "csv", "table")
 
 
 class UsageError(Exception):
@@ -51,10 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
         action = p.add_argument(flag, type=int, default=default, **kwargs)
         parser.option_minimum[action.dest] = least
 
-    def add_common(p):
+    def add_common(p, formats=("json", "table")):
         p.add_argument("--ring", help="comma-separated variable names, e.g. x,y")
         p.add_argument("--ideal", help="generators, e.g. 'x^3, x^2*y^4'")
-        p.add_argument("--format", choices=("json", "csv", "table"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
 
     p = sub.add_parser("hilbert", help="Hilbert series, dimension, multiplicity")
     add_common(p)
@@ -73,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_int(p, "--powers", 4, 0, help="table depth for powers of I")
 
     p = sub.add_parser("verify", help="check the a-invariant and reduction-number bounds on instances or corpora")
-    add_common(p)
+    add_common(p, REPORT_FORMATS)
     p.add_argument("--semigroup", help="semigroup generators, e.g. 4,5,6,7")
     p.add_argument("--bound", default="all", choices=(*bounds.BOUNDS, "all"))
     p.add_argument("--corpus-seed", type=int, default=None, help="corpus RNG seed (default 0)")
@@ -85,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="re-run a worked example and compare values")
     p.add_argument("example", choices=EXAMPLES)
-    p.add_argument("--format", choices=("json", "csv", "table"), default="json")
+    p.add_argument("--format", choices=REPORT_FORMATS, default="json")
     return parser
 
 

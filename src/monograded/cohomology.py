@@ -161,7 +161,10 @@ class CohomologyTable:
 
     def rows(self, lo: int, hi: int) -> list[list[int]]:
         """[i, n, h^i(R)_n] for the nonzero values with lo <= n <= hi, ordered
-        by i and then n: one pass over the entries for the whole window."""
+        by i and then n: one pass over the entries for the part of the window
+        at or below the support, as h^i(R)_n = 0 for n > clamp_sum - |T| of
+        every class."""
+        hi = min(hi, max((clamp_sum - t_size for clamp_sum, t_size, _ in self.classes), default=lo))
         values = [[0] * (hi - lo + 1) for _ in range(self.k + 1)]
         for clamp_sum, t_size, dims in self.classes:
             for n in range(lo, min(hi, clamp_sum - t_size) + 1):

@@ -257,48 +257,33 @@ class PowerCache:
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
-class _Entries:
-    """The `PowerCache` of each ideal, least recently used first."""
-
-    def __init__(self):
-        self.caches: dict[MonomialIdeal, PowerCache] = {}
-        self.hits = self.misses = 0
-
-    def held_bits(self) -> int:
-        return sum(map(attrgetter("held_bits"), self.caches.values()))
-
-    def info(self):
-        return CacheInfo(self.hits, self.misses, MAX_CACHED_BITS, len(self.caches))
-
-    def clear(self) -> None:
-        self.caches.clear()
-        self.hits = self.misses = 0
-
-
-_ENTRIES = _Entries()
+# The `PowerCache` of each ideal, least recently used first, and the hits and
+# misses of `power_cache`.
+_CACHES: dict[MonomialIdeal, PowerCache] = {}
+_LOOKUPS = [0, 0]
 
 
 def power_cache(ideal: MonomialIdeal) -> PowerCache:
-    """Shared per-ideal cache of powers and colengths.  Once the entries hold
-    more than MAX_CACHED_BITS bits in all, the least recently used are dropped,
-    down to the one returned; `cache_info().maxsize` is that bound."""
-    entries = _ENTRIES
-    caches = entries.caches
-    cache = caches.pop(ideal, None)
-    if cache is None:
-        entries.misses += 1
-        cache = PowerCache(ideal)
-    else:
-        entries.hits += 1
-    caches[ideal] = cache
-    held = entries.held_bits()
-    while held > MAX_CACHED_BITS and len(caches) > 1:
-        held -= caches.pop(next(iter(caches))).held_bits
+    """Shared per-ideal store of powers, colengths and the verdict on G.  Once
+    the entries hold more than MAX_CACHED_BITS bits in all, the least recently
+    used are dropped, down to the one returned; `cache_info().maxsize` is that
+    bound, and `cache_clear()` empties the store and its counts."""
+    cache = _CACHES.pop(ideal, None)
+    _LOOKUPS[cache is None] += 1  # a hit at index 0, a miss at 1
+    _CACHES[ideal] = cache = cache or PowerCache(ideal)
+    held = sum(map(attrgetter("held_bits"), _CACHES.values()))
+    while held > MAX_CACHED_BITS and len(_CACHES) > 1:
+        held -= _CACHES.pop(next(iter(_CACHES))).held_bits
     return cache
 
 
-power_cache.cache_info = _ENTRIES.info
-power_cache.cache_clear = _ENTRIES.clear
+def _cache_clear() -> None:
+    _CACHES.clear()
+    _LOOKUPS[:] = 0, 0
+
+
+power_cache.cache_info = lambda: CacheInfo(*_LOOKUPS, MAX_CACHED_BITS, len(_CACHES))
+power_cache.cache_clear = _cache_clear
 
 
 def ratliff_rush(ideal: MonomialIdeal, power: int = 1) -> MonomialIdeal:
@@ -519,12 +504,19 @@ def reduction_number(
     return r, reduction, [record for _, _, record in runs]
 
 
-def _check_cm(r: int, h: list[int]) -> None:
-    """A Cohen-Macaulay G has r_J = deg h and h_r >= 1 for every minimal
-    reduction J (Trung 1987); a mismatch is a fault of this engine."""
-    if len(h) - 1 != r or h[-1] < 1:
-        raise ComputationError(
-            f"self-check failed: r_J = {r}, but G is Cohen-Macaulay with h = {h}")
+def _verdict(cache: PowerCache, reduction: Reduction, rs: list[int]) -> tuple[bool, list[int]]:
+    """(is_cm, h) of `cm_h_vector`, decided on the first J given (r_J = min(rs))
+    and kept on `cache` once every r_J in `rs` is checked: neither depends on
+    J, and a Cohen-Macaulay G has r_J = deg h and h_r >= 1 for every minimal
+    reduction J (Trung 1987), so a mismatch is a fault of this engine."""
+    is_cm, h = cache.verdict or cm_h_vector(cache.ideal, reduction, min(rs))
+    if is_cm:
+        for r in rs:
+            if len(h) - 1 != r or h[-1] < 1:
+                raise ComputationError(
+                    f"self-check failed: r_J = {r}, but G is Cohen-Macaulay with h = {h}")
+    cache.verdict = is_cm, h
+    return is_cm, h
 
 
 def cm_reduction_number(
@@ -533,24 +525,21 @@ def cm_reduction_number(
     """(r, is_cm, h): r(I) from `trials` seeded trials, and whether G is
     Cohen-Macaulay with the h-vector of `cm_h_vector`.
 
-    The verdict is decided once per ideal, on the first trial's J, and kept
-    on its `power_cache` entry: neither it nor h depends on J.  A
-    Cohen-Macaulay G gives r = deg h for every minimal reduction (Trung
-    1987), so no further trial runs; otherwise r is the minimum over all
-    `trials` trials, as `reduction_number` takes it.
+    The verdict is the one `_verdict` keeps on the ideal's `power_cache`
+    entry.  A kept Cohen-Macaulay verdict gives r = deg h (Trung 1987) with
+    no trial.  Otherwise trial 0 runs, then `_verdict` on its J, and trials
+    1.. run only when G is not Cohen-Macaulay: r is then their minimum, as
+    `reduction_number` takes it.
     """
     cache = power_cache(ideal)
-    if cache.verdict is not None:
-        is_cm, h = cache.verdict
-        return (len(h) - 1 if is_cm else reduction_number(ideal, trials, seed)[0]), is_cm, h
+    is_cm, h = cache.verdict or (False, None)
+    if is_cm:
+        return len(h) - 1, True, h
     runs = _trials(ideal, seed)
     r, reduction, _ = next(runs)
-    is_cm, h = cm_h_vector(ideal, reduction, r)
-    if is_cm:
-        _check_cm(r, h)
-    else:
+    is_cm, h = _verdict(cache, reduction, [r])
+    if not is_cm:
         r = min([r, *(r_j for r_j, _, _ in islice(runs, trials - 1))])
-    cache.verdict = is_cm, h  # kept only once checked
     return r, is_cm, h
 
 
@@ -614,23 +603,19 @@ def filtration_report(
     with proof.  The chain of `ratliff_rush` lies between I^n and its closure,
     so it would return the same I^n; it runs only when G is not certified.
 
-    Every trial runs and is printed.  The verdict on G is the one that
-    `cm_reduction_number` keeps on the ideal's `power_cache` entry, decided
-    here on the least trial's J when there is none yet; with a Cohen-Macaulay
-    G, every trial's r_J must be deg h.  Otherwise the G-series is
-    reconstructed, which reads at least ell(R/I^m), m = `initial_terms(k)`:
-    that box is laid out, or refused, before the Ratliff-Rush chains run.
+    Every trial runs and is printed, and `_verdict` checks each trial's r_J
+    against the verdict on G that prop3.3 and prop3.4 share, deciding it on
+    the least trial's J if none is kept.  If G is not Cohen-Macaulay, the
+    G-series is reconstructed, which reads at least ell(R/I^m), m =
+    `initial_terms(k)`: that box is laid out, or refused, before the
+    Ratliff-Rush chains run.
     """
     cache = power_cache(ideal)
     cache.power(powers)  # lays the box out for the powers reported, or refuses it now
     r, reduction, trial_list = reduction_number(
         ideal, trials=trials, seed=seed, coeff_bound=coeff_bound, n_bound=n_bound
     )
-    certified, h = cache.verdict or cm_h_vector(ideal, reduction, r)
-    if certified:
-        for trial in trial_list:
-            _check_cm(trial["r"], h)
-    cache.verdict = certified, h  # kept only once checked
+    certified, h = _verdict(cache, reduction, [trial["r"] for trial in trial_list])
     if not certified:  # lay out, or refuse, the box the G-series reads first
         cache.colength(initial_terms(ideal.k))
     closure = cache.power if certified else lambda n: ratliff_rush(ideal, n)

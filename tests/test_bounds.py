@@ -182,6 +182,33 @@ def test_trials_in_a_warm_session(monkeypatch, check, trials, cm, not_cm):
         for seed in (0, 1, 2):
             assert check(ideal, "warm", seed).status in status
         assert calls == {"reduction_number_wrt": runs, "cm_h_vector": 1}
+    # the report shares the verdict, in either order; after the report, a
+    # Cohen-Macaulay G needs no trial in the checker
+    report = filtration.filtration_report
+    for ideal in (cm, not_cm):
+        for first, second in ((report, check), (check, report)):
+            power_cache.cache_clear()
+            calls.update(dict.fromkeys(calls, 0))
+            first(ideal)
+            trials_run = calls["reduction_number_wrt"]
+            second(ideal)
+            assert calls["cm_h_vector"] == 1, (ideal, first)
+            if ideal is cm and first is report:
+                assert calls["reduction_number_wrt"] == trials_run
+
+
+def test_prop33_lengths_from_h_match_the_colengths():
+    # a Cohen-Macaulay G gives ell(R/I) = h_0 and ell(I/I^2) = 2*h_0 + h_1;
+    # the colengths of the powers are the independent route
+    cm = 0
+    for iid, ideal in (pair for seed in range(4) for pair in corpus_monomial(seed, 200, 2, 6)):
+        witness = verify_prop_3_3(ideal, iid).witness
+        if witness.get("vv_certificate"):
+            cm += 1
+            cache = power_cache(ideal)
+            assert witness["l_R_I"] == cache.colength(1), iid
+            assert witness["l_I_I2"] == cache.colength(2) - cache.colength(1), iid
+    assert cm == 761
 
 
 def test_statuses_and_no_violations_on_corpora():

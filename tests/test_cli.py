@@ -106,6 +106,48 @@ def test_verify_single_instance_and_csv():
     assert lines[1].startswith("cli-instance,prop3.1,2,2,sharp")
 
 
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "--ring", "x,y", "--ideal", "x^2, y^3"],
+    ["cohomology", "--ring", "x,y", "--ideal", "x*y"],
+    ["reduction", "--ring", "x,y", "--ideal", "x^2, y^3"],
+], ids=lambda argv: argv[0])
+def test_csv_is_offered_only_where_there_are_bound_reports(capsys, argv):
+    # csv renders bound reports; these documents hold none, so argparse refuses it
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([*argv, "--format", "csv"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, digest, lines", [
+    (["reproduce", "example-2.2"], "5aef75078632b0f141f261aaf3237e3d0306154364942da42770725932c39589", 2),
+    (["reproduce", "example-3.2"], "a87302570a3f3bd879aa7ebf988a03175eeb81c55de5792b8dbd77c0c72cc1cd", 2),
+    (["verify", "--bound", "all", "--count", "4", "--corpus-seed", "2"],
+     "cf84bbdb09aa3c4f647b8b416574bb2f03043d2ebba20c45d2854bf1666e37c2", 21),
+    (["verify", "--bound", "prop3.4", "--vars", "3", "--count", "6"],
+     "61fb237b6cf8f327e45c8734ec39fbb5e2ce15114232643ec0450d28a4febd53", 7),
+], ids=["example-2.2", "example-3.2", "verify-all", "verify-prop3.4"])
+def test_csv_of_verify_and_reproduce_is_pinned(argv, digest, lines):
+    code, out = run_cli([*argv, "--format", "csv"])
+    assert code == 0
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cohomology_window_above_the_support_is_clipped():
+    # h^i(R)_n vanishes above the support, so a wide window answers as the
+    # clipped one does, without laying out the degrees between
+    argv = ["cohomology", "--ring", "x,y", "--ideal", "x*y", "--window"]
+    results = []
+    for window in ("0:5", "0:5000000", "0:1000000000000"):
+        code, out = run_cli([*argv, window])
+        assert code == 0
+        results.append(json.loads(out)["result"])
+    assert results[0]["h"] == [[1, 0, 1]]
+    assert all(result["h"] == results[0]["h"] for result in results)
+    assert results[2]["window"] == [0, 10**12]
+
+
 def test_verify_corpus_deterministic_bytes():
     argv = ["verify", "--bound", "thm2.1", "--count", "6", "--corpus-seed", "5"]
     code1, out1 = run_cli(argv)
@@ -413,7 +455,7 @@ def test_self_check_of_a_cohen_macaulay_g_fails_with_exit_1(monkeypatch, argv):
     assert error["type"] == "ComputationError"
     assert error["message"].startswith("self-check failed: r_J = ")
     # a verdict that failed its check is not kept for later runs
-    assert all(cache.verdict is None for cache in filtration._ENTRIES.caches.values())
+    assert all(cache.verdict is None for cache in filtration._CACHES.values())
 
 
 def test_cohomology_with_many_variables_not_in_the_ideal():

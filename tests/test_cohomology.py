@@ -280,6 +280,16 @@ def test_window_rows_match_h():
             assert table.rows(lo, hi) == expected, (ideal, lo, hi)
 
 
+def test_window_above_the_support_is_clipped():
+    # every h^i(R)_n vanishes above the largest clamp_sum - |T|, which is at
+    # most rho_sum, so a window reaching far above it gives the same rows
+    for ideal in oracle_ideals():
+        table = cohomology_table(ideal)
+        rho_sum = sum(table.rho)
+        assert table.rows(-rho_sum, 10**15) == table.rows(-rho_sum, rho_sum), ideal
+        assert table.rows(rho_sum + 1, 10**15) == [], ideal
+
+
 def aggregated(classes):
     """One entry per (clamp sum, |T|), dims summed, as CohomologyTable.classes."""
     totals = {}

@@ -328,6 +328,25 @@ def test_hard_ideal_reduction_and_vv_failure():
     assert not vv_cm_certificate(HARD, red, r=3)
 
 
+def test_report_checks_every_trial_against_a_cm_verdict(monkeypatch):
+    # the verdict is decided on the least trial's J; a later trial whose r_J
+    # is not deg h fails the self-check, and the verdict is not kept
+    real = filtration.reduction_number_wrt
+    calls = []
+
+    def second_off(*args, **kwargs):
+        calls.append(args)
+        r = real(*args, **kwargs)
+        return r + 1 if len(calls) == 2 else r
+
+    monkeypatch.setattr(filtration, "reduction_number_wrt", second_off)
+    power_cache.cache_clear()
+    m2 = parse_ideal("x^2, x*y, y^2", XY)
+    with pytest.raises(ComputationError, match=r"self-check failed: r_J = 2, .* h = \[3, 1\]"):
+        filtration.filtration_report(m2)
+    assert power_cache(m2).verdict is None
+
+
 def test_filtration_report_runs_one_certificate(monkeypatch):
     # the report's a(G) and G-numerator read the verdict it already has, and
     # a verdict kept from an earlier run on the same ideal is not decided again
@@ -633,9 +652,9 @@ def test_power_cache_is_bounded_by_the_bits_it_holds(monkeypatch):
     for ideal in ideals:
         # the bound holds after every lookup; the entry returned may then grow
         cache = power_cache(ideal)
-        caches = list(filtration._ENTRIES.caches.values())
+        caches = list(filtration._CACHES.values())
         assert caches[-1] is cache  # the most recent entry always stays
-        total = filtration._ENTRIES.held_bits()
+        total = sum(entry.held_bits for entry in caches)
         assert total <= filtration.MAX_CACHED_BITS or len(caches) == 1
         cache.power(4)
         assert cache.held_bits >= sum(bits.bit_length() for bits in cache._powers)
