@@ -11,27 +11,34 @@ the subsets F that carry a basis element are those containing T and no kill
 mask (the coordinates j with g_j > a_j of a generator g).  Every generator
 has g_j > -1, so every kill mask contains T: the alive F are T joined with
 the faces of a simplicial complex D on the coordinates outside T, and the
-class's cohomology is the reduced cohomology of D shifted by |T| (Hochster's
-formula; Miller-Sturmfels, "Combinatorial Commutative Algebra", 2005,
-ch. 13).  The enumeration therefore gives T no bits: the coordinates outside
-T take bits 0, 1, 2, ... in order, and a class's complex is keyed by their
-number and the minimal kill masks alone, in one bounded memo that every
-table shares.  Two kinds of class are zero and need no rank: void ones,
-where a kill mask is empty, so D has no faces at all, and cones, where a
-coordinate lies in no minimal kill mask, so D is a cone over it and
-acyclic.  Every other distinct complex is computed once, by exact integer
-rank computations.
+class's cohomology is the reduced cohomology of D shifted by |T|.  By
+Hochster's formula (Miller-Sturmfels, "Combinatorial Commutative Algebra",
+2005, ch. 1 and 13) that is a Betti number of the squarefree ideal of the
+kill masks, which the strand of its Taylor complex in the multidegree of
+all the coordinates outside T gives (D. Taylor, thesis, Chicago, 1966;
+Miller-Sturmfels ch. 4): 2^r cells for r masks, against the Cech complex's
+2^k, so past k masks the Cech complex is ranked instead.  The enumeration
+gives T no bits: the coordinates outside T take bits 0, 1, 2, ... in order,
+and a class's complex is keyed by their number and the minimal kill masks
+alone, in one bounded memo that every table shares.  Two kinds of class are zero and need no rank: void ones, where a kill mask
+is empty, so D has no faces at all, and cones of at most k masks, where a
+coordinate lies in no kill mask, so no set of masks covers every coordinate.
+Every other distinct complex is computed once, by exact integer rank
+computations.
 A class weighs its dimensions by prod_j (x^lo_j + ... + x^hi_j), whose
 coefficients count its multidegrees by the sum of their coordinates outside
 T; closed-form composition counts turn the weighted sums into the graded
 lengths h^i(R)_n, the a-invariant, depth, and the binomial-weighted
-invariant EG(R).
+invariant EG(R).  A window of graded lengths steps those counts from degree
+to degree by Pascal's rule, so its cost follows its width.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate, islice, repeat
 from math import comb, prod
+from operator import add, sub
 
 from .errors import ZeroRing
 from .monomials import MonomialIdeal
@@ -74,43 +81,59 @@ def integer_rank(rows: list[list[int]]) -> int:
     return rank
 
 
+def _homology(cells: list[list[int]]) -> tuple[int, ...]:
+    """Homology dimensions, grade by grade, of a complex whose grade-p cells
+    are p-element sets (bitmasks), where the map between adjacent grades joins
+    F to F + {b} with the sign (-1)^#{elements of F below b}."""
+    ranks = [0] * (len(cells) + 1)  # ranks[p]: rank of the map between grades p - 1 and p
+    for p in range(1, len(cells)):
+        small, large = cells[p - 1], cells[p]
+        if small and large:
+            ranks[p] = integer_rank([
+                [(-1) ** bin(f & ((g ^ f) - 1)).count("1") if f & g == f else 0 for g in large]
+                for f in small
+            ])
+    return tuple(len(c) - ranks[p] - ranks[p + 1] for p, c in enumerate(cells))
+
+
 @lru_cache(maxsize=4096)
 def _class_dims(k: int, kill_masks) -> tuple[int, ...]:
     """Cohomology dimensions (h^0..h^k) of one degree's Cech complex on k
     coordinates with T = {}; a class with |T| more coordinates, all in T, has
     these dimensions moved up by |T|.
 
-    A generator's kill mask holds the coordinates j with g_j > a_j; the
-    generator kills a subset F exactly when its kill mask lies inside F.  F
-    carries a basis element iff no generator kills it; the differentials are
-    the alternating-sign inclusion maps.  A cone (a coordinate j outside
-    every mask: F -> F + {j} pairs off the alive sets) gives zero without a
-    rank.  `recurse` skips void families before it minimalizes; for any other
-    caller, a void family (an empty mask kills every F) leaves no alive F, so
-    the scan below gives zeros too.
+    A generator's kill mask holds the coordinates j with g_j > a_j.  The sets F
+    of coordinates that contain no kill mask are the faces of a simplicial
+    complex D, and h^i is the reduced cohomology of D in dimension i - 1.  By
+    Hochster's formula that is the Betti number, in homological degree k - i
+    and in the multidegree of all k coordinates, of the squarefree ideal of the
+    masks.  It is read from the Taylor complex of the masks (Miller-Sturmfels,
+    ch. 1 and 4): the strand of the sets S of masks whose union is every
+    coordinate, graded by |S|, with the alternating-sign deletion maps, has
+    h^i as its homology at |S| = k - i.  The strand has at most 2^r cells for
+    r masks, minimal or not.  A void family (an empty mask: D has no faces)
+    gives zeros before any rank.  Past k masks the Cech complex itself, on the
+    2^k sets F, is the smaller one and is ranked instead; up to k masks a cone
+    (a coordinate in no mask) gives zeros with no rank too, as no union is
+    full.
     """
-    cover = 0
-    for m in kill_masks:
-        cover |= m
-    if cover != (1 << k) - 1:
+    if 0 in kill_masks:
         return (0,) * (k + 1)
-    alive_by_card: list[list[int]] = [[] for _ in range(k + 1)]
-    for f_mask in range(1 << k):
-        if all(m & ~f_mask for m in kill_masks):
-            alive_by_card[bin(f_mask).count("1")].append(f_mask)
-
-    ranks = [0] * (k + 1)  # rank of d_i : C^i -> C^(i+1)
-    for i in range(k):
-        source, target = alive_by_card[i], alive_by_card[i + 1]
-        if source and target:
-            # F -> F + {j} carries the sign (-1)^#{coordinates of F below j}
-            ranks[i] = integer_rank([
-                [(-1) ** bin(f & ((g ^ f) - 1)).count("1") if f & g == f else 0 for g in target]
-                for f in source
-            ])
-    return tuple(
-        len(alive_by_card[i]) - ranks[i] - (ranks[i - 1] if i else 0) for i in range(k + 1)
-    )
+    if len(kill_masks) > k:
+        faces: list[list[int]] = [[] for _ in range(k + 1)]
+        for f_mask in range(1 << k):
+            if all(m & ~f_mask for m in kill_masks):
+                faces[bin(f_mask).count("1")].append(f_mask)
+        return _homology(faces)
+    # unions[S]: the union of the masks at the positions of the bits of S
+    unions = [0]
+    for m in kill_masks:
+        unions += [u | m for u in unions]
+    strand: list[list[int]] = [[] for _ in range(k + 1)]
+    for subset, union in enumerate(unions):
+        if union == (1 << k) - 1:
+            strand[bin(subset).count("1")].append(subset)
+    return _homology(strand)[::-1]
 
 
 class CohomologyTable:
@@ -139,7 +162,8 @@ class CohomologyTable:
         self.depth = bottom
 
     def h(self, i: int, n: int) -> int:
-        return sum(value for j, _, value in self.rows(n, n) if j == i)
+        return sum(dims[i] * _compositions(t_size, clamp_sum, n)
+                   for clamp_sum, t_size, dims in self.classes)
 
     @property
     def a_invariant(self) -> int:
@@ -161,17 +185,41 @@ class CohomologyTable:
 
     def rows(self, lo: int, hi: int) -> list[list[int]]:
         """[i, n, h^i(R)_n] for the nonzero values with lo <= n <= hi, ordered
-        by i and then n: one pass over the entries for the part of the window
-        at or below the support, as h^i(R)_n = 0 for n > clamp_sum - |T| of
-        every class."""
+        by i and then n.
+
+        A class with clamp sum s and |T| = t adds dims * _compositions(t, s, n)
+        at degree n: dims * C(s - n - 1, t - 1) up to n = s - t when t > 0, and
+        dims at n = s alone when t = 0.  For each t, f_j(n) sums
+        dims * _compositions(j, s, n) over the classes with |T| = t, for
+        j = 0..t.  f_0(n) is read off the classes with s = n, and Pascal's rule
+        f_j(n + 1) = f_j(n) - f_(j-1)(n + 1) steps the others up the window
+        from their values at lo, one running difference per level and per i
+        where the classes have a nonzero dim.  So the cost follows the width
+        of the window, not its distance from the classes.  No class adds
+        anything above s - t: the window is clipped to the highest such
+        degree, and a class with s - t < lo is left out."""
         hi = min(hi, max((clamp_sum - t_size for clamp_sum, t_size, _ in self.classes), default=lo))
-        values = [[0] * (hi - lo + 1) for _ in range(self.k + 1)]
+        start: dict[tuple[int, int], list[int]] = {}  # (t, i) -> [f_0(lo), ..., f_t(lo)]
+        later: dict[tuple[int, int], dict[int, int]] = {}  # (t, i) -> {s: f_0(s)}, lo < s <= hi
         for clamp_sum, t_size, dims in self.classes:
-            for n in range(lo, min(hi, clamp_sum - t_size) + 1):
-                count = _compositions(t_size, clamp_sum, n)
-                if count:
-                    for i, dim in enumerate(dims):
-                        values[i][n - lo] += dim * count
+            if clamp_sum - t_size < lo:
+                continue
+            counts = [_compositions(j, clamp_sum, lo) for j in range(t_size + 1)]
+            for i, dim in enumerate(dims):
+                if dim:
+                    f = start.setdefault((t_size, i), [0] * (t_size + 1))
+                    for j, count in enumerate(counts):
+                        f[j] += dim * count
+                    if lo < clamp_sum <= hi:
+                        f_0 = later.setdefault((t_size, i), {})
+                        f_0[clamp_sum] = f_0.get(clamp_sum, 0) + dim
+        values = [[0] * (hi - lo + 1) for _ in range(self.k + 1)]
+        for (t_size, i), f in start.items():
+            # f_j(lo), ..., f_j(hi), for j = 0 and then each next j
+            column = [f[0], *map(later.get((t_size, i), {}).get, range(lo + 1, hi + 1), repeat(0))]
+            for f_j in f[1:]:
+                column = list(accumulate(islice(column, 1, None), sub, initial=f_j))
+            values[i] = list(map(add, values[i], column))
         return [[i, lo + m, v] for i, row in enumerate(values) for m, v in enumerate(row) if v]
 
 
@@ -186,20 +234,23 @@ def cohomology_table(ideal: MonomialIdeal) -> CohomologyTable:
     gen_exps = ideal.exps
 
     # A polynomial in the clamp sum is packed into one integer, coefficient s
-    # in bits [s*width, (s+1)*width): products and sums of the class weights
-    # become single integer operations.  No coefficient exceeds the number of
-    # orthant classes, prod(rho_j + 1).
-    width = prod(r + 1 for r in rho).bit_length()
+    # in the `size` bytes from byte s*size on: products and sums of the class
+    # weights become single integer operations, and one `to_bytes` unpacks
+    # them.  No coefficient exceeds the number of orthant classes,
+    # prod(rho_j + 1).
+    size = (prod(r + 1 for r in rho).bit_length() + 7) // 8
+    width = 8 * size
     # (j, runs) for each coordinate j that some generator involves, where runs
     # holds (lo, packed x^lo + ... + x^hi) for each interval between consecutive
-    # distinct positive exponents of x_j, the last ending at rho_j - 1.  Any
-    # other coordinate has no interval: it lies in T in every class.
+    # distinct positive exponents of x_j, the last ending at rho_j - 1: a
+    # repunit in base 2^width, shifted by lo digits.  Any other coordinate has
+    # no interval: it lies in T in every class.
     intervals = []
     for j in range(k):
         cuts = sorted({exps[j] for exps in gen_exps if exps[j]})
         if cuts:
             intervals.append((j, [
-                (lo, sum(1 << (v * width) for v in range(lo, hi + 1)))
+                (lo, ((1 << (hi - lo + 1) * width) - 1) // ((1 << width) - 1) << lo * width)
                 for lo, hi in zip([0] + cuts[:-1], [c - 1 for c in cuts])
             ]))
 
@@ -213,8 +264,8 @@ def cohomology_table(ideal: MonomialIdeal) -> CohomologyTable:
             masks = set(kill_masks)
             if 0 in masks:
                 return  # void: the complex is zero
-            # The cone test in _class_dims needs the minimal masks: the generator
-            # that reaches rho_j always has the bit of coordinate j set.
+            # Minimal masks keep the Taylor strand small and the memo key
+            # canonical; any family would give the same dims.
             dims = _class_dims(free, frozenset(
                 m for m in masks if not any(o & m == o != m for o in masks)))
             if any(dims):
@@ -232,16 +283,13 @@ def cohomology_table(ideal: MonomialIdeal) -> CohomologyTable:
     recurse(0, 0, (0,) * len(gen_exps), 1)
 
     totals: dict[tuple[int, int], list[int]] = {}
-    digit = (1 << width) - 1
     for (t_size, dims), packed in weights.items():
-        clamp_sum = 0
-        while packed:
-            count = packed & digit
+        digits = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+        for clamp_sum, at in enumerate(range(0, len(digits), size)):
+            count = int.from_bytes(digits[at:at + size], "little")
             if count:
                 total = totals.setdefault((clamp_sum, t_size), [0] * (k + 1))
                 for i, dim in enumerate(dims, t_size):
                     total[i] += count * dim
-            packed >>= width
-            clamp_sum += 1
     classes = [(s, t, tuple(dims)) for (s, t), dims in sorted(totals.items())]
     return CohomologyTable(k, rho, classes)

@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial, gcd
+from math import comb, factorial, gcd
 from operator import add
 
 from monograded.errors import ComputationError, NotAReduction, ZeroRing
@@ -527,6 +527,24 @@ def full_scan_class_dims(k: int, t_mask: int, kill_masks) -> tuple[int, ...]:
     )
 
 
+def antichains(k: int) -> list[tuple[int, ...]]:
+    """Every antichain of subsets of k coordinates, as tuples of bitmasks, with
+    the empty antichain and the one holding the empty set: 2, 3, 6, 20, 168
+    and 7581 of them for k = 0..5 (the Dedekind numbers)."""
+    found = []
+
+    def extend(start: int, chosen: list[int]):
+        found.append(tuple(chosen))
+        for mask in range(start, 1 << k):
+            if all(mask & c not in (c, mask) for c in chosen):
+                chosen.append(mask)
+                extend(mask + 1, chosen)
+                chosen.pop()
+
+    extend(0, [])
+    return found
+
+
 def cech_class_cohomology(ideal: MonomialIdeal, cls: OrthantClass) -> tuple[int, ...]:
     """Dimensions (h^0..h^k) of the per-degree Cech complex at one orthant class."""
     if ideal.is_unit:
@@ -554,6 +572,21 @@ def exhaustive_cohomology_table(ideal: MonomialIdeal) -> CohomologyTable:
         if any(dims):
             classes.append((sum(v for v in clamped if v is not None), len(negative), dims))
     return CohomologyTable(ideal.k, rho, classes)
+
+
+def reference_rows(table: CohomologyTable, lo: int, hi: int) -> list[list[int]]:
+    """[i, n, h^i(R)_n] for the nonzero values with lo <= n <= hi, ordered by i
+    and then n, with one closed-form count per (class, n): the multidegrees of
+    total degree n in a class with clamp sum s and |T| = t number
+    C(s - n - 1, t - 1) when s - n >= t > 0, and one at n = s when t = 0."""
+    values: dict[tuple[int, int], int] = {}
+    for clamp_sum, t_size, dims in table.classes:
+        for n in range(lo, min(hi, clamp_sum - t_size) + 1):
+            s = clamp_sum - n
+            count = int(s == 0) if t_size == 0 else comb(s - 1, t_size - 1)
+            for i, dim in enumerate(dims):
+                values[i, n] = values.get((i, n), 0) + dim * count
+    return [[i, n, v] for (i, n), v in sorted(values.items()) if v]
 
 
 def times_monomial(p: PolyElement, exps: tuple) -> PolyElement:

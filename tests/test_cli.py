@@ -134,6 +134,15 @@ def test_csv_of_verify_and_reproduce_is_pinned(argv, digest, lines):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_cohomology_of_a_long_interval():
+    # R/(x^5000, y) = k[x]/(x^5000) has h^0_n = 1 for 0 <= n <= 4999 and nothing else
+    code, out = run_cli(["cohomology", "--ring", "x,y", "--ideal", "x^5000, y", "--window=4990:5005"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["h"] == [[0, n, 1] for n in range(4990, 5000)]
+    assert (result["a"], result["depth"], result["dim"], result["multiplicity"]) == (4999, 0, 0, 5000)
+
+
 def test_cohomology_window_above_the_support_is_clipped():
     # h^i(R)_n vanishes above the support, so a wide window answers as the
     # clipped one does, without laying out the degrees between

@@ -13,12 +13,14 @@ from monograded.monomials import MonomialIdeal, parse_ideal
 
 from oracles import (
     OrthantClass,
+    antichains,
     cech_class_cohomology,
     degree_box_top,
     exhaustive_cohomology_table,
     fraction_rank,
     full_scan_class_dims,
     pure_power_variable,
+    reference_rows,
     serre_difference_table,
 )
 
@@ -369,3 +371,64 @@ def test_void_and_cone_classes_take_no_rank(monkeypatch):
     three_points = (3, 0b000, (0b011, 0b101, 0b110))
     assert shifted_class_dims(*three_points) == (0, 2, 0, 0) == full_scan_class_dims(*three_points)
     assert calls
+
+
+def test_taylor_strand_matches_full_scan_on_every_antichain():
+    # the minimal kill masks of a class are an antichain; every antichain on up
+    # to five coordinates is one, whichever of the Taylor strand (at most k
+    # masks) or the Cech complex (more masks) _class_dims ranks
+    counts = {}
+    for k in range(6):
+        families = antichains(k)
+        counts[k] = len(families)
+        for family in families:
+            assert _class_dims(k, frozenset(family)) == full_scan_class_dims(k, 0, family), (k, family)
+    assert counts == {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
+
+
+def test_taylor_strand_matches_full_scan_on_nonminimal_families():
+    # the Taylor complex resolves the ideal of any family of masks: a mask
+    # above another one, or a repeated one, changes no dimension
+    rng = random.Random(223)
+    for _ in range(3000):
+        k = rng.randint(1, 6)
+        base = [rng.randrange(1, 1 << k) for _ in range(rng.randint(1, 4))]
+        above = [m | rng.randrange(1 << k) for m in rng.choices(base, k=rng.randint(1, 4))]
+        family = tuple(rng.sample(base + above, len(base) + len(above)))
+        assert _class_dims(k, family) == full_scan_class_dims(k, 0, family), (k, family)
+
+
+def windows(table):
+    """Windows below, across and above the support of a table, one reaching
+    far below it, and one that the clip leaves empty."""
+    rho_sum = sum(table.rho)
+    top = max((s - t for s, t, _ in table.classes), default=0)
+    bottom = min((s - t for s, t, _ in table.classes), default=0)
+    return ((bottom - 6, bottom - 1), (-rho_sum - 3, rho_sum + 3), (bottom, top),
+            (top - 1, top + 10**12), (top + 1, top + 4), (-10**12, -10**12 + 2))
+
+
+def test_rows_match_the_per_class_reference():
+    for ideal in oracle_ideals():
+        table = cohomology_table(ideal)
+        for lo, hi in windows(table):
+            assert table.rows(lo, hi) == reference_rows(table, lo, hi), (ideal, lo, hi)
+        exhaustive = exhaustive_cohomology_table(ideal)
+        rho_sum = sum(table.rho)
+        assert table.rows(-rho_sum, rho_sum) == exhaustive.rows(-rho_sum, rho_sum), ideal
+
+
+def test_rows_of_a_narrow_window_far_below_the_support():
+    # the window's distance from the support costs nothing: h^1 = 6 at each n
+    table = cohomology_table(parse_ideal("x^2*y, y*z^3, x*z", ("x", "y", "z")))
+    lo = -10**12
+    expected = [[1, n, 6] for n in range(lo, lo + 3)]
+    assert table.rows(lo, lo + 2) == expected == reference_rows(table, lo, lo + 2)
+    assert [table.h(1, n) for n in range(lo, lo + 3)] == [6, 6, 6]
+
+
+def test_long_interval_packs_every_clamp_sum():
+    # R/(x^5000, y) = k[x]/(x^5000): h^0_n = 1 for 0 <= n <= 4999, nothing else
+    table = cohomology_table(parse_ideal("x^5000, y", XY))
+    assert table.classes == [(n, 0, (1, 0, 0)) for n in range(5000)]
+    assert table.rows(4990, 5005) == [[0, n, 1] for n in range(4990, 5000)]
