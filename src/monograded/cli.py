@@ -103,7 +103,7 @@ def check_option_ranges(args, option_minimum: dict[str, int]) -> None:
 
 def parse_window(text: str | None) -> tuple[int, int] | None:
     """(lo, hi) from `--window lo:hi`, or None without the flag."""
-    if not text:
+    if text is None:
         return None
     try:
         lo, hi = map(int, text.split(":"))
@@ -211,7 +211,7 @@ def run_verify(args) -> dict:
             if value is not None:
                 raise UsageError(f"{flag} describes a single instance and needs --ideal")
     else:
-        if args.semigroup:
+        if args.semigroup is not None:
             with _parsing_input():
                 S = semigroup.NumericalSemigroup(parse_integers("--semigroup", args.semigroup))
                 instance = semigroup.SemigroupIdeal(S, parse_integers("--ideal", args.ideal))

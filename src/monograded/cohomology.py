@@ -20,11 +20,13 @@ Miller-Sturmfels ch. 4): 2^r cells for r masks, against the Cech complex's
 2^k, so past k masks the Cech complex is ranked instead.  The enumeration
 gives T no bits: the coordinates outside T take bits 0, 1, 2, ... in order,
 and a class's complex is keyed by their number and the minimal kill masks
-alone, in one bounded memo that every table shares.  Two kinds of class are zero and need no rank: void ones, where a kill mask
-is empty, so D has no faces at all, and cones of at most k masks, where a
-coordinate lies in no kill mask, so no set of masks covers every coordinate.
-Every other distinct complex is computed once, by exact integer rank
-computations.
+alone, in one bounded memo that every table shares.  Two kinds of class are
+zero and need no rank: void ones, where a kill mask is empty, so D has no
+faces at all, and cones of at most k masks, where a coordinate lies in no
+kill mask, so no set of masks covers every coordinate.  Every other distinct
+complex is computed once: its maps are sparse rows, one signed entry per
+coface, ranked exactly over Q by `truncation.Echelon`, the package's one rank
+engine.
 A class weighs its dimensions by prod_j (x^lo_j + ... + x^hi_j), whose
 coefficients count its multidegrees by the sum of their coordinates outside
 T; closed-form composition counts turn the weighted sums into the graded
@@ -42,6 +44,7 @@ from operator import add, sub
 
 from .errors import ZeroRing
 from .monomials import MonomialIdeal
+from .truncation import Echelon
 
 
 def _compositions(t_size: int, clamp_sum: int, n: int) -> int:
@@ -53,32 +56,13 @@ def _compositions(t_size: int, clamp_sum: int, n: int) -> int:
     return comb(s - 1, t_size - 1) if s >= t_size else 0
 
 
-def integer_rank(rows: list[list[int]]) -> int:
-    """Rank over Q of an integer matrix, by division-free elimination."""
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        a = pr[col]
-        for i in range(rank + 1, len(rows)):
-            b = rows[i][col]
-            if b:
-                rows[i] = [a * x - b * y for x, y in zip(rows[i], pr)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+def integer_rank(rows: list[dict[int, int]]) -> int:
+    """Rank over Q of an integer matrix given as sparse rows {column: value},
+    zero entries allowed; the rows go into one `Echelon`, fraction-free."""
+    echelon = Echelon()
+    for row in rows:
+        echelon.add(row)
+    return echelon.dim
 
 
 def _homology(cells: list[list[int]]) -> tuple[int, ...]:
@@ -89,8 +73,11 @@ def _homology(cells: list[list[int]]) -> tuple[int, ...]:
     for p in range(1, len(cells)):
         small, large = cells[p - 1], cells[p]
         if small and large:
+            column = {g: c for c, g in enumerate(large)}
+            bits = [1 << b for b in range(max(large).bit_length())]
             ranks[p] = integer_rank([
-                [(-1) ** bin(f & ((g ^ f) - 1)).count("1") if f & g == f else 0 for g in large]
+                {column[f | bit]: (-1) ** bin(f & (bit - 1)).count("1")
+                 for bit in bits if not f & bit and f | bit in column}
                 for f in small
             ])
     return tuple(len(c) - ranks[p] - ranks[p + 1] for p, c in enumerate(cells))

@@ -1,9 +1,11 @@
 """Exact integer row spaces.
 
-`Echelon` keeps a row space in sparse echelon form; the ranks of the
-filtration module (fiber-cone ranks, the Hilbert function of G/J*G, affine
-dimensions of Newton-polyhedron faces) go through it.  Its rows are integer
-vectors, such as the products of a reduction's integer terms with monomials.
+`Echelon` keeps a row space in sparse echelon form.  It is the package's one
+rank engine: the ranks of the filtration module (fiber-cone ranks, the Hilbert
+function of G/J*G, affine dimensions of Newton-polyhedron faces) and of the
+cohomology class complexes go through it.  Its rows are integer vectors, such
+as the products of a reduction's integer terms with monomials, or the signed
+coface maps of a complex.
 `TruncatedAlgebra` only builds the monomial basis of S/m^(N+1) in graded
 order; the truncated-image test oracles read its fields.
 

@@ -7,7 +7,7 @@ from math import comb, factorial, gcd
 from operator import add
 
 from monograded.errors import ComputationError, NotAReduction, ZeroRing
-from monograded.cohomology import CohomologyTable, integer_rank
+from monograded.cohomology import CohomologyTable
 from monograded.filtration import (
     RR_MAX_STEPS, Reduction, _product_rows, power_cache, reduction_number_wrt,
 )
@@ -518,7 +518,7 @@ def full_scan_class_dims(k: int, t_mask: int, kill_masks) -> tuple[int, ...]:
         source, target = alive_by_card[i], alive_by_card[i + 1]
         if source and target:
             # F -> F + {j} carries the sign (-1)^#{coordinates of F below j}
-            ranks[i] = integer_rank([
+            ranks[i] = fraction_rank([
                 [(-1) ** bin(f & ((g ^ f) - 1)).count("1") if f & g == f else 0 for g in target]
                 for f in source
             ])

@@ -283,7 +283,11 @@ def test_malformed_window_is_usage_error():
     (["cohomology", "--ring", "x,y", "--ideal", "x^2, x*y", "--window", "5:-5"], "lo <= hi"),
     (["hilbert", "--ring", "x,y", "--ideal", "1", "--window", "abc"], "lo:hi"),
     (["cohomology", "--ring", "x,y", "--ideal", "1", "--window", "abc"], "lo:hi"),
-], ids=["hilbert-reversed", "cohomology-reversed", "hilbert-zero-ring", "cohomology-zero-ring"])
+    (["hilbert", "--ring", "x,y", "--ideal", "x^2, y", "--window="], "--window must be lo:hi"),
+    (["cohomology", "--ring", "x,y", "--ideal", "x^2, y", "--window="], "--window must be lo:hi"),
+    (["verify", "--semigroup=", "--ideal", "4"], "--semigroup ''"),
+], ids=["hilbert-reversed", "cohomology-reversed", "hilbert-zero-ring", "cohomology-zero-ring",
+        "hilbert-empty", "cohomology-empty", "semigroup-empty"])
 def test_window_is_checked_before_any_computation(argv, message):
     assert_usage_error(argv, message)
 

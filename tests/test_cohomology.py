@@ -1,5 +1,5 @@
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -202,12 +202,22 @@ def test_grothendieck_serre_identity_spot():
 
 
 def test_integer_rank_matches_fraction_oracle():
+    # integer_rank takes sparse rows {column: value}, fraction_rank dense ones
     rng = random.Random(59)
+    matrices = [[], [[0, 0, 0]], [[0, 0], [0, 0]], [[1, -2, 3]] * 3, [[2, 4], [0, 0], [1, 2]]]
     for _ in range(40):
         rows = rng.randint(0, 5)
         cols = rng.randint(1, 5)
         matrix = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-        assert integer_rank(matrix) == fraction_rank(matrix)
+        if matrix and rng.random() < 0.5:
+            matrix.append(rng.choice(matrix))  # a repeated row
+        matrices.append(matrix)
+    for matrix in matrices:
+        sparse = [{c: v for c, v in enumerate(row) if v} for row in matrix]
+        assert integer_rank(sparse) == fraction_rank(matrix), matrix
+    # a zero entry kept in a sparse row counts as no entry
+    assert integer_rank([{0: 0, 2: 0}, {1: 0}]) == 0
+    assert integer_rank([{0: 2, 1: 0}, {0: -4}]) == 1
 
 
 def test_top_cohomology_nonvanishing():
@@ -370,6 +380,26 @@ def test_void_and_cone_classes_take_no_rank(monkeypatch):
     # three vertices, no edge: the counter does see a class that needs ranks
     three_points = (3, 0b000, (0b011, 0b101, 0b110))
     assert shifted_class_dims(*three_points) == (0, 2, 0, 0) == full_scan_class_dims(*three_points)
+    assert calls
+
+
+def test_many_masks_rank_the_cech_complex(monkeypatch):
+    # the 20 three-subsets of 6 coordinates leave the complete graph K_6, with
+    # h^2 = 15 - 6 + 1; their Taylor strand would have 2^20 cells, so past k
+    # masks no ranked matrix may have more rows than C(6, 3), the largest
+    # grade of the Cech complex
+    calls = []
+
+    def counting_rank(rows):
+        if len(rows) > comb(6, 3):  # fail before ranking a strand-sized matrix
+            pytest.fail(f"a ranked matrix has {len(rows)} rows")
+        calls.append(rows)
+        return integer_rank(rows)
+
+    monkeypatch.setattr(cohomology, "integer_rank", counting_rank)
+    _class_dims.cache_clear()
+    masks = tuple(sum(1 << j for j in triple) for triple in combinations(range(6), 3))
+    assert _class_dims(6, frozenset(masks)) == (0, 0, 10, 0, 0, 0, 0) == full_scan_class_dims(6, 0, masks)
     assert calls
 
 
