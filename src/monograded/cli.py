@@ -129,7 +129,7 @@ def parse_integers(flag: str, text: str) -> tuple[int, ...]:
 def require_ring_ideal(args) -> tuple[tuple[str, ...], MonomialIdeal]:
     """(names, ideal) from --ring and --ideal; every --ring piece must be a
     variable name."""
-    if not args.ring or args.ideal is None:
+    if args.ring is None or args.ideal is None:
         raise UsageError("this subcommand needs --ring and --ideal")
     names = tuple(s.strip() for s in args.ring.split(","))
     if not any(names):

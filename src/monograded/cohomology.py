@@ -29,10 +29,11 @@ coface, ranked exactly over Q by `truncation.Echelon`, the package's one rank
 engine.
 A class weighs its dimensions by prod_j (x^lo_j + ... + x^hi_j), whose
 coefficients count its multidegrees by the sum of their coordinates outside
-T; closed-form composition counts turn the weighted sums into the graded
-lengths h^i(R)_n, the a-invariant, depth, and the binomial-weighted
-invariant EG(R).  A window of graded lengths steps those counts from degree
-to degree by Pascal's rule, so its cost follows its width.
+T; the a-invariant and depth are read off the classes.  The graded lengths
+h^i(R)_n have one evaluator, `CohomologyTable.rows`, which starts a window
+from closed-form composition counts and steps them from degree to degree by
+Pascal's rule, so its cost follows its width; a single h^i(R)_n and the
+binomial-weighted invariant EG(R) are read from its rows.
 """
 
 from __future__ import annotations
@@ -149,8 +150,7 @@ class CohomologyTable:
         self.depth = bottom
 
     def h(self, i: int, n: int) -> int:
-        return sum(dims[i] * _compositions(t_size, clamp_sum, n)
-                   for clamp_sum, t_size, dims in self.classes)
+        return sum(v for j, _, v in self.rows(n, n) if j == i)
 
     @property
     def a_invariant(self) -> int:
@@ -164,11 +164,7 @@ class CohomologyTable:
     @property
     def eg_invariant(self) -> int:
         d = self.dim
-        return sum(
-            comb(d - 1, q) * dims[q] * _compositions(t_size, clamp_sum, 1 - q)
-            for clamp_sum, t_size, dims in self.classes
-            for q in range(d)
-        )
+        return sum(comb(d - 1, i) * v for i, n, v in self.rows(2 - d, 1) if i + n == 1 and i < d)
 
     def rows(self, lo: int, hi: int) -> list[list[int]]:
         """[i, n, h^i(R)_n] for the nonzero values with lo <= n <= hi, ordered
@@ -184,7 +180,8 @@ class CohomologyTable:
         where the classes have a nonzero dim.  So the cost follows the width
         of the window, not its distance from the classes.  No class adds
         anything above s - t: the window is clipped to the highest such
-        degree, and a class with s - t < lo is left out."""
+        degree, and a class with s - t < lo is left out (none if lo > hi).
+        `h` and `eg_invariant` read their values from these rows."""
         hi = min(hi, max((clamp_sum - t_size for clamp_sum, t_size, _ in self.classes), default=lo))
         start: dict[tuple[int, int], list[int]] = {}  # (t, i) -> [f_0(lo), ..., f_t(lo)]
         later: dict[tuple[int, int], dict[int, int]] = {}  # (t, i) -> {s: f_0(s)}, lo < s <= hi

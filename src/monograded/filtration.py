@@ -221,25 +221,24 @@ class PowerCache:
     def _closure(self, p: int) -> int:
         """The bitset of the Ratliff-Rush chain's value for I^p (see
         `ratliff_rush`): member n is I^(p+n) : I^n, taken as n colons by I
-        (J : I^n = (J : I) : I^(n-1)).  Only the three newest members are
-        kept."""
+        (J : I^n = (J : I) : I^(n-1)).  Only the newest member's bitset and
+        the three newest colengths are kept; a colength does not depend on
+        the box, so a chain that lays it out again goes on in the new one."""
         closure = self._closures.get(p)
         if closure is None:
-            top, n = self._top, 0
-            newest = [self._bits(p)]  # members n-2, n-1, n
-            while not (len(newest) == 3 and newest[0] == newest[1] == newest[2]):
+            member, n = self._bits(p), 0
+            colengths = [self._total - member.bit_count()]  # members n-2, n-1, n
+            while len(colengths) < 3 or colengths[0] != colengths[2]:
                 n += 1
                 if n > RR_MAX_STEPS:
                     raise ComputationError(
                         f"Ratliff-Rush chain did not stabilize in {RR_MAX_STEPS} steps")
                 member = self._bits(p + n)
-                if self._top != top:  # laid out again: start over in the new box
-                    top, n, newest = self._top, 0, [self._bits(p)]
-                    continue
                 for i in range(n):
                     member = self._colon_by_ideal(member, p + n - i)
-                newest = [*newest[-2:], member]
-            closure = self._closures[p] = self._hold(newest[0])
+                colengths = [*colengths[-2:], self._total - member.bit_count()]
+            # at n = 2 the value is I^p itself: keep the power's int, not a copy
+            closure = self._closures[p] = self._hold(self._bits(p) if n == 2 else member)
         return closure
 
     def closure(self, p: int) -> MonomialIdeal:
@@ -289,8 +288,10 @@ power_cache.cache_clear = _cache_clear
 def ratliff_rush(ideal: MonomialIdeal, power: int = 1) -> MonomialIdeal:
     """Ratliff-Rush closure of I^power, the union of the increasing chain
     (I^(power+n) : I^n), taken at the first repeat plus one confirming step:
-    the first n >= 1 with members n - 1, n, n + 1 equal (member 0 is I^power).
-    A chain can plateau and grow again, so this stopping rule is not a proof.
+    the first n >= 1 with members n - 1 and n + 1 of equal colength, so
+    members n - 1, n, n + 1 are equal (member 0 is I^power).  A colength does
+    not depend on the box, so no chain restarts.  A chain can plateau and
+    grow again, so this stopping rule is not a proof.
     `filtration_report` runs it only when G is not certified Cohen-Macaulay
     (when it is, every power of I is closed; Heinzer-Lantz-Shah 1992).
     """

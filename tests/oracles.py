@@ -423,7 +423,8 @@ def brute_intersection_matches(a: MonomialIdeal, b: MonomialIdeal, computed: Mon
 
 
 def fraction_rank(rows: list[list]) -> int:
-    """Rank over Q by plain Gaussian elimination with Fractions."""
+    """Rank over Q by plain Gaussian elimination with Fractions: each pivot
+    clears the rows below it."""
     rows = [[Fraction(x) for x in row] for row in rows if any(row)]
     rank = 0
     ncols = len(rows[0]) if rows else 0
@@ -438,8 +439,8 @@ def fraction_rank(rows: list[list]) -> int:
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = 1 / rows[rank][col]
         rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
                 factor = rows[i][col]
                 rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
         rank += 1

@@ -361,6 +361,7 @@ def test_instance_flag_without_ideal_is_usage_error(argv, flag):
 def test_missing_ring_or_ideal_is_usage_error():
     assert_usage_error(["hilbert"], "needs --ring and --ideal")
     assert_usage_error(["hilbert", "--ring", " , ", "--ideal", "1"], "at least one variable")
+    assert_usage_error(["hilbert", "--ring=", "--ideal", "x"], "at least one variable")
     assert_usage_error(["verify", "--ideal", "x"], "needs --ring and --ideal")
 
 

@@ -243,6 +243,9 @@ def test_eg_invariant_definition():
         d = table.dim
         expected = sum(comb(d - 1, q) * table.h(q, 1 - q) for q in range(d))
         assert table.eg_invariant == expected
+    # d = 1: EG = h^0(R)_1, the class of x in (x) / (x^2, x*y)
+    table = cohomology_table(parse_ideal("x^2, x*y", XY))
+    assert (table.dim, table.h(0, 1), table.eg_invariant) == (1, 1, 1)
     assert cohomology_table(N_IDEAL).depth == 1
 
 
@@ -270,26 +273,37 @@ def oracle_ideals():
 
 
 def test_breakpoint_table_matches_exhaustive_enumeration():
+    # EG also against its definition, each h^q(R)_(1-q) counted class by
+    # class on the exhaustive table, in dimensions 0, 1 and at least 2
+    dims = set()
     for ideal in oracle_ideals():
         table = cohomology_table(ideal)
         oracle = exhaustive_cohomology_table(ideal)
         assert (table.dim, table.depth) == (oracle.dim, oracle.depth), ideal
         assert table.a_invariant == oracle.a_invariant, ideal
-        assert table.eg_invariant == oracle.eg_invariant, ideal
+        d = oracle.dim
+        h = {(i, n): v for i, n, v in reference_rows(oracle, 2 - d, 1)}
+        eg = sum(comb(d - 1, q) * h.get((q, 1 - q), 0) for q in range(d))
+        assert table.eg_invariant == oracle.eg_invariant == eg, ideal
+        dims.add(min(d, 2))
         rho_sum = sum(table.rho)
         for i in range(ideal.k + 1):
             for n in range(-rho_sum - ideal.k - 1, rho_sum + 2):
                 assert table.h(i, n) == oracle.h(i, n), (ideal, i, n)
+    assert dims == {0, 1, 2}
 
 
 def test_window_rows_match_h():
+    # h(i, n) is read from rows(n, n): it matches the rows of every window and
+    # the per-class reference; a window with lo > hi has no rows, such as
+    # rows(2, 1), which eg_invariant reads when d = 0
     for ideal in oracle_ideals():
         table = cohomology_table(ideal)
         rho_sum = sum(table.rho)
-        for lo, hi in ((-rho_sum, rho_sum), (-2, 1), (3, 2)):
+        for lo, hi in ((-rho_sum, rho_sum), (-2, 1), (3, 2), (2, 1), (rho_sum, -rho_sum - 1)):
             expected = [[i, n, table.h(i, n)] for i in range(ideal.k + 1)
                         for n in range(lo, hi + 1) if table.h(i, n)]
-            assert table.rows(lo, hi) == expected, (ideal, lo, hi)
+            assert table.rows(lo, hi) == expected == reference_rows(table, lo, hi), (ideal, lo, hi)
 
 
 def test_window_above_the_support_is_clipped():

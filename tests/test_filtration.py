@@ -595,6 +595,46 @@ def test_bitset_box_laid_out_again_mid_work():
     assert expected.numerator[-1] != 0
 
 
+@pytest.mark.parametrize("ideal, p", [(STAIR, 1), (HARD_LADDER["B"], 2)], ids=["stair-1", "B-2"])
+def test_ratliff_rush_chain_goes_on_across_a_new_layout(monkeypatch, ideal, p):
+    # a cache laid out for I^1 reads I^(p+n) as its chain grows, so the box
+    # is laid out again, for a top above the 2 that member 0 needs, while the
+    # chain runs; a cache laid out for I^16 first is not
+    powers = tuple_powers(ideal, 1)
+    expected = tuple_ratliff_rush(powers, p)
+    assert expected != powers[p]  # the chain has to grow past member 0
+    fresh = PowerCache(ideal)
+    tops = [fresh._top]
+    real = PowerCache._layout
+
+    def recording(self, n):
+        real(self, n)
+        tops.append(self._top)
+
+    monkeypatch.setattr(PowerCache, "_layout", recording)
+    assert fresh.closure(p) == expected
+    assert tops[0] == 1 and tops[-1] > 2
+    wide = PowerCache(ideal)
+    wide.power(16)
+    assert wide._top == 16
+    assert wide.closure(p) == expected and wide._top == 16
+
+
+@pytest.mark.parametrize("k, deg_bound, count", [(2, 6, 25), (3, 3, 25)])
+def test_tuple_chain_colengths_never_rise(k, deg_bound, count):
+    # the chain I^p, I^(p+1) : I, I^(p+2) : I^2, ... increases, so its
+    # colengths never rise: members n - 2 and n of equal colength are equal,
+    # with member n - 1 between them, which is what `_closure` stops on
+    for _, ideal in corpus_monomial(7, count, k, deg_bound):
+        powers = tuple_powers(ideal, 1)
+        for p in (1, 2):
+            members = [tuple_power(powers, p)]
+            for n in range(1, 5):
+                members.append(tuple_power(powers, p + n).colon(tuple_power(powers, n)))
+            colengths = [member.quotient_length() for member in members]
+            assert colengths == sorted(colengths, reverse=True), (ideal, p, colengths)
+
+
 def test_box_grows_only_as_far_as_the_entry_bound_allows(monkeypatch):
     cache = PowerCache(STAIR)
     cache.power(4)
