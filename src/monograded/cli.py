@@ -114,6 +114,22 @@ def parse_window(text: str | None) -> tuple[int, int] | None:
     return lo, hi
 
 
+def attach_windows(argv: list[str]) -> list[str]:
+    """argv with `--window lo:hi` spelled `--window=lo:hi` where lo is
+    negative, also for an abbreviated flag such as `--win`.  argparse reads a
+    word that starts with '-' and is not a plain number as an option, so
+    `--window -6:3` would lack its value; attached, it is the value.  Any
+    other `--window`, such as a last word, stays for argparse to judge, and
+    so does every word after `--`."""
+    words = list(argv)
+    end = words.index("--") if "--" in words else len(words)
+    for at in reversed(range(end - 1)):
+        flag, value = words[at], words[at + 1]
+        if len(flag) > 2 and "--window".startswith(flag) and value[:1] == "-" and value[1:2].isdigit():
+            words[at:at + 2] = [f"{flag}={value}"]
+    return words
+
+
 def parse_integers(flag: str, text: str) -> tuple[int, ...]:
     """The comma-separated integers of a semigroup flag; a bad piece raises
     ValueError naming the flag, its whole input and the piece."""
@@ -443,7 +459,7 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:  # one parser per process
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = _parser.parse_args(attach_windows(sys.argv[1:] if argv is None else argv))
     doc = {"schema": SCHEMA, "config": config_dict(args)}
     try:
         check_option_ranges(args, _parser.option_minimum)

@@ -18,15 +18,20 @@ kill masks, which the strand of its Taylor complex in the multidegree of
 all the coordinates outside T gives (D. Taylor, thesis, Chicago, 1966;
 Miller-Sturmfels ch. 4): 2^r cells for r masks, against the Cech complex's
 2^k, so past k masks the Cech complex is ranked instead.  The enumeration
-gives T no bits: the coordinates outside T take bits 0, 1, 2, ... in order,
-and a class's complex is keyed by their number and the minimal kill masks
-alone, in one bounded memo that every table shares.  Two kinds of class are
-zero and need no rank: void ones, where a kill mask is empty, so D has no
-faces at all, and cones of at most k masks, where a coordinate lies in no
+gives T no bits: the coordinates outside T take bits 0, 1, 2, ... in order.
+It carries the kill masks of all generators packed in one integer, one group
+of bits per set F of the coordinates outside T so far, bit g set iff F
+contains generator g's mask, so that a step of the walk is an AND, a shift
+and an OR that double the table.  At a class, the sets whose group is not
+zero are the up-set of the family of masks: it depends on the minimal masks
+alone, and with the number of coordinates outside T it keys the class's
+complex in one bounded memo that every table shares.  Two kinds of class
+are zero and need no rank: void ones, where a kill mask is empty, so D has
+no faces at all, and cones of at most k masks, where a coordinate lies in no
 kill mask, so no set of masks covers every coordinate.  Every other distinct
 complex is computed once: its maps are sparse rows, one signed entry per
-coface, ranked exactly over Q by `truncation.Echelon`, the package's one rank
-engine.
+coface, ranked exactly over Q by `truncation.Echelon`, the package's one
+rank engine.
 A class weighs its dimensions by prod_j (x^lo_j + ... + x^hi_j), whose
 coefficients count its multidegrees by the sum of their coordinates outside
 T; the a-invariant and depth are read off the classes.  The graded lengths
@@ -84,33 +89,59 @@ def _homology(cells: list[list[int]]) -> tuple[int, ...]:
     return tuple(len(c) - ranks[p] - ranks[p + 1] for p, c in enumerate(cells))
 
 
+# Byte b -> "0" if b is zero, else "1": a table's groups as binary digits.
+_NONZERO = b"0" + b"1" * 255
+
+
+def _lacking(size: int, b: int) -> int:
+    """The positions p < size whose bit b is clear, as the bits of one integer:
+    2^b ones, then 2^b zeros, repeated.  size is a power of two above 2^b."""
+    lacking, period = (1 << (1 << b)) - 1, 2 << b
+    while period < size:
+        lacking |= lacking << period
+        period <<= 1
+    return lacking
+
+
 @lru_cache(maxsize=4096)
-def _class_dims(k: int, kill_masks) -> tuple[int, ...]:
+def _class_dims(k: int, up: int) -> tuple[int, ...]:
     """Cohomology dimensions (h^0..h^k) of one degree's Cech complex on k
     coordinates with T = {}; a class with |T| more coordinates, all in T, has
     these dimensions moved up by |T|.
 
-    A generator's kill mask holds the coordinates j with g_j > a_j.  The sets F
-    of coordinates that contain no kill mask are the faces of a simplicial
-    complex D, and h^i is the reduced cohomology of D in dimension i - 1.  By
-    Hochster's formula that is the Betti number, in homological degree k - i
-    and in the multidegree of all k coordinates, of the squarefree ideal of the
-    masks.  It is read from the Taylor complex of the masks (Miller-Sturmfels,
+    A generator's kill mask holds the coordinates j with g_j > a_j.  The class
+    is given by the up-set of its kill masks, bit F of `up` set iff the set F
+    of coordinates contains some mask: the same up-set means the same minimal
+    masks.  The sets F outside it are the faces of a simplicial complex D, and
+    h^i is the reduced cohomology of D in dimension i - 1.  By Hochster's
+    formula that is the Betti number, in homological degree k - i and in the
+    multidegree of all k coordinates, of the squarefree ideal of the masks.
+    It is read from the Taylor complex of the minimal masks (Miller-Sturmfels,
     ch. 1 and 4): the strand of the sets S of masks whose union is every
     coordinate, graded by |S|, with the alternating-sign deletion maps, has
     h^i as its homology at |S| = k - i.  The strand has at most 2^r cells for
-    r masks, minimal or not.  A void family (an empty mask: D has no faces)
-    gives zeros before any rank.  Past k masks the Cech complex itself, on the
-    2^k sets F, is the smaller one and is ranked instead; up to k masks a cone
-    (a coordinate in no mask) gives zeros with no rank too, as no union is
-    full.
+    r masks.  A void class (the empty set is in `up`: D has no faces) gives
+    zeros before any rank.  Past k masks the Cech complex itself, on the 2^k
+    sets F, is the smaller one and is ranked instead; up to k masks a cone (a
+    coordinate in no mask) gives zeros with no rank too, as no union is full.
     """
-    if 0 in kill_masks:
+    if up & 1:
         return (0,) * (k + 1)
+    size = 1 << k
+    # F is a minimal mask iff F is in `up` and no F - {b} is: adding 2^b
+    # moves each position F - {b} of `up` that lacks b to F.
+    below = 0
+    for b in range(k):
+        below |= (up & _lacking(size, b)) << (1 << b)
+    minimal = up & ~below
+    kill_masks = []
+    while minimal:
+        kill_masks.append((minimal & -minimal).bit_length() - 1)
+        minimal &= minimal - 1
     if len(kill_masks) > k:
         faces: list[list[int]] = [[] for _ in range(k + 1)]
-        for f_mask in range(1 << k):
-            if all(m & ~f_mask for m in kill_masks):
+        for f_mask in range(size):
+            if not up >> f_mask & 1:
                 faces[bin(f_mask).count("1")].append(f_mask)
         return _homology(faces)
     # unions[S]: the union of the masks at the positions of the bits of S
@@ -119,7 +150,7 @@ def _class_dims(k: int, kill_masks) -> tuple[int, ...]:
         unions += [u | m for u in unions]
     strand: list[list[int]] = [[] for _ in range(k + 1)]
     for subset, union in enumerate(unions):
-        if union == (1 << k) - 1:
+        if union == size - 1:
             strand[bin(subset).count("1")].append(subset)
     return _homology(strand)[::-1]
 
@@ -224,50 +255,69 @@ def cohomology_table(ideal: MonomialIdeal) -> CohomologyTable:
     # prod(rho_j + 1).
     size = (prod(r + 1 for r in rho).bit_length() + 7) // 8
     width = 8 * size
-    # (j, runs) for each coordinate j that some generator involves, where runs
-    # holds (lo, packed x^lo + ... + x^hi) for each interval between consecutive
-    # distinct positive exponents of x_j, the last ending at rho_j - 1: a
-    # repunit in base 2^width, shifted by lo digits.  Any other coordinate has
-    # no interval: it lies in T in every class.
-    intervals = []
-    for j in range(k):
-        cuts = sorted({exps[j] for exps in gen_exps if exps[j]})
-        if cuts:
-            intervals.append((j, [
-                (lo, ((1 << (hi - lo + 1) * width) - 1) // ((1 << width) - 1) << lo * width)
-                for lo, hi in zip([0] + cuts[:-1], [c - 1 for c in cuts])
-            ]))
+    # The cuts of each coordinate that some generator involves: its distinct
+    # positive exponents.  Any other coordinate has no interval: it lies in T
+    # in every class.
+    cuts = [(j, c) for j in range(k) if (c := sorted({exps[j] for exps in gen_exps if exps[j]}))]
+    involved = len(cuts)
+    # The walk keeps the kill masks of all generators in one integer, a table
+    # of the sets F of the coordinates outside T so far: bit g of the `group`
+    # bits from F * group on is set iff F contains generator g's mask.  A
+    # group has a bit for every generator and is a whole number of bytes, so
+    # that a class reads the groups with `to_bytes`.  At the start F = {} is
+    # the only set, and it contains every mask, as every mask is empty.
+    nbytes = 1 << max((len(gen_exps) - 1).bit_length() - 3, 0)
+    group = 8 * nbytes
+    # Taking the interval from lo to hi for the i-th coordinate, as the
+    # free-th coordinate outside T, doubles the table.  A set F + {free}
+    # contains the new mask of each generator whose old mask F contained, bit
+    # free or not; F itself still contains those of the generators with
+    # g_j <= lo, whose masks gain no bit.  So the new table is
+    # state & keep[free] | state << (group << free).
+    # steps[i]: (keep, packed x^lo + ... + x^hi) for each interval between
+    # consecutive cuts of the i-th coordinate, the last ending at rho_j - 1,
+    # the weight a repunit in base 2^width, shifted by lo digits.
+    steps = []
+    for i, (j, c) in enumerate(cuts):
+        runs = []
+        for lo, hi in zip([0] + c[:-1], [t - 1 for t in c]):
+            keep = [sum(1 << g for g, exps in enumerate(gen_exps) if exps[j] <= lo)]
+            for free in range(i):
+                keep.append(keep[free] | keep[free] << (group << free))
+            runs.append((keep, ((1 << (hi - lo + 1) * width) - 1) // ((1 << width) - 1) << lo * width))
+        steps.append(runs)
+    # ORing each group's bytes onto its lowest one; `empty` is the group of {}.
+    folds = [8 << t for t in reversed(range(nbytes.bit_length() - 1))]
+    empty = (1 << group) - 1
 
-    # (|T|, dims of D) -> packed multiplicity of each clamp sum.
+    # (|T|, dims of D) -> packed multiplicity of each clamp sum, zero dims too.
     weights: dict = {}
 
     # A coordinate sent to T adds no bit to the kill masks (every mask holds
-    # it); the free-th coordinate outside T takes bit free.
-    def recurse(i: int, free: int, kill_masks: tuple[int, ...], weight: int):
-        if i == len(intervals):
-            masks = set(kill_masks)
-            if 0 in masks:
-                return  # void: the complex is zero
-            # Minimal masks keep the Taylor strand small and the memo key
-            # canonical; any family would give the same dims.
-            dims = _class_dims(free, frozenset(
-                m for m in masks if not any(o & m == o != m for o in masks)))
-            if any(dims):
-                key = (k - free, dims)
-                weights[key] = weights.get(key, 0) + weight
+    # it) and leaves the table as it is.
+    def recurse(i: int, free: int, state: int, weight: int):
+        if i == involved:
+            if state & empty:
+                return  # void: {} contains a mask, the complex is zero
+            # The up-set of the family, bit F set iff the group of F is not
+            # zero: canonical, as it only depends on the minimal masks.
+            for fold in folds:
+                state |= state >> fold
+            up = int(state.to_bytes(nbytes << free, "big")[nbytes - 1::nbytes].translate(_NONZERO), 2)
+            key = (k - free, _class_dims(free, up))
+            weights[key] = weights.get(key, 0) + weight
             return
-        recurse(i + 1, free, kill_masks, weight)
-        j, runs = intervals[i]
-        bit = 1 << free
-        for lo, run in runs:
-            recurse(i + 1, free + 1, tuple(
-                m | bit if exps[j] > lo else m for m, exps in zip(kill_masks, gen_exps)
-            ), weight * run)
+        recurse(i + 1, free, state, weight)
+        span = group << free
+        for keep, run in steps[i]:
+            recurse(i + 1, free + 1, state & keep[free] | state << span, weight * run)
 
-    recurse(0, 0, (0,) * len(gen_exps), 1)
+    recurse(0, 0, (1 << len(gen_exps)) - 1, 1)
 
     totals: dict[tuple[int, int], list[int]] = {}
     for (t_size, dims), packed in weights.items():
+        if not any(dims):
+            continue
         digits = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
         for clamp_sum, at in enumerate(range(0, len(digits), size)):
             count = int.from_bytes(digits[at:at + size], "little")

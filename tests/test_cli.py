@@ -258,6 +258,34 @@ def test_usage_error_exit_2():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("subcommand", ["hilbert", "cohomology"])
+def test_negative_window_after_a_space_is_its_value(subcommand, monkeypatch):
+    # argparse alone reads `-2:2` as an option and refuses `--window -2:2`
+    argv = [subcommand, "--ring", "x,y", "--ideal", "x*y"]
+    attached = run_cli([*argv, "--window=-2:2"])
+    assert attached[0] == 0 and json.loads(attached[1])["config"]["window"] == "-2:2"
+    assert run_cli([*argv, "--window", "-2:2"]) == attached
+    assert run_cli([subcommand, "--window", "-2:2", *argv[1:]]) == attached
+    assert run_cli([*argv, "--win", "-2:2"]) == attached
+    # main() with no arguments reads sys.argv the same way
+    monkeypatch.setattr(sys, "argv", ["monograded", *argv, "--window", "-2:2"])
+    assert run_cli(None) == attached
+    # a lone negative bound is a malformed window, not a missing one
+    assert_usage_error([*argv, "--window", "-2"], "lo:hi")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--ring", "x,y", "--ideal", "x*y", "--window"],
+    ["cohomology", "--window", "--ring", "x,y", "--ideal", "x*y"],
+    ["hilbert", "--ring", "x,y", "--ideal", "x*y", "--", "--window", "-2:2"],
+], ids=["trailing", "followed-by-a-flag", "after-double-dash"])
+def test_window_without_a_value_still_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_computation_error_exit_1():
     # reduction on a non-m-primary ideal cannot compute colengths
     code, out = run_cli(["reduction", "--ring", "x,y", "--ideal", "x"])

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice, product
 from math import comb
 
 import pytest
@@ -17,6 +17,7 @@ from oracles import (
     cech_class_cohomology,
     degree_box_top,
     exhaustive_cohomology_table,
+    extend_kill_masks,
     fraction_rank,
     full_scan_class_dims,
     pure_power_variable,
@@ -345,12 +346,74 @@ def test_warm_complex_memo_matches_cold_and_exhaustive():
         assert cold[ideal] == aggregated(exhaustive_cohomology_table(ideal).classes), ideal
 
 
+def up_set(k, family):
+    """The key of _class_dims: bit F set for each set F of the k coordinates
+    that contains a mask of the family."""
+    return sum(1 << f for f in range(1 << k) if any(m & f == m for m in family))
+
+
+def staircase(k, count):
+    """count distinct monomials of one degree in k variables, the first in
+    lexicographic order: an antichain, so count minimal generators."""
+    degree = count + 1 if k == 2 else 7
+    gens = [e for e in product(range(degree, -1, -1), repeat=k) if sum(e) == degree][:count]
+    return MonomialIdeal(k, gens)
+
+
+def test_staircases_of_every_fold_width_match_exhaustive_enumeration():
+    # a set of coordinates holds one bit per generator in a group of 1, 2, 4
+    # or 8 bytes, whose bytes are ORed onto the lowest one by one shift per
+    # halving: counts on both sides of 8, 16 and 32 generators take each width
+    for k in (2, 3):
+        for count in (1, 2, 3, 5, 8, 9, 16, 17, 33, 36):
+            ideal = staircase(k, count)
+            assert len(ideal.exps) == count
+            assert cohomology_table(ideal).classes == aggregated(
+                exhaustive_cohomology_table(ideal).classes), (k, count)
+
+
+def class_complexes(ideal):
+    """The distinct non-void (free coordinates, kill masks) pairs over the
+    breakpoint classes of a table, counted with extend_kill_masks, once with
+    the minimal masks and once with each generator's mask in order."""
+    choices = []
+    for j in range(ideal.k):
+        cuts = sorted({exps[j] for exps in ideal.exps if exps[j]})
+        choices.append([-1, 0, *cuts[:-1]] if cuts else [-1])
+    minimal, raw = set(), set()
+    for degree in product(*choices):
+        masks = (0,) * len(ideal.exps)
+        for j, a_j in enumerate(degree):
+            masks = extend_kill_masks(masks, ideal.exps, j, a_j)
+        outside = [j for j, a_j in enumerate(degree) if a_j >= 0]
+        family = tuple(sum(1 << b for b, j in enumerate(outside) if m >> j & 1) for m in masks)
+        if 0 not in family:
+            raw.add((len(outside), family))
+            minimal.add((len(outside), frozenset(
+                m for m in family if not any(o & m == o != m for o in family))))
+    return minimal, raw
+
+
+def test_class_dims_misses_once_per_distinct_minimal_family():
+    # the memo key is canonical: every class with the same free coordinates
+    # and minimal masks is one entry, whatever its generators' raw masks
+    raw_is_larger = False
+    for ideal in [N_IDEAL, *islice(oracle_ideals(), 0, None, 3)]:
+        minimal, raw = class_complexes(ideal)
+        cohomology_table.cache_clear()
+        _class_dims.cache_clear()
+        cohomology_table(ideal)
+        assert _class_dims.cache_info().misses == len(minimal), ideal
+        raw_is_larger |= len(raw) > len(minimal)
+    assert raw_is_larger
+
+
 def shifted_class_dims(k, t_mask, family):
     """_class_dims on the masks restricted to the coordinates outside T,
     renumbered 0, 1, ... in order, with the dims shifted up by |T|."""
     outside = [j for j in range(k) if not t_mask >> j & 1]
     projected = tuple(sum(1 << b for b, j in enumerate(outside) if m >> j & 1) for m in family)
-    return (0,) * (k - len(outside)) + _class_dims(len(outside), projected)
+    return (0,) * (k - len(outside)) + _class_dims(len(outside), up_set(len(outside), projected))
 
 
 def test_class_dims_matches_full_scan_on_every_small_family():
@@ -413,7 +476,7 @@ def test_many_masks_rank_the_cech_complex(monkeypatch):
     monkeypatch.setattr(cohomology, "integer_rank", counting_rank)
     _class_dims.cache_clear()
     masks = tuple(sum(1 << j for j in triple) for triple in combinations(range(6), 3))
-    assert _class_dims(6, frozenset(masks)) == (0, 0, 10, 0, 0, 0, 0) == full_scan_class_dims(6, 0, masks)
+    assert _class_dims(6, up_set(6, masks)) == (0, 0, 10, 0, 0, 0, 0) == full_scan_class_dims(6, 0, masks)
     assert calls
 
 
@@ -426,20 +489,20 @@ def test_taylor_strand_matches_full_scan_on_every_antichain():
         families = antichains(k)
         counts[k] = len(families)
         for family in families:
-            assert _class_dims(k, frozenset(family)) == full_scan_class_dims(k, 0, family), (k, family)
+            assert _class_dims(k, up_set(k, family)) == full_scan_class_dims(k, 0, family), (k, family)
     assert counts == {0: 2, 1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
 
 
 def test_taylor_strand_matches_full_scan_on_nonminimal_families():
-    # the Taylor complex resolves the ideal of any family of masks: a mask
-    # above another one, or a repeated one, changes no dimension
+    # a mask above another one, or a repeated one, leaves the up-set, and so
+    # every dimension, as it was
     rng = random.Random(223)
     for _ in range(3000):
         k = rng.randint(1, 6)
         base = [rng.randrange(1, 1 << k) for _ in range(rng.randint(1, 4))]
         above = [m | rng.randrange(1 << k) for m in rng.choices(base, k=rng.randint(1, 4))]
         family = tuple(rng.sample(base + above, len(base) + len(above)))
-        assert _class_dims(k, family) == full_scan_class_dims(k, 0, family), (k, family)
+        assert _class_dims(k, up_set(k, family)) == full_scan_class_dims(k, 0, family), (k, family)
 
 
 def windows(table):
