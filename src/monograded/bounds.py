@@ -4,12 +4,14 @@ Every checker evaluates both sides of one inequality on a concrete instance,
 with every hypothesis machine-checked; `hypothesis-unverified` and `skipped`
 are first-class outcomes, never silently folded into the pass column.  The
 reduction-number bounds prop3.3 and prop3.4 are checked where the associated
-graded ring G is Cohen-Macaulay, decided exactly as ell(G/J*G) = e(I), once
-per ideal (`filtration.cm_reduction_number`); its h-vector h then gives
-every number they read: r(I) = deg h with no further trial, ell(R/I) = h_0,
-ell(I/I^2) = d*h_0 + h_1 and ell(I^2/JI) = h_2 + ... + h_r.  `BOUNDS` maps
-each bound's name to its checker, the instances it applies to and its
-corpus; corpus runs are seeded and deterministic.
+graded ring G is Cohen-Macaulay, decided exactly once per ideal
+(`filtration.cm_reduction_number`): from ell(R/I), ell(R/I^2) and e(I) with
+no trial when r(I) <= 1, otherwise as ell(G/J*G) = e(I) on one trial's J.
+Its h-vector h then gives every number they read: r(I) = deg h with no
+further trial, ell(R/I) = h_0, ell(I/I^2) = d*h_0 + h_1 and ell(I^2/JI) =
+h_2 + ... + h_r.  `BOUNDS` maps each bound's name to its checker, the
+instances it applies to and its corpus; corpus runs are seeded and
+deterministic.
 """
 
 from __future__ import annotations
@@ -30,8 +32,10 @@ UNVERIFIED = "hypothesis-unverified"
 SKIPPED = "skipped"
 
 # Seeded candidate reductions per instance when G is not Cohen-Macaulay; r(I)
-# is the least r_J among them.  A Cohen-Macaulay G needs one trial, or none
-# once its verdict is known: r_J = deg h for every minimal reduction J.
+# is the least r_J among them, and sampling stops at a trial whose r_J is
+# min(r(I), 2), read from two colengths.  A Cohen-Macaulay G needs one trial,
+# or none once its verdict is known or r(I) <= 1: r_J = deg h for every
+# minimal reduction J.
 PROP_3_3_TRIALS = 3
 PROP_3_4_TRIALS = 2
 

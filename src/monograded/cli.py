@@ -6,9 +6,10 @@ Every document embeds the resolved run configuration and a schema version, so
 identical configurations produce byte-identical output.
 
 Exit codes: 0 success, 1 computation failure (also exhausted memory or
-recursion depth), 2 usage error (a missing or malformed ring, ideal, window or
-semigroup input, out-of-range numeric options and a `verify` instance flag
-without --ideal), 3 reproduction mismatch.  Every failure but argparse's own
+recursion depth, or an integer too large to compute with), 2 usage error (a
+missing or malformed ring, ideal, window or semigroup input, out-of-range
+numeric options and a `verify` instance flag without --ideal), 3 reproduction
+mismatch.  Every failure but argparse's own
 is a JSON error document.
 """
 
@@ -464,8 +465,9 @@ def main(argv=None) -> int:
     try:
         check_option_ranges(args, _parser.option_minimum)
         doc.update(COMMANDS[args.subcommand](args))
-    except (UsageError, ComputationError, MemoryError, RecursionError) as exc:
-        # A MemoryError carries no text; a RecursionError names the depth.
+    except (UsageError, ComputationError, MemoryError, RecursionError, OverflowError) as exc:
+        # A MemoryError carries no text; a RecursionError names the depth, an
+        # OverflowError the integer operation (an exponent of 20 digits).
         doc["error"] = {"type": type(exc).__name__, "message": str(exc) or "out of memory"}
     error = doc.get("error")
     sys.stdout.write(render(doc, "json" if error else args.format))  # errors are always JSON

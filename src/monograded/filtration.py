@@ -10,12 +10,16 @@ e(I) is d! times the covolume of the Newton polyhedron; reduction numbers are
 exact ranks in the fiber cone (J*I^n = I^(n+1) iff J*I^n spans
 I^(n+1)/m*I^(n+1), by Nakayama); the associated graded ring G is
 Cohen-Macaulay iff ell(G/J*G) = e(I), each degree of G/J*G an exact rank in
-the finite monomial space I^n/I^(n+1), decided once per ideal.  The fiber
-cone series, and the G-series of a G that is not Cohen-Macaulay, are
-reconstructed from finitely many length/generator counts: counts are read
-until their series times (1 - lambda)^k ends in five zero coefficients, the
-last two of which check that the numerator before them predicts the two
-newest counts (a stopping rule, not a proof of the tail).
+the finite monomial space I^n/I^(n+1), decided once per ideal.  Two
+colengths and e(I) give min(r(I), 2) with no rank (`_capped_r`): r(I) <= 1
+is decided there, with G Cohen-Macaulay, and no minimal reduction has r_J
+below it, so a scan of a d-generated candidate starts at that level and the
+checkers stop sampling once a trial reaches it.  The fiber cone series, and
+the G-series of a G that is not Cohen-Macaulay, are reconstructed from
+finitely many length/generator counts: counts are read until their series
+times (1 - lambda)^k ends in five zero coefficients, the last two of which
+check that the numerator before them predicts the two newest counts (a
+stopping rule, not a proof of the tail).
 """
 
 from __future__ import annotations
@@ -435,6 +439,28 @@ def _product_rows(polys, monomials, columns: dict):
             yield row
 
 
+def _capped_r(cache: PowerCache) -> int:
+    """min(r(I), 2), from ell(R/I), ell(R/I^2) and e = e(I), with no trial.
+
+    R is Cohen-Macaulay, so a minimal reduction J of I is generated by a
+    regular sequence of d = k elements: ell(R/J) = e and J/JI = (R/I)^d, so
+    ell(R/JI) = e + d*ell(R/I).  Since JI lies in I^2 and J in I, r_J = 0 iff
+    ell(R/I) = e, and r_J <= 1 iff ell(R/I^2) = e + d*ell(R/I).  Neither test
+    depends on J, so the value is min(r_J, 2) for every minimal reduction J.
+    """
+    e, length = newton_multiplicity(cache.ideal), cache.colength(1)
+    if length == e:
+        return 0
+    return 1 if cache.colength(2) == e + cache.ideal.k * length else 2
+
+
+def _short_h(cache: PowerCache, r: int) -> list[int]:
+    """The h-vector (ell(R/I), e - ell(R/I)) of G/J*G when r(I) = 1, or (e)
+    when r(I) = 0: I^2 = JI, so G is Cohen-Macaulay (see `cm_h_vector`)."""
+    length = cache.colength(1)
+    return [length] + [newton_multiplicity(cache.ideal) - length] * r
+
+
 def reduction_number_wrt(
     reduction: Reduction,
     ideal: MonomialIdeal,
@@ -448,11 +474,18 @@ def reduction_number_wrt(
     minimal generator of I^n; a term c*g*w of q*w is a minimal generator of
     I^(n+1) or lies in m*I^(n+1).  So each level is an exact rank over Q: one
     row per (q, w), one column per minimal generator of I^(n+1).
+
+    A J of d = k generators that is a reduction is a minimal one, so its
+    levels below `_capped_r` are deficient; one that is not a reduction is
+    deficient at every level.  So the scan starts at `_capped_r` for d
+    generators, and at level 0 for any other count (a J with more generators
+    may have r_J = 0 where ell(R/I) != e).
     """
     if n_bound is None:
         n_bound = newton_multiplicity(ideal) + 2
     cache = power_cache(ideal)
-    for n in range(n_bound + 1):
+    low = _capped_r(cache) if len(reduction) == ideal.k else 0
+    for n in range(low, n_bound + 1):
         columns = {w: j for j, w in enumerate(cache.power(n + 1).exps)}
         ech = Echelon()
         for row in _product_rows(reduction, cache.power(n).exps, columns):
@@ -523,23 +556,30 @@ def _verdict(cache: PowerCache, reduction: Reduction, rs: list[int]) -> tuple[bo
 def cm_reduction_number(
     ideal: MonomialIdeal, trials: int, seed: int = 0
 ) -> tuple[int, bool, list[int]]:
-    """(r, is_cm, h): r(I) from `trials` seeded trials, and whether G is
-    Cohen-Macaulay with the h-vector of `cm_h_vector`.
+    """(r, is_cm, h): r(I) from at most `trials` seeded trials, and whether G
+    is Cohen-Macaulay with the h-vector of `cm_h_vector`.
 
     The verdict is the one `_verdict` keeps on the ideal's `power_cache`
     entry.  A kept Cohen-Macaulay verdict gives r = deg h (Trung 1987) with
-    no trial.  Otherwise trial 0 runs, then `_verdict` on its J, and trials
-    1.. run only when G is not Cohen-Macaulay: r is then their minimum, as
+    no trial.  From cold, `_capped_r` decides r(I) <= 1 from two colengths;
+    then G is Cohen-Macaulay with the h of `_short_h`, kept with no trial.
+    Otherwise trial 0 runs, then `_verdict` on its J, and trials 1.. run only
+    when G is not Cohen-Macaulay and trial 0's r_J is above `_capped_r`, which
+    no minimal reduction can go below: r is then their minimum, as
     `reduction_number` takes it.
     """
     cache = power_cache(ideal)
     is_cm, h = cache.verdict or (False, None)
     if is_cm:
         return len(h) - 1, True, h
+    low = _capped_r(cache)
+    if cache.verdict is None and low <= 1:
+        cache.verdict = True, _short_h(cache, low)
+        return low, *cache.verdict
     runs = _trials(ideal, seed)
     r, reduction, _ = next(runs)
     is_cm, h = _verdict(cache, reduction, [r])
-    if not is_cm:
+    if not is_cm and r > low:
         r = min([r, *(r_j for r_j, _, _ in islice(runs, trials - 1))])
     return r, is_cm, h
 
@@ -560,14 +600,15 @@ def cm_h_vector(ideal: MonomialIdeal, reduction: Reduction, r: int) -> tuple[boo
     h_n = 0 for n > r, and h_n >= 1 for n <= r (h_n = 0 would give I^n =
     J*I^(n-1) by Nakayama), so the test stops, not Cohen-Macaulay, once
     h_0 + ... + h_n + (r - n) > e.  When r <= 1, JI = I^2 and G is
-    Cohen-Macaulay with h = (ell(R/I), e - ell(R/I)) (just ell(R/I) = e when
-    r = 0).  When G is Cohen-Macaulay, its Hilbert series is h/(1 - l)^d.
+    Cohen-Macaulay with the h of `_short_h`, which `cm_reduction_number` also
+    keeps when `_capped_r` gives r(I) <= 1.  When G is Cohen-Macaulay, its
+    Hilbert series is h/(1 - l)^d.
     """
-    e = newton_multiplicity(ideal)
     cache = power_cache(ideal)
-    h = [cache.colength(1)]
     if r <= 1:
-        return True, h + [e - h[0]] * r
+        return True, _short_h(cache, r)
+    e = newton_multiplicity(ideal)
+    h = [cache.colength(1)]
     below = cache.layer(0)  # the monomials of I^(n-1) outside I^n
     for n in range(1, r + 1):
         if sum(h) + r - (n - 1) > e:
@@ -605,11 +646,11 @@ def filtration_report(
     so it would return the same I^n; it runs only when G is not certified.
 
     Every trial runs and is printed, and `_verdict` checks each trial's r_J
-    against the verdict on G that prop3.3 and prop3.4 share, deciding it on
-    the least trial's J if none is kept.  If G is not Cohen-Macaulay, the
-    G-series is reconstructed, which reads at least ell(R/I^m), m =
-    `initial_terms(k)`: that box is laid out, or refused, before the
-    Ratliff-Rush chains run.
+    against the verdict on G that prop3.3 and prop3.4 share (one they kept
+    from two colengths too), deciding it on the least trial's J if none is
+    kept.  If G is not Cohen-Macaulay, the G-series is reconstructed, which
+    reads at least ell(R/I^m), m = `initial_terms(k)`: that box is laid out,
+    or refused, before the Ratliff-Rush chains run.
     """
     cache = power_cache(ideal)
     cache.power(powers)  # lays the box out for the powers reported, or refuses it now

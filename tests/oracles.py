@@ -741,6 +741,21 @@ def monomial_reduction_number(
     raise NotAReduction(f"not a reduction within n <= {n_bound}")
 
 
+def scanned_reduction_number(reduction, ideal: MonomialIdeal, n_bound: int) -> int:
+    """Least n with J*I^n = I^(n+1) as `filtration.reduction_number_wrt`
+    decides each level, but with every level ranked from n = 0 on, whatever
+    the generator count of J."""
+    cache = power_cache(ideal)
+    for n in range(n_bound + 1):
+        columns = {w: j for j, w in enumerate(cache.power(n + 1).exps)}
+        ech = Echelon()
+        for row in _product_rows(reduction, cache.power(n).exps, columns):
+            ech.add(row)
+        if ech.dim == len(columns):
+            return n
+    raise NotAReduction(f"not a reduction within n <= {n_bound}")
+
+
 def truncated_reduction_number(reduction, ideal: MonomialIdeal, n_bound=None,
                                extra_truncation: int = 0) -> int:
     """Least n with J*I^n = I^(n+1), decided by comparing image dimensions in

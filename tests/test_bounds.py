@@ -154,15 +154,27 @@ def test_cold_and_warm_documents_agree(bound, k, deg_bound, count):
         assert check(ideal, iid, seed).to_dict() == cold, iid
 
 
-@pytest.mark.parametrize("check, trials, cm, not_cm", [
-    (verify_prop_3_4, PROP_3_4_TRIALS, parse_ideal("x^2, y^2, z^2, x*y*z", XYZ).power(2),
-     parse_ideal("x^4, x^3*y, x*y^3, y^4, z", XYZ)),
-    (verify_prop_3_3, PROP_3_3_TRIALS, parse_ideal("x^5, x^2*y^2, y^5", XY),
-     parse_ideal("x^4, x^3*y, x*y^3, y^4", XY)),
+@pytest.mark.parametrize("check, cases", [
+    # (ideal, statuses, low, is_cm, trials run over three seeds)
+    (verify_prop_3_4, [
+        (parse_ideal("x^2, y^2, z^2, x*y*z", XYZ), (HOLDS, SHARP), 1, True, 0),
+        (parse_ideal("x^2, y^2, z^2, x*y*z", XYZ).power(2), (HOLDS, SHARP), 2, True, 1),
+        (parse_ideal("x^4, x^3*y, x*y^3, y^4, z", XYZ), (SKIPPED, UNVERIFIED), 2, False, 3),
+        (parse_ideal("x^5, y^5, z^5, x^2*y^2, y^2*z^2, x*z^3", XYZ), (SKIPPED, UNVERIFIED),
+         2, False, 3 * PROP_3_4_TRIALS),  # hard ideal A: r_J = 3 > low
+    ]),
+    (verify_prop_3_3, [
+        (parse_ideal("x^5, x^2*y^2, y^5", XY), (HOLDS, SHARP), 1, True, 0),
+        (parse_ideal("x^4, x^3*y, x*y^3, y^4", XY), (SKIPPED, UNVERIFIED), 2, False, 3),
+        (parse_ideal("x^4, x^3*y, y^6", XY), (SKIPPED, UNVERIFIED), 2, False,
+         3 * PROP_3_3_TRIALS),  # r_J = 3 > low
+    ]),
 ], ids=["prop3.4", "prop3.3"])
-def test_trials_in_a_warm_session(monkeypatch, check, trials, cm, not_cm):
-    # a Cohen-Macaulay G: one trial and one verdict for three seeds; otherwise
-    # every seed runs all its trials, and the verdict is still decided once
+def test_trials_in_a_warm_session(monkeypatch, check, cases):
+    # low = min(r(I), 2) from two colengths.  low <= 1: no trial and no
+    # cm_h_vector; a Cohen-Macaulay G with low = 2: one trial and one verdict
+    # for three seeds; a G that is not: one trial per seed when trial 0 reaches
+    # low, all of them when it does not, and the verdict is still decided once
     calls = {"reduction_number_wrt": 0, "cm_h_vector": 0}
 
     def counting(name):
@@ -176,25 +188,29 @@ def test_trials_in_a_warm_session(monkeypatch, check, trials, cm, not_cm):
     for name in calls:
         monkeypatch.setattr(filtration, name, counting(name))
     power_cache.cache_clear()
-    cases = ((cm, (HOLDS, SHARP), 1), (not_cm, (SKIPPED, UNVERIFIED), 3 * trials))
-    for ideal, status, runs in cases:
+    for ideal, status, low, cm, runs in cases:
+        assert filtration._capped_r(power_cache(ideal)) == low, ideal
         calls.update(dict.fromkeys(calls, 0))
         for seed in (0, 1, 2):
             assert check(ideal, "warm", seed).status in status
-        assert calls == {"reduction_number_wrt": runs, "cm_h_vector": 1}
+        assert calls == {"reduction_number_wrt": runs, "cm_h_vector": int(low == 2)}, ideal
+        assert power_cache(ideal).verdict[0] is cm, ideal
     # the report shares the verdict, in either order; after the report, a
-    # Cohen-Macaulay G needs no trial in the checker
+    # Cohen-Macaulay G needs no trial in the checker, and after the checker,
+    # the report runs all its trials and checks them against the kept verdict
     report = filtration.filtration_report
-    for ideal in (cm, not_cm):
+    for ideal, _, low, cm, _ in cases:
         for first, second in ((report, check), (check, report)):
             power_cache.cache_clear()
             calls.update(dict.fromkeys(calls, 0))
             first(ideal)
             trials_run = calls["reduction_number_wrt"]
             second(ideal)
-            assert calls["cm_h_vector"] == 1, (ideal, first)
-            if ideal is cm and first is report:
+            assert calls["cm_h_vector"] == int(low == 2 or first is report), (ideal, first)
+            if cm and first is report:
                 assert calls["reduction_number_wrt"] == trials_run
+            if first is check:
+                assert calls["reduction_number_wrt"] - trials_run == 3
 
 
 def test_prop33_lengths_from_h_match_the_colengths():

@@ -410,6 +410,20 @@ def test_exhausted_resource_is_computation_failure(monkeypatch, exc, resource):
     assert resource in error["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "--ring", "x,y", "--ideal", "x^99999999999999999999"],
+    ["verify", "--bound", "thm2.1", "--ring", "x,y", "--ideal", "x^99999999999999999999"],
+    ["cohomology", "--ring", "x,y", "--ideal", "x^99999999999999999999"],
+], ids=["hilbert", "verify-thm2.1", "cohomology"])
+def test_an_exponent_too_large_to_compute_with_is_computation_failure(argv):
+    # a 20-digit exponent overflows an index or an int's size: an error
+    # document and exit 1, as for exhausted memory, not a traceback
+    code, out = run_cli(argv)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "OverflowError" and error["message"]
+
+
 @pytest.mark.parametrize("extra", [[], ["--n-bound", "2"]], ids=["default", "n-bound"])
 def test_reduction_of_the_zero_ideal_in_one_variable_is_computation_error(extra):
     # with a given --n-bound no multiplicity is read, but the powers are
@@ -476,28 +490,65 @@ def test_series_box_is_refused_before_the_ratliff_rush_chains(monkeypatch):
         "ad514c0fe53a82555cd5ac8d6e085d1d05a2327e287d2c42adc9952b6ad4226c")
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--ring", "x,y", "--ideal", "x^5, x^2*y^2, y^5", "--bound", "prop3.3"],
-    ["verify", "--ring", "x,y,z", "--ideal", "x^2, y^2, z^2", "--bound", "prop3.4"],
-    ["reduction", "--ring", "x,y", "--ideal", "x^5, x^2*y^2, y^5"],
+@pytest.fixture
+def cold_power_caches():
+    """Empty `power_cache` before and after the test: a wrong verdict that a
+    test keeps must not reach a later one."""
+    filtration.power_cache.cache_clear()
+    yield
+    filtration.power_cache.cache_clear()
+
+
+# (x^2, y^2, z^2, x*y*z)^2: r = 2 and G is Cohen-Macaulay
+SQUARE = "x^4, y^4, z^4, x^2*y^2, x^2*z^2, y^2*z^2, x^3*y*z, x*y^3*z, x*y*z^3"
+CM_PLANE = ["--ring", "x,y", "--ideal", "x^5, x^2*y^2, y^5"]  # r = 1
+CM_SPACE = ["--ring", "x,y,z", "--ideal", SQUARE]
+
+
+@pytest.mark.parametrize("shortened, session", [
+    # no plane monomial ideal was found with r >= 2 and G Cohen-Macaulay, so
+    # prop3.3's checker keeps the colength verdict, and the trials of a later
+    # `reduction` in the session check it
+    ("_short_h", [["verify", *CM_PLANE, "--bound", "prop3.3"], ["reduction", *CM_PLANE]]),
+    ("cm_h_vector", [["verify", *CM_SPACE, "--bound", "prop3.4"]]),
+    ("cm_h_vector", [["reduction", *CM_PLANE]]),
 ], ids=["prop3.3", "prop3.4", "reduction"])
-def test_self_check_of_a_cohen_macaulay_g_fails_with_exit_1(monkeypatch, argv):
+@pytest.mark.usefixtures("cold_power_caches")
+def test_self_check_of_a_cohen_macaulay_g_fails_with_exit_1(monkeypatch, shortened, session):
     # an h-vector one entry short no longer gives r_J = deg h
-    real = filtration.cm_h_vector
+    real = getattr(filtration, shortened)
 
     def short(*args):
-        is_cm, h = real(*args)
-        return is_cm, h[:-1]
+        h = real(*args)
+        return (h[0], h[1][:-1]) if shortened == "cm_h_vector" else h[:-1]
 
-    monkeypatch.setattr(filtration, "cm_h_vector", short)
-    filtration.power_cache.cache_clear()
+    monkeypatch.setattr(filtration, shortened, short)
+    *before, argv = session
+    assert all(run_cli(earlier)[0] == 0 for earlier in before)
     code, out = run_cli(argv)
     assert code == 1
     error = json.loads(out)["error"]
     assert error["type"] == "ComputationError"
     assert error["message"].startswith("self-check failed: r_J = ")
-    # a verdict that failed its check is not kept for later runs
-    assert all(cache.verdict is None for cache in filtration._CACHES.values())
+    if not before:  # a verdict that failed its check is not kept for later runs
+        assert all(cache.verdict is None for cache in filtration._CACHES.values())
+
+
+@pytest.mark.parametrize("bound, instance", [("prop3.3", CM_PLANE), ("prop3.4", CM_SPACE)],
+                         ids=["prop3.3", "prop3.4"])
+@pytest.mark.usefixtures("cold_power_caches")
+def test_the_trials_of_reduction_check_a_kept_colength_verdict(monkeypatch, bound, instance):
+    # a colength rule that under-reports min(r(I), 2) by one keeps a wrong
+    # Cohen-Macaulay verdict with no trial; `reduction` runs its trials and
+    # checks each r_J against it
+    real = filtration._capped_r
+    monkeypatch.setattr(filtration, "_capped_r", lambda cache: max(real(cache) - 1, 0))
+    assert run_cli(["verify", *instance, "--bound", bound])[0] == 0
+    code, out = run_cli(["reduction", *instance])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ComputationError"
+    assert error["message"].startswith("self-check failed: r_J = ")
 
 
 def test_cohomology_with_many_variables_not_in_the_ideal():
@@ -556,7 +607,6 @@ def test_config_embedded_in_output():
 HARD = "x^5, y^5, z^5, x^2*y^2, y^2*z^2, x*z^3"
 HARD_B = "x^6, y^6, z^6, x^2*y^3, y^2*z^3, x^3*z^2"
 HARD_C = "x^7, y^7, z^7, x^3*y^2, y^3*z^2, x^2*z^4, x*y*z^3"
-SQUARE = "x^4, y^4, z^4, x^2*y^2, x^2*z^2, y^2*z^2, x^3*y*z, x*y^3*z, x*y*z^3"
 # five variables, not m-primary, with variable maxima 4, 2, 6, 3, 5
 WIDE = "y^2*z^4*u^3, x*y^2*z^6, x^4*z^3*w^3, x^4*y*z^4*w^2*u^4, x^2*y*z^6*w^3*u^5"
 

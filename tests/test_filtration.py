@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -6,9 +7,11 @@ from monograded import filtration
 from monograded.bounds import corpus_monomial, instance_seed, random_m_primary_ideal
 from monograded.errors import ComputationError, InfiniteLength, NotAReduction
 from monograded.filtration import (
+    RESAMPLES,
     G_hilbert_series,
     PowerCache,
     cm_h_vector,
+    cm_reduction_number,
     fiber_cone_series,
     gamma_positive,
     h0_G,
@@ -30,6 +33,7 @@ from oracles import (
     monomial_reduction_number,
     multiplicity_samuel,
     reduction_colength,
+    scanned_reduction_number,
     truncated_reduction_number,
     tuple_h_vector,
     tuple_layer,
@@ -407,6 +411,47 @@ def test_trung_invariance_on_the_corpora(k, deg_bound, count, cm_count):
         else:
             assert not any(is_cm for _, is_cm, _ in verdicts)
     assert certified == cm_count
+
+
+@pytest.mark.parametrize("k, deg_bound, count, lows", [
+    (2, 6, 400, {0: 623, 1: 134, 2: 43}),
+    (3, 3, 300, {0: 450, 1: 111, 2: 39}),
+    (4, 2, 150, {0: 248, 1: 44, 2: 8}),
+], ids=["k2", "k3", "k4"])
+def test_colength_verdict_matches_trial_0_and_the_h_vector(k, deg_bound, count, lows):
+    # low = min(r(I), 2) from ell(R/I), ell(R/I^2) and e, with no trial: every
+    # sampled k-generator candidate J, its levels all ranked, has r_J >= low,
+    # and r_J = low when low <= 1.  Then the verdict kept with no trial is
+    # trial 0 followed by cm_h_vector, with the h of the tuple oracle; the
+    # checkers' route gives what the trials and cm_h_vector give on every ideal
+    seen = Counter()
+    for corpus_seed in (0, 1):
+        for i, (iid, ideal) in enumerate(corpus_monomial(corpus_seed, count, k, deg_bound)):
+            power_cache.cache_clear()
+            low = filtration._capped_r(power_cache(ideal))
+            seen[low] += 1
+            seed, n_bound = instance_seed(corpus_seed, i), newton_multiplicity(ideal) + 2
+            rs = []
+            for trial in range(3):
+                for attempt in range(RESAMPLES + 1):
+                    candidate = minimal_reduction(ideal, seed * 1_000_003 + trial * 1_009 + attempt)
+                    try:
+                        rs.append(scanned_reduction_number(candidate, ideal, n_bound))
+                    except NotAReduction:
+                        continue
+                    break
+                else:
+                    raise AssertionError(f"{iid}: trial {trial} found no reduction")
+                assert low <= rs[-1] and (low == 2 or rs[-1] == low), (iid, rs)
+                if trial == 0:
+                    reduction = candidate
+            is_cm, h = cm_h_vector(ideal, reduction, rs[0])
+            if low <= 1:
+                assert (is_cm, h) == (True, tuple_h_vector(ideal, reduction, low)), iid
+            power_cache.cache_clear()
+            expected = (rs[0] if is_cm else min(rs), is_cm, h)
+            assert cm_reduction_number(ideal, 3, seed) == expected, iid
+    assert seen == lows
 
 
 def test_filtration_report_skips_the_chain_when_certified(monkeypatch):
