@@ -11,14 +11,19 @@ missing or malformed ring, ideal, window or semigroup input, out-of-range
 numeric options and a `verify` instance flag without --ideal), 3 reproduction
 mismatch.  Every failure but argparse's own
 is a JSON error document.
+
+`main` hands an argv that starts with a subcommand name to that subcommand's
+parser alone; any other argv, and one with words left over, goes to the
+top-level parser, so usage errors and help read as argparse writes them.
+JSON output has the bytes of `json.dumps(doc, indent=2, sort_keys=True)`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 
 from . import bounds, cohomology, filtration, hilbert, semigroup
 from .errors import ComputationError
@@ -50,6 +55,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     # dest -> the least value the integer option accepts; main checks it.
     parser.option_minimum = {}
+    # subcommand name -> its parser, which main calls directly.
+    parser.commands = {}
+
+    def add_command(name, summary):
+        parser.commands[name] = p = sub.add_parser(name, help=summary)
+        return p
 
     def add_int(p, flag, default, least, **kwargs):
         action = p.add_argument(flag, type=int, default=default, **kwargs)
@@ -60,15 +71,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ideal", help="generators, e.g. 'x^3, x^2*y^4'")
         p.add_argument("--format", choices=formats, default="json")
 
-    p = sub.add_parser("hilbert", help="Hilbert series, dimension, multiplicity")
+    p = add_command("hilbert", "Hilbert series, dimension, multiplicity")
     add_common(p)
     p.add_argument("--window", help="n-range lo:hi for the H(n)/P(n) table")
 
-    p = sub.add_parser("cohomology", help="graded local cohomology table")
+    p = add_command("cohomology", "graded local cohomology table")
     add_common(p)
     p.add_argument("--window", help="degree range lo:hi (default: the support box)")
 
-    p = sub.add_parser("reduction", help="filtration report: e, Ratliff-Rush, mu, r")
+    p = add_command("reduction", "filtration report: e, Ratliff-Rush, mu, r")
     add_common(p)
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     add_int(p, "--trials", 3, 1)
@@ -76,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_int(p, "--n-bound", None, 0)
     add_int(p, "--powers", 4, 0, help="table depth for powers of I")
 
-    p = sub.add_parser("verify", help="check the a-invariant and reduction-number bounds on instances or corpora")
+    p = add_command("verify", "check the a-invariant and reduction-number bounds on instances or corpora")
     add_common(p, REPORT_FORMATS)
     p.add_argument("--semigroup", help="semigroup generators, e.g. 4,5,6,7")
     p.add_argument("--bound", default="all", choices=(*bounds.BOUNDS, "all"))
@@ -87,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_int(p, "--degree-bound", 6, 1, help="largest pure-power exponent in monomial"
             " corpora; prop3.4 uses at most 3, prop3.1 ignores it")
 
-    p = sub.add_parser("reproduce", help="re-run a worked example and compare values")
+    p = add_command("reproduce", "re-run a worked example and compare values")
     p.add_argument("example", choices=EXAMPLES)
     p.add_argument("--format", choices=REPORT_FORMATS, default="json")
     return parser
@@ -435,12 +446,59 @@ def _fmt_scalar(value) -> str:
     return str(value)
 
 
+def _json_pieces(value, head: str, pieces: list[str], level: int) -> None:
+    """Append `head` and then the JSON text of `value`, whose nested lines
+    are indented by `level` + 1 steps, to `pieces`: one piece per scalar,
+    with the separator and key that go in front of it.  Dispatch is on the
+    exact type, so a bool is never taken for an int."""
+    kind = type(value)
+    if kind is str:
+        pieces.append(head + encode_basestring_ascii(value))
+    elif kind is int:
+        pieces.append(head + int.__repr__(value))
+    elif kind is dict:
+        if not value:
+            pieces.append(head + "{}")
+            return
+        inner = "\n" + "  " * (level + 1)
+        head += "{" + inner
+        for key in sorted(value):
+            _json_pieces(value[key], head + encode_basestring_ascii(key) + ": ", pieces, level + 1)
+            head = "," + inner
+        pieces.append("\n" + "  " * level + "}")
+    elif kind is list:
+        if not value:
+            pieces.append(head + "[]")
+            return
+        inner = "\n" + "  " * (level + 1)
+        head += "[" + inner
+        for item in value:
+            _json_pieces(item, head, pieces, level + 1)
+            head = "," + inner
+        pieces.append("\n" + "  " * level + "]")
+    elif value is None:
+        pieces.append(head + "null")
+    elif value is True:
+        pieces.append(head + "true")
+    elif value is False:
+        pieces.append(head + "false")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def render(doc: dict, fmt: str) -> str:
+    """The document as csv rows, a table, or JSON with the bytes of
+    `json.dumps(doc, indent=2, sort_keys=True)`, each ending in a newline.
+    A document holds dicts with str keys, lists, strs, ints, bools and None;
+    any other value raises TypeError."""
     if fmt == "csv":
         return render_csv(doc)
     if fmt == "table":
         return render_table(doc) + "\n"
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    pieces: list[str] = []
+    _json_pieces(doc, "", pieces, 0)
+    pieces.append("\n")
+    return "".join(pieces)
 
 
 # -- entry point -------------------------------------------------------------
@@ -456,11 +514,25 @@ COMMANDS = {"hilbert": run_hilbert, "cohomology": run_cohomology, "reduction": r
 _parser: argparse.ArgumentParser | None = None
 
 
+def _parse_argv(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """The namespace `parser.parse_args(argv)` gives, read by the named
+    subcommand's parser alone when argv starts with a subcommand name and no
+    word is left over; otherwise the top-level parser reads the whole argv
+    and reports any usage error itself."""
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.subcommand = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     global _parser
     if _parser is None:  # one parser per process
         _parser = build_parser()
-    args = _parser.parse_args(attach_windows(sys.argv[1:] if argv is None else argv))
+    args = _parse_argv(_parser, attach_windows(sys.argv[1:] if argv is None else argv))
     doc = {"schema": SCHEMA, "config": config_dict(args)}
     try:
         check_option_ranges(args, _parser.option_minimum)

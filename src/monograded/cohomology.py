@@ -93,9 +93,12 @@ def _homology(cells: list[list[int]]) -> tuple[int, ...]:
 _NONZERO = b"0" + b"1" * 255
 
 
+@lru_cache(maxsize=256)
 def _lacking(size: int, b: int) -> int:
     """The positions p < size whose bit b is clear, as the bits of one integer:
-    2^b ones, then 2^b zeros, repeated.  size is a power of two above 2^b."""
+    2^b ones, then 2^b zeros, repeated.  size is a power of two above 2^b.
+    Cached: every miss of `_class_dims` on k coordinates reads the k values
+    of size 2^k."""
     lacking, period = (1 << (1 << b)) - 1, 2 << b
     while period < size:
         lacking |= lacking << period

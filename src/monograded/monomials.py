@@ -8,7 +8,9 @@ Artinian R/I and its top degree are read from its cached Hilbert series
 (`hilbert`); `graded_length` counts the standard monomials of one degree.
 `Monomial` is only the boundary value that `parse_monomial` returns and
 `MonomialIdeal.gens` shows; the ideal's constructor and monomial arguments
-accept it as well as a tuple.
+accept it as well as a tuple.  `parse_ideal` reads text straight into exponent
+tuples, checks the names once per ideal, and skips the constructor's checks,
+which parsed text cannot fail.
 An ideal is its ring size and generators alone: variable names enter only where
 text is parsed (`parse_ideal`) or printed (`format(names)`).
 """
@@ -302,24 +304,32 @@ def compositions(n: int, k: int):
 _FACTOR_RE = re.compile(rf"^({_NAME})(?:\^(\d+))?$")
 
 
-def parse_monomial(text: str, names) -> Monomial:
-    """Parse `x^3*y` style monomial text against the given variable names."""
+def _parse_exps(text: str, index: dict[str, int]) -> tuple[int, ...]:
+    """The exponent tuple of `x^3*y` style monomial text; `index` maps each
+    variable name to its position."""
     text = text.replace(" ", "")
     if not text:
         raise ValueError("empty monomial (write 1 for the unit)")
+    exps = [0] * len(index)
     if text == "1":
-        return Monomial((0,) * len(names))
-    exps = [0] * len(names)
-    index = {name: j for j, name in enumerate(names)}
+        return tuple(exps)
     for factor in text.split("*"):
         m = _FACTOR_RE.match(factor)
         if not m:
             raise ValueError(f"cannot parse monomial factor {factor!r}")
-        name, exp = m.group(1), m.group(2)
-        if name not in index:
-            raise ValueError(f"unknown variable {name!r} (ring has {', '.join(names)})")
-        exps[index[name]] += int(exp) if exp else 1
-    return Monomial(tuple(exps))
+        name, exp = m.groups()
+        j = index.get(name)
+        if j is None:
+            raise ValueError(f"unknown variable {name!r} (ring has {', '.join(index)})")
+        exps[j] += int(exp) if exp else 1
+    return tuple(exps)
+
+
+def parse_monomial(text: str, names) -> Monomial:
+    """Parse `x^3*y` style monomial text against the given variable names,
+    which are checked as `parse_ideal` checks them."""
+    names = ring_names(len(names), names)
+    return Monomial(_parse_exps(text, {name: j for j, name in enumerate(names)}))
 
 
 def parse_ideal(text: str, names) -> MonomialIdeal:
@@ -327,12 +337,15 @@ def parse_ideal(text: str, names) -> MonomialIdeal:
 
     The empty string parses to the zero ideal; `1` yields the unit ideal.  The
     names are checked here, once, and are not kept: print the ideal with
-    `format(names)`.
+    `format(names)`.  Parsed text needs none of the constructor's checks
+    (each tuple has one entry per name, and no exponent is negative), so the
+    ideal is built from its minimalized generators directly.
     """
     names = tuple(names)
     ring_names(len(names), names)
     text = text.strip()
     if not text or text == "0":
         return MonomialIdeal.zero(len(names))
-    gens = [parse_monomial(part, names).exps for part in text.split(",")]
-    return MonomialIdeal(len(names), gens)
+    index = {name: j for j, name in enumerate(names)}
+    gens = [_parse_exps(part, index) for part in text.split(",")]
+    return MonomialIdeal._from_minimal(len(names), minimalize(gens))

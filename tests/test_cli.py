@@ -699,3 +699,96 @@ def test_renamed_ring_gives_its_own_names():
     assert result["ideal"] == "(u^3, u*v^5, u^2*v^4, v^7)"
     for closure in result["ratliff_rush"]:
         assert "u" in closure and "v" in closure and not set("xy") & set(closure)
+
+
+def parse_outcome(parse, argv):
+    """What parsing argv gives: ("args", namespace), or ("exit", code, stdout,
+    stderr) when argparse exits (help, or a usage error)."""
+    out, err = io.StringIO(), io.StringIO()
+    old = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = out, err
+    try:
+        return "args", parse(cli.attach_windows(argv))
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue(), err.getvalue()
+    finally:
+        sys.stdout, sys.stderr = old
+
+
+XY = ["--ring", "x,y", "--ideal", "x^2, y^3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "-h"], ["-h"], [], ["no-such-command"], ["verify", "--bogus"],
+    ["verify", "--bound", "nope"], ["reproduce"], ["reproduce", "example-2.2", "extra"],
+    ["reproduce", "example-3.2", "--format", "csv"],
+    ["hilbert", *XY, "--window"], ["hilbert", *XY, "--window", "0:3"],
+    ["cohomology", *XY, "--win", "-3:2"], ["cohomology", "--window=-3:2", *XY],
+    ["hilbert", "--ri", "x,y", "--id", "x*y"], ["verify", "--co", "2"],
+    ["verify", "--", "--ring"], ["reproduce", "--", "example-2.2"], ["hilbert", *XY, "--", "x"],
+    ["reduction", *XY, "--trials", "2", "--seed", "-4", "--n-bound", "3", "--powers", "1"],
+    ["reduction", *XY, "--trials", "x"],
+    ["verify", "--bound", "prop3.4", "--vars", "3", "--count", "2", "--corpus-seed", "1"],
+    ["verify", "--semigroup", "4,5,6,7", "--ideal", "4,5,6", "--format", "table"],
+    ["--ring", "x", "hilbert"], ["hilbert", "hilbert"],
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_subcommand_dispatch_parses_as_the_top_level_parser(argv):
+    # the subcommand's own parser must give the namespace, or the exit code,
+    # help text and usage error, that the top-level parser gives
+    parser = cli.build_parser()
+    expected = parse_outcome(parser.parse_args, argv)
+    assert parse_outcome(lambda words: cli._parse_argv(parser, words), argv) == expected
+    if expected[0] == "args":
+        assert expected[1].subcommand == argv[0]
+
+
+def test_unrecognized_arguments_are_reported_by_the_top_level_parser(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["verify", *XY, "--bogus"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: monograded [-h]")
+    assert captured.err.endswith("monograded: error: unrecognized arguments: --bogus\n")
+
+
+def test_json_renderer_matches_json_dumps_on_edge_documents():
+    text = 'q"b\\s/\x00\x1f\x7f\n\t é ☃ 𝄞'
+    docs = [
+        {}, [], {"a": {}, "b": [], "c": [[], {}]}, [[]], [{}], [[1, [2, []]], [[-3]]],
+        {text: text, "keys": {"": "", "b": 1, "a": 2, "A": 3, "é": 4, "\x00": 5}},
+        {"ints": [0, -1, 10 ** 40, -(10 ** 40) + 1], "flags": [True, False, None]},
+        {"nested": {"deeper": {"list": [{"x": None}, True, "s", [False]]}}},
+        "top", 7, -7, True, False, None,
+    ]
+    for doc in docs:
+        assert cli.render(doc, "json") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    for bad in (1.5, {"a": [0.0]}, {"t": (1, 2)}, {1: 2}):
+        with pytest.raises(TypeError):
+            cli.render(bad, "json")
+
+
+def str_keys_only(doc) -> bool:
+    if isinstance(doc, dict):
+        return all(isinstance(key, str) and str_keys_only(value) for key, value in doc.items())
+    if isinstance(doc, list):
+        return all(str_keys_only(value) for value in doc)
+    return True
+
+
+def test_json_renderer_matches_json_dumps_on_the_golden_documents(monkeypatch):
+    docs = []
+    real_render = cli.render
+
+    def recording_render(doc, fmt):
+        docs.append(doc)
+        return real_render(doc, fmt)
+
+    monkeypatch.setattr(cli, "render", recording_render)
+    for param in GOLDEN:
+        argv, digest = param.values
+        assert run_cli(argv)[0] == 0
+    assert len(docs) == len(GOLDEN)
+    for doc in docs:
+        assert str_keys_only(doc)
+        assert real_render(doc, "json") == json.dumps(doc, indent=2, sort_keys=True) + "\n"

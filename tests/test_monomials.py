@@ -268,4 +268,6 @@ def test_parse_and_format_roundtrip():
         with pytest.raises(ValueError):
             parse_ideal("x", names)
         with pytest.raises(ValueError):
+            parse_monomial("x", names)
+        with pytest.raises(ValueError):
             uv.format(names)
