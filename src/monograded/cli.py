@@ -7,10 +7,10 @@ identical configurations produce byte-identical output.
 
 Exit codes: 0 success, 1 computation failure (also exhausted memory or
 recursion depth, or an integer too large to compute with), 2 usage error (a
-missing or malformed ring, ideal, window or semigroup input, out-of-range
-numeric options and a `verify` instance flag without --ideal), 3 reproduction
-mismatch.  Every failure but argparse's own
-is a JSON error document.
+missing or malformed ring, ideal, window or semigroup input, a `hilbert`
+window wider than MAX_WINDOW degrees, out-of-range numeric options and a
+`verify` instance flag without --ideal), 3 reproduction mismatch.  Every
+failure but argparse's own is a JSON error document.
 
 `main` hands an argv that starts with a subcommand name to that subcommand's
 parser alone; any other argv, and one with words left over, goes to the
@@ -32,6 +32,8 @@ from .monomials import MonomialIdeal, parse_ideal
 SCHEMA = "monograded/1"
 # csv renders bound reports, which only `verify` and `reproduce` make.
 REPORT_FORMATS = ("json", "csv", "table")
+# The widest `hilbert --window`, in degrees: a table row per degree is built.
+MAX_WINDOW = 100_001
 
 
 class UsageError(Exception):
@@ -73,7 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("hilbert", "Hilbert series, dimension, multiplicity")
     add_common(p)
-    p.add_argument("--window", help="n-range lo:hi for the H(n)/P(n) table")
+    p.add_argument("--window",
+                   help=f"n-range lo:hi for the H(n)/P(n) table, at most {MAX_WINDOW} degrees")
 
     p = add_command("cohomology", "graded local cohomology table")
     add_common(p)
@@ -113,8 +116,9 @@ def check_option_ranges(args, option_minimum: dict[str, int]) -> None:
             raise UsageError(f"{option} must be at least {least}, got {value}")
 
 
-def parse_window(text: str | None) -> tuple[int, int] | None:
-    """(lo, hi) from `--window lo:hi`, or None without the flag."""
+def parse_window(text: str | None, max_width: int | None = None) -> tuple[int, int] | None:
+    """(lo, hi) from `--window lo:hi`, or None without the flag; a window of
+    more than `max_width` degrees is refused."""
     if text is None:
         return None
     try:
@@ -123,6 +127,8 @@ def parse_window(text: str | None) -> tuple[int, int] | None:
         raise UsageError(f"--window must be lo:hi with integer bounds, got {text!r}") from None
     if lo > hi:
         raise UsageError(f"--window lo:hi needs lo <= hi, got {text!r}")
+    if max_width is not None and hi - lo >= max_width:
+        raise UsageError(f"--window lo:hi spans at most {max_width} degrees, got {text!r}")
     return lo, hi
 
 
@@ -171,7 +177,7 @@ def require_ring_ideal(args) -> tuple[tuple[str, ...], MonomialIdeal]:
 
 def run_hilbert(args) -> dict:
     names, ideal = require_ring_ideal(args)
-    window = parse_window(args.window)
+    window = parse_window(args.window, MAX_WINDOW)
     series = hilbert.hilbert_series(ideal)
     result: dict = {
         "ring": list(names),
@@ -187,15 +193,7 @@ def run_hilbert(args) -> dict:
             codim=ideal.k - series.dim,
         )
         if window:
-            lo, hi = window
-            result["table"] = [
-                {
-                    "n": n,
-                    "H": series.coefficient(n),
-                    "P": series.polynomial_value(n),
-                }
-                for n in range(lo, hi + 1)
-            ]
+            result["table"] = [{"n": n, "H": h, "P": p} for n, h, p in series.window(*window)]
     return {"result": result}
 
 

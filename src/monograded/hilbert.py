@@ -1,23 +1,31 @@
 """Hilbert series of monomial quotients by Bigatti's pivot recursion.
 
 The series of R/I is computed exactly as N(lambda)/(1-lambda)^k from the short
-exact sequence 0 -> R/(I:p) -> R/I -> R/(I+(p)) -> 0 for a pivot monomial p,
-with the pairwise-coprime product formula as base case (A. M. Bigatti,
-"Computation of Hilbert-Poincare series", JPAA 119, 1997).  The recursion runs
-on minimal sets of exponent tuples, memoized by the set.  `HilbertSeries` is
-the one entry point for the invariants: from the reduced form
-Q(lambda)/(1-lambda)^d it reads off dimension and multiplicity, and H(n) and
-the Hilbert polynomial P(n) are one integer binomial sum over the numerator:
-H(n) sums the terms with i <= n, P(n) all of them, with C(x, m) read as a
-polynomial in x (Bruns-Herzog, *Cohen-Macaulay Rings*, sec. 4.1), so both are
-exact integers for every n.  `hilbert_series` is cached per ideal, so the
-CLI and the bounds run one recursion per ideal.
+exact sequence 0 -> R/(I:p) -> R/I -> R/(I+(p)) -> 0 for a pivot monomial p
+(A. M. Bigatti, "Computation of Hilbert-Poincare series", JPAA 119, 1997).
+The recursion runs on minimal sets of exponent tuples, memoized by the set,
+and ends at a node with at most TAYLOR_GENS generators: there N is the Taylor
+sum over the subsets S of the generators of (-1)^|S| lambda^(deg lcm S)
+(Miller-Sturmfels, *Combinatorial Commutative Algebra*, 2005, ch. 4), the
+product of the sums over the classes of generators that share no variable.  A
+larger node whose generators are pairwise coprime is the product of their
+factors 1 - lambda^(deg g).  `HilbertSeries` is the one entry point for the
+invariants: from the reduced form Q(lambda)/(1-lambda)^d it reads off
+dimension and multiplicity, and H(n) and the Hilbert polynomial P(n) are
+integer binomial sums: H(n) sums the terms with i <= n, P(n) all of them, with
+C(x, m) read as a polynomial in x (Bruns-Herzog, *Cohen-Macaulay Rings*,
+sec. 4.1), so both are exact integers for every n.  `HilbertSeries.window`
+reads a table of (n, H(n), P(n)) from Q and d: H by d running sums of Q, and P
+as H plus the binomial sum over the terms of Q of degree n + d and above.
+`hilbert_series` is cached per ideal, so the CLI and the bounds run one
+recursion per ideal.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, prod
+from itertools import accumulate
+from math import comb, factorial, prod
 
 from .errors import ReconstructionFailed, ZeroRing
 from .monomials import MonomialIdeal, minimalize
@@ -58,6 +66,14 @@ def _binomial(x: int, m: int) -> int:
     """C(x, m) = x(x-1)...(x-m+1)/m! as a polynomial in x, read at any integer
     x; exact, since a product of m consecutive integers is divisible by m!."""
     return prod(range(x - m + 1, x + 1)) // factorial(m)
+
+
+def _binomial_sum(terms: list[int], n: int, d: int) -> int:
+    """Sum of terms[i] * C(n - i + d - 1, d - 1), for any integer n: over the
+    terms with i <= n the coefficient of lambda^n in
+    sum(terms[i] * lambda^i) / (1-lambda)^d, over all of them its Hilbert
+    polynomial at n."""
+    return sum(c * _binomial(n - i + d - 1, d - 1) for i, c in enumerate(terms))
 
 
 # -- series -------------------------------------------------------------
@@ -111,16 +127,44 @@ class HilbertSeries:
             return 0
         if self.k == 0:
             return self.numerator[n] if n < len(self.numerator) else 0
-        return self._binomial_sum(self.numerator[: n + 1], n)
+        return _binomial_sum(self.numerator[: n + 1], n, self.k)
 
     def polynomial_value(self, n: int) -> int:
         """P(n): the same sum over every i, a polynomial in n.  It equals H(n)
         for n > deg N - k, where each term with i > n has 0 <= n - i + k - 1
         < k - 1 and vanishes."""
-        return self._binomial_sum(self.numerator, n) if self.k else 0
+        return _binomial_sum(self.numerator, n, self.k) if self.k else 0
 
-    def _binomial_sum(self, terms: list[int], n: int) -> int:
-        return sum(c * _binomial(n - i + self.k - 1, self.k - 1) for i, c in enumerate(terms))
+    def window(self, lo: int, hi: int) -> list[tuple[int, int, int]]:
+        """(n, H(n), P(n)) for lo <= n <= hi, read from the reduced form
+        Q/(1-lambda)^d.  H(n) = 0 for n < 0; from s = max(lo, 0) on, H is Q
+        after d running sums, the j-th started at the coefficient of
+        lambda^(s-1) in Q/(1-lambda)^j, so a window far from 0 costs its width.
+        P(n) is the binomial sum over Q: its terms with i <= n give H(n), those
+        with n < i < n + d vanish, and those with i >= n + d give
+        (-1)^(d-1) * Q_i * C(i - n - 1, d - 1), so P(n) = H(n) for
+        n > deg Q - d.  P = 0 when d = 0."""
+        q, d = self.reduced()
+        start = max(lo, 0)
+        h = q[start : hi + 1]
+        h += [0] * max(hi + 1 - start - len(h), 0)
+        for j in range(1, d + 1):
+            h = list(accumulate(h, initial=_binomial_sum(q[:start], start - 1, j)))[1:]
+        sign = -1 if d % 2 == 0 else 1
+        top = len(q) - 1 - d
+        rows = []
+        for n in range(lo, hi + 1):
+            h_n = h[n - start] if n >= 0 else 0
+            if not d:
+                p_n = 0
+            elif n > top:
+                p_n = h_n
+            else:
+                first = max(n + d, 0)
+                tail = enumerate(q[first:], first)
+                p_n = h_n + sign * sum(c * comb(i - n - 1, d - 1) for i, c in tail)
+            rows.append((n, h_n, p_n))
+        return rows
 
     def __eq__(self, other):
         return (
@@ -168,13 +212,81 @@ def _pivot(gens, k: int) -> tuple[int, int]:
     return j, exps[(len(exps) - 1) // 2]
 
 
+# A node with at most this many minimal generators ends the recursion at its
+# Taylor sum, which has at most 2^TAYLOR_GENS terms before merging.
+TAYLOR_GENS = 8
+
+
+def _classes(gens) -> list[list]:
+    """`gens` split into classes that share no variable: the connected
+    components of the graph that joins two generators with a common one."""
+    classes: list[tuple[int, list]] = []  # (variable mask, generators)
+    for g in gens:
+        mask = 0
+        for j, e in enumerate(g):
+            if e:
+                mask |= 1 << j
+        members = [g]
+        rest = []
+        for other_mask, other in classes:
+            if other_mask & mask:
+                mask |= other_mask
+                members += other
+            else:
+                rest.append((other_mask, other))
+        rest.append((mask, members))
+        classes = rest
+    return [members for _, members in classes]
+
+
+def _taylor(gens: list) -> dict[int, int]:
+    """{degree: coefficient} of the Taylor sum over the subsets S of `gens` of
+    (-1)^|S| lambda^(deg lcm S), built one generator at a time as
+    N_(G + g) = N_G - lcm(g, N_G) on lcm exponent tuples, merging equal lcms
+    and dropping zero terms."""
+    terms = {(0,) * len(gens[0]): 1}
+    for g in gens:
+        for m, c in list(terms.items()):
+            m = tuple(map(max, m, g))
+            terms[m] = terms.get(m, 0) - c
+        terms = {m: c for m, c in terms.items() if c}
+    by_degree: dict[int, int] = {}
+    for m, c in terms.items():
+        degree = sum(m)
+        by_degree[degree] = by_degree.get(degree, 0) + c
+    return by_degree
+
+
+def _taylor_numerator(gens) -> list[int]:
+    """The numerator for a small generator set: the product of the Taylor sums
+    of its classes that share no variable (the sum over a union of such
+    classes factors), as a dense list only at the end."""
+    poly = {0: 1}
+    for members in _classes(gens):
+        factor = _taylor(members)
+        product: dict[int, int] = {}
+        for i, a in poly.items():
+            for j, b in factor.items():
+                product[i + j] = product.get(i + j, 0) + a * b
+        poly = {i: c for i, c in product.items() if c}
+    if not poly:
+        return []
+    dense = [0] * (max(poly) + 1)
+    for i, c in poly.items():
+        dense[i] = c
+    return dense
+
+
 def _numerator(k: int, gens: tuple, memo: dict) -> list[int]:
     """Numerator of the series of R/I for the minimal generator tuples `gens`
-    (Bigatti's pivot recursion: I + (p) and I : p for p = x_j^e)."""
+    (Bigatti's pivot recursion: I + (p) and I : p for p = x_j^e, down to a
+    Taylor sum or a pairwise-coprime product)."""
     cached = memo.get(gens)
     if cached is not None:
         return cached
-    if _pairwise_coprime(gens):
+    if len(gens) <= TAYLOR_GENS:
+        result = _taylor_numerator(gens)
+    elif _pairwise_coprime(gens):
         result = [1]
         for g in gens:
             result = padd(result, pshift([-c for c in result], sum(g)))

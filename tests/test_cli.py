@@ -320,6 +320,29 @@ def test_window_is_checked_before_any_computation(argv, message):
     assert_usage_error(argv, message)
 
 
+def test_hilbert_window_at_the_width_cap_answers():
+    lo = -(cli.MAX_WINDOW // 2)
+    hi = lo + cli.MAX_WINDOW - 1
+    code, out = run_cli(["hilbert", "--ring", "x,y", "--ideal", "x^2*y, y^3", "--window", f"{lo}:{hi}"])
+    assert code == 0
+    table = json.loads(out)["result"]["table"]
+    assert len(table) == cli.MAX_WINDOW
+    # R/(x^2*y, y^3) has H = 1, 2, 3, 2 on n = 0..3, then H(n) = P(n) = 1
+    assert table[0] == {"n": lo, "H": 0, "P": 1}
+    assert [row["H"] for row in table[-lo:-lo + 5]] == [1, 2, 3, 2, 1]
+    assert table[-1] == {"n": hi, "H": 1, "P": 1}
+
+
+@pytest.mark.parametrize("window", ["0:100001", "-50001:50000", "100000000000000000000:1000000000000000000000"])
+def test_hilbert_window_over_the_width_cap_is_usage_error(window, monkeypatch):
+    def refuse(ideal):
+        raise AssertionError("the window is checked before the series is computed")
+
+    monkeypatch.setattr(cli.hilbert, "hilbert_series", refuse)
+    assert_usage_error(["hilbert", "--ring", "x,y", "--ideal", "x^2*y, y^3", "--window", window],
+                       f"--window lo:hi spans at most {cli.MAX_WINDOW} degrees")
+
+
 def test_unknown_variable_is_usage_error():
     assert_usage_error(["cohomology", "--ring", "x,y", "--ideal", "x^2, q"], "unknown variable 'q'")
     # a --ring piece that the ideal grammar cannot write is no variable name

@@ -6,7 +6,9 @@ import pytest
 from monograded.errors import ZeroRing
 from monograded.bounds import random_m_primary_ideal
 from monograded.hilbert import (
+    TAYLOR_GENS,
     _binomial,
+    _classes,
     hilbert_series,
     reconstruct_numerator,
     reconstruct_series,
@@ -76,6 +78,95 @@ def test_pivot_independence_random():
         k = rng.randint(1, 4)
         ideal = random_m_primary_ideal(rng, k, 6)
         assert hilbert_series(ideal).numerator == lexfirst_numerator(ideal)
+
+
+def _seeded_ideals(seed: int, count: int):
+    """Seeded ideals in 1..7 variables with 0..16 minimal generators: monomials
+    of one degree, an antichain, and in about half of them the pure powers of
+    every variable, which make the ideal m-primary."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randint(1, 7)
+        m_primary = rng.random() < 0.5
+        degree = rng.randint(2, 5)
+        gens = set()
+        for _ in range(rng.randint(0, 16 - k if m_primary else 16)):
+            exps = [0] * k
+            for _ in range(degree):
+                exps[rng.randrange(k)] += 1
+            gens.add(tuple(exps))
+        if m_primary:
+            gens |= {tuple(degree + 1 if i == j else 0 for i in range(k)) for j in range(k)}
+        yield MonomialIdeal(k, gens)
+
+
+def test_taylor_base_matches_the_oracle_on_seeded_ideals():
+    # the Taylor base ends the recursion at TAYLOR_GENS generators or fewer;
+    # the oracle runs the pivot recursion with another rule all the way down
+    sizes, primary = set(), set()
+    for ideal in _seeded_ideals(41, 200):
+        hilbert_series.cache_clear()
+        assert hilbert_series(ideal).numerator == lexfirst_numerator(ideal), ideal.exps
+        sizes.add(len(ideal.exps))
+        primary.add(ideal.is_m_primary())
+    assert min(sizes) == 0 and max(sizes) == 16
+    assert any(n <= TAYLOR_GENS for n in sizes) and any(n > TAYLOR_GENS for n in sizes)
+    assert primary == {True, False}
+
+
+def _coprime_gens(k: int, count: int, rng: random.Random):
+    """`count` monomials on disjoint runs of k // count variables each."""
+    width = k // count
+    gens = []
+    for g in range(count):
+        exps = [0] * k
+        for j in range(g * width, (g + 1) * width):
+            exps[j] = rng.randint(1, 3) if rng.random() < 0.7 or j == g * width else 0
+        gens.append(tuple(exps))
+    return gens
+
+
+@pytest.mark.parametrize("gens, k, classes", [
+    # more than TAYLOR_GENS pairwise-coprime generators: the product formula
+    ([tuple(3 + j if i == j else 0 for i in range(12)) for j in range(12)], 12, 12),
+    (_coprime_gens(20, 10, random.Random(43)), 20, 10),
+    # classes that share no variable, with TAYLOR_GENS or fewer generators in all
+    ([(2, 1, 0, 0, 0, 0), (0, 3, 0, 0, 0, 0), (3, 0, 0, 0, 0, 0), (0, 0, 2, 2, 0, 0),
+      (0, 0, 0, 3, 0, 0), (0, 0, 0, 0, 1, 1), (0, 0, 0, 0, 0, 4)], 6, 3),
+    # and with more: the pivot recursion reaches nodes of several classes
+    ([(3, 0, 0, 0, 0, 0), (2, 1, 0, 0, 0, 0), (1, 2, 0, 0, 0, 0), (0, 3, 0, 0, 0, 0),
+      (0, 0, 2, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 2, 0, 0), (0, 0, 0, 0, 4, 0),
+      (0, 0, 0, 0, 3, 1), (0, 0, 0, 0, 1, 3), (0, 0, 0, 0, 0, 4)], 6, 3),
+    # the zero ideal and the unit ideal
+    ([], 3, 0),
+    ([(0, 0, 0)], 3, 1),
+], ids=["12-pure-powers", "10-coprime", "3-classes-small", "3-classes-large", "zero", "unit"])
+def test_taylor_base_matches_the_oracle_on_chosen_ideals(gens, k, classes):
+    ideal = MonomialIdeal(k, gens)
+    assert len(_classes(ideal.exps)) == classes
+    hilbert_series.cache_clear()
+    assert hilbert_series(ideal).numerator == lexfirst_numerator(ideal)
+
+
+@pytest.mark.parametrize("text, names, d", [
+    ("x^2, y^3", XY, 0),
+    ("x^4*y^2, x*y^5, y^7", XY, 1),
+    ("b*d, b*c, b^2, c^3", ABCD, 2),
+    ("x^3*y^2*z, y^4*z^3, x*z^5", ("x", "y", "z"), 2),
+    ("0", XY, 2),
+], ids=["d0", "d1-of-2", "d2-of-4", "d2-of-3", "d-equals-k"])
+def test_window_matches_coefficient_and_polynomial_value(text, names, d):
+    ideal = MonomialIdeal.zero(len(names)) if text == "0" else parse_ideal(text, names)
+    series = hilbert_series(ideal)
+    q, dim = series.reduced()
+    assert dim == d
+    top = len(q) - 1 - d  # P(n) = H(n) above deg Q - d
+    windows = [(-6, top + 6), (-9, -2), (top, top), (top + 1, top + 1), (3, 3), (-1, -1),
+               (0, top - 1), (-2, top - 2), (10**20, 10**20 + 3), (-10**20 - 3, -10**20)]
+    for lo, hi in windows:
+        assert series.window(lo, hi) == [
+            (n, series.coefficient(n), series.polynomial_value(n)) for n in range(lo, hi + 1)
+        ], (lo, hi)
 
 
 def test_series_coefficients_match_graded_length():
