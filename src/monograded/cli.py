@@ -8,9 +8,11 @@ identical configurations produce byte-identical output.
 Exit codes: 0 success, 1 computation failure (also exhausted memory or
 recursion depth, or an integer too large to compute with), 2 usage error (a
 missing or malformed ring, ideal, window or semigroup input, a `hilbert`
-window wider than MAX_WINDOW degrees, out-of-range numeric options and a
-`verify` instance flag without --ideal), 3 reproduction mismatch.  Every
-failure but argparse's own is a JSON error document.
+window wider than MAX_WINDOW degrees, an explicit `cohomology` window wider
+than that once clipped at the top degree of the cohomology, out-of-range
+numeric options and a `verify` instance flag without --ideal), 3
+reproduction mismatch.  Every failure but argparse's own is a JSON error
+document.
 
 `main` hands an argv that starts with a subcommand name to that subcommand's
 parser alone; any other argv, and one with words left over, goes to the
@@ -32,7 +34,9 @@ from .monomials import MonomialIdeal, parse_ideal
 SCHEMA = "monograded/1"
 # csv renders bound reports, which only `verify` and `reproduce` make.
 REPORT_FORMATS = ("json", "csv", "table")
-# The widest `hilbert --window`, in degrees: a table row per degree is built.
+# The widest `hilbert --window`, and the widest explicit `cohomology --window`
+# clipped at the top degree of the cohomology, in degrees: a value per degree
+# is built.
 MAX_WINDOW = 100_001
 
 
@@ -80,7 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("cohomology", "graded local cohomology table")
     add_common(p)
-    p.add_argument("--window", help="degree range lo:hi (default: the support box)")
+    p.add_argument("--window",
+                   help="degree range lo:hi (default: the support box); clipped at the top degree"
+                   f" of the cohomology, an explicit window spans at most {MAX_WINDOW} degrees,"
+                   " checked once the table is computed")
 
     p = add_command("reduction", "filtration report: e, Ratliff-Rush, mu, r")
     add_common(p)
@@ -203,6 +210,9 @@ def run_cohomology(args) -> dict:
     table = cohomology.cohomology_table(ideal)
     rho_sum = sum(table.rho)
     lo, hi = window or (-rho_sum, rho_sum)
+    if window and min(hi, table.reach) - lo >= MAX_WINDOW:
+        raise UsageError(f"--window lo:hi spans at most {MAX_WINDOW} degrees up to the top degree"
+                         f" {table.reach} of the cohomology, got {args.window!r}")
     return {"result": {
         "ring": list(names),
         "ideal": ideal.format(names),

@@ -35,31 +35,22 @@ rank engine.
 A class weighs its dimensions by prod_j (x^lo_j + ... + x^hi_j), whose
 coefficients count its multidegrees by the sum of their coordinates outside
 T; the a-invariant and depth are read off the classes.  The graded lengths
-h^i(R)_n have one evaluator, `CohomologyTable.rows`, which starts a window
-from closed-form composition counts and steps them from degree to degree by
-Pascal's rule, so its cost follows its width; a single h^i(R)_n and the
-binomial-weighted invariant EG(R) are read from its rows.
+h^i(R)_n have one evaluator, `CohomologyTable.rows`, which reads each class's
+(-1)^|T| lambda^s/(1-lambda)^|T| expanded at infinity from
+`hilbert.expansions`; a single h^i(R)_n and the binomial-weighted invariant
+EG(R) are read from its rows.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, islice, repeat
 from math import comb, prod
 from operator import add, sub
 
 from .errors import ZeroRing
+from .hilbert import expansions
 from .monomials import MonomialIdeal
 from .truncation import Echelon
-
-
-def _compositions(t_size: int, clamp_sum: int, n: int) -> int:
-    """Multidegrees of total degree n with t_size given negative coordinates
-    whose other coordinates sum to clamp_sum."""
-    s = clamp_sum - n
-    if t_size == 0:
-        return 1 if s == 0 else 0
-    return comb(s - 1, t_size - 1) if s >= t_size else 0
 
 
 def integer_rank(rows: list[dict[int, int]]) -> int:
@@ -162,7 +153,7 @@ class CohomologyTable:
     """The nonzero local cohomology of a monomial quotient, by clamp sum and
     negative-support size, with derived invariants."""
 
-    __slots__ = ("k", "rho", "classes", "dim", "depth")
+    __slots__ = ("k", "rho", "classes", "dim", "depth", "reach")
 
     def __init__(self, k: int, rho: tuple[int, ...], classes):
         self.k = k
@@ -182,6 +173,9 @@ class CohomologyTable:
                     bottom = min(bottom, i)
         self.dim = top
         self.depth = bottom
+        # The top degree of the cohomology: a class adds its dims at n = s - t
+        # and nothing above.
+        self.reach = max(clamp_sum - t_size for clamp_sum, t_size, _ in classes)
 
     def h(self, i: int, n: int) -> int:
         return sum(v for j, _, v in self.rows(n, n) if j == i)
@@ -202,42 +196,25 @@ class CohomologyTable:
 
     def rows(self, lo: int, hi: int) -> list[list[int]]:
         """[i, n, h^i(R)_n] for the nonzero values with lo <= n <= hi, ordered
-        by i and then n.
-
-        A class with clamp sum s and |T| = t adds dims * _compositions(t, s, n)
-        at degree n: dims * C(s - n - 1, t - 1) up to n = s - t when t > 0, and
-        dims at n = s alone when t = 0.  For each t, f_j(n) sums
-        dims * _compositions(j, s, n) over the classes with |T| = t, for
-        j = 0..t.  f_0(n) is read off the classes with s = n, and Pascal's rule
-        f_j(n + 1) = f_j(n) - f_(j-1)(n + 1) steps the others up the window
-        from their values at lo, one running difference per level and per i
-        where the classes have a nonzero dim.  So the cost follows the width
-        of the window, not its distance from the classes.  No class adds
-        anything above s - t: the window is clipped to the highest such
-        degree, and a class with s - t < lo is left out (none if lo > hi).
-        `h` and `eg_invariant` read their values from these rows."""
-        hi = min(hi, max((clamp_sum - t_size for clamp_sum, t_size, _ in self.classes), default=lo))
-        start: dict[tuple[int, int], list[int]] = {}  # (t, i) -> [f_0(lo), ..., f_t(lo)]
-        later: dict[tuple[int, int], dict[int, int]] = {}  # (t, i) -> {s: f_0(s)}, lo < s <= hi
+        by i and then n.  A class with clamp sum s and |T| = t adds
+        dims * C(s - n - 1, t - 1) at each n <= s - t (dims at n = s when
+        t = 0): (-1)^t times dims * lambda^s/(1-lambda)^t expanded at
+        infinity.  So each (i, t) feeds its classes' dims[i] per clamp sum to
+        `expansions`, at a cost that follows the width of the window, not its
+        distance from the classes.  The window is clipped at `reach`, and a
+        class with s - t < lo is left out."""
+        hi = min(hi, self.reach)
+        terms: dict[tuple[int, int], dict[int, int]] = {}  # (i, t) -> {s: dims[i]}
         for clamp_sum, t_size, dims in self.classes:
-            if clamp_sum - t_size < lo:
-                continue
-            counts = [_compositions(j, clamp_sum, lo) for j in range(t_size + 1)]
-            for i, dim in enumerate(dims):
-                if dim:
-                    f = start.setdefault((t_size, i), [0] * (t_size + 1))
-                    for j, count in enumerate(counts):
-                        f[j] += dim * count
-                    if lo < clamp_sum <= hi:
-                        f_0 = later.setdefault((t_size, i), {})
-                        f_0[clamp_sum] = f_0.get(clamp_sum, 0) + dim
+            if clamp_sum - t_size >= lo:
+                for i, dim in enumerate(dims):
+                    if dim:
+                        group = terms.setdefault((i, t_size), {})
+                        group[clamp_sum] = group.get(clamp_sum, 0) + dim
         values = [[0] * (hi - lo + 1) for _ in range(self.k + 1)]
-        for (t_size, i), f in start.items():
-            # f_j(lo), ..., f_j(hi), for j = 0 and then each next j
-            column = [f[0], *map(later.get((t_size, i), {}).get, range(lo + 1, hi + 1), repeat(0))]
-            for f_j in f[1:]:
-                column = list(accumulate(islice(column, 1, None), sub, initial=f_j))
-            values[i] = list(map(add, values[i], column))
+        for (i, t_size), group in terms.items():
+            _, at_infinity = expansions(group, t_size, lo, hi)
+            values[i] = list(map(sub if t_size % 2 else add, values[i], at_infinity))
         return [[i, lo + m, v] for i, row in enumerate(values) for m, v in enumerate(row) if v]
 
 

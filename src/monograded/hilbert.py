@@ -11,12 +11,13 @@ product of the sums over the classes of generators that share no variable.  A
 larger node whose generators are pairwise coprime is the product of their
 factors 1 - lambda^(deg g).  `HilbertSeries` is the one entry point for the
 invariants: from the reduced form Q(lambda)/(1-lambda)^d it reads off
-dimension and multiplicity, and H(n) and the Hilbert polynomial P(n) are
-integer binomial sums: H(n) sums the terms with i <= n, P(n) all of them, with
-C(x, m) read as a polynomial in x (Bruns-Herzog, *Cohen-Macaulay Rings*,
-sec. 4.1), so both are exact integers for every n.  `HilbertSeries.window`
-reads a table of (n, H(n), P(n)) from Q and d: H by d running sums of Q, and P
-as H plus the binomial sum over the terms of Q of degree n + d and above.
+dimension and multiplicity.  H(n) and the Hilbert polynomial P(n) come from
+`expansions`, the one evaluator of a rational function N/(1-lambda)^t read at
+both ends: H is its expansion at lambda = 0, and P - H is minus its
+expansion at lambda = infinity (Bruns-Herzog, *Cohen-Macaulay Rings*,
+sec. 4.1 and 4.4), so both are exact integers for every n.
+`HilbertSeries.window` reads a table of (n, H(n), P(n)) from Q and d;
+`cohomology` reads its graded lengths from the same evaluator.
 `hilbert_series` is cached per ideal, so the CLI and the bounds run one
 recursion per ideal.
 """
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, factorial, prod
+from math import comb
 
 from .errors import ReconstructionFailed, ZeroRing
 from .monomials import MonomialIdeal, minimalize
@@ -62,18 +63,34 @@ def pdiv_one_minus(p):
     return pstrip(out)
 
 
-def _binomial(x: int, m: int) -> int:
-    """C(x, m) = x(x-1)...(x-m+1)/m! as a polynomial in x, read at any integer
-    x; exact, since a product of m consecutive integers is divisible by m!."""
-    return prod(range(x - m + 1, x + 1)) // factorial(m)
-
-
-def _binomial_sum(terms: list[int], n: int, d: int) -> int:
-    """Sum of terms[i] * C(n - i + d - 1, d - 1), for any integer n: over the
-    terms with i <= n the coefficient of lambda^n in
-    sum(terms[i] * lambda^i) / (1-lambda)^d, over all of them its Hilbert
-    polynomial at n."""
-    return sum(c * _binomial(n - i + d - 1, d - 1) for i, c in enumerate(terms))
+def expansions(terms: dict[int, int], t: int, lo: int, hi: int) -> tuple[list[int], list[int]]:
+    """The coefficients of lambda^lo..lambda^hi in the two expansions of
+    N/(1-lambda)^t, N = sum of a * lambda^e over terms.items(), t >= 0: at
+    lambda = 0, the sum over e <= n of a * C(n - e + t - 1, t - 1); at
+    infinity, in powers of 1/lambda, (-1)^t times the sum over e >= n + t of
+    a * C(e - n - 1, t - 1) (both are N's coefficient when t = 0).  Each is t
+    running sums over the window: up from lo at 0, the j-th started at the
+    coefficient of lambda^(lo-1) in N/(1-lambda)^j; down from hi at infinity,
+    as 1/(1-lambda) = -(1/lambda + 1/lambda^2 + ...), the j-th started at the
+    sum of the (j-1)-th above hi, with the sign taken once at the end.  So
+    the cost is t * (width + terms), however far the window lies from 0."""
+    up = [0] * (hi - lo + 1)
+    low, high = [], []  # the terms below and above the window
+    for e, a in terms.items():
+        if e < lo:
+            low.append((e, a))
+        elif e > hi:
+            high.append((e, a))
+        else:
+            up[e - lo] += a
+    down = up[::-1]
+    for j in range(1, t + 1):
+        below = sum(a * comb(lo - 1 - e + j - 1, j - 1) for e, a in low)
+        above = sum(a * comb(e - hi - 1, j - 1) for e, a in high)  # 0 unless e >= hi + j
+        up = list(accumulate(up, initial=below))[1:]
+        down = list(accumulate(down, initial=above))[:-1]
+    down.reverse()
+    return up, down if t % 2 == 0 else [-v for v in down]
 
 
 # -- series -------------------------------------------------------------
@@ -121,50 +138,23 @@ class HilbertSeries:
         return sum(self.reduced()[0])
 
     def coefficient(self, n: int) -> int:
-        """H(n): the coefficient of lambda^n in the expansion of N/(1-lambda)^k,
-        sum over i <= n of N_i * C(n - i + k - 1, k - 1)."""
-        if n < 0:
-            return 0
-        if self.k == 0:
-            return self.numerator[n] if n < len(self.numerator) else 0
-        return _binomial_sum(self.numerator[: n + 1], n, self.k)
+        """H(n): the coefficient of lambda^n in N/(1-lambda)^k expanded at 0,
+        which reads only the terms of N of degree at most n."""
+        return expansions(dict(enumerate(self.numerator[: max(n + 1, 0)])), self.k, n, n)[0][0]
 
     def polynomial_value(self, n: int) -> int:
-        """P(n): the same sum over every i, a polynomial in n.  It equals H(n)
-        for n > deg N - k, where each term with i > n has 0 <= n - i + k - 1
-        < k - 1 and vanishes."""
-        return _binomial_sum(self.numerator, n, self.k) if self.k else 0
+        """P(n): H(n) minus the coefficient of lambda^n in N/(1-lambda)^k
+        expanded at infinity, which vanishes for n > deg N - k."""
+        (h,), (tail,) = expansions(dict(enumerate(self.numerator)), self.k, n, n)
+        return h - tail
 
     def window(self, lo: int, hi: int) -> list[tuple[int, int, int]]:
-        """(n, H(n), P(n)) for lo <= n <= hi, read from the reduced form
-        Q/(1-lambda)^d.  H(n) = 0 for n < 0; from s = max(lo, 0) on, H is Q
-        after d running sums, the j-th started at the coefficient of
-        lambda^(s-1) in Q/(1-lambda)^j, so a window far from 0 costs its width.
-        P(n) is the binomial sum over Q: its terms with i <= n give H(n), those
-        with n < i < n + d vanish, and those with i >= n + d give
-        (-1)^(d-1) * Q_i * C(i - n - 1, d - 1), so P(n) = H(n) for
-        n > deg Q - d.  P = 0 when d = 0."""
+        """(n, H(n), P(n)) for lo <= n <= hi from the two expansions of the
+        reduced form Q/(1-lambda)^d: H at 0, and P = H minus the expansion at
+        infinity, so P(n) = H(n) for n > deg Q - d and P = 0 when d = 0."""
         q, d = self.reduced()
-        start = max(lo, 0)
-        h = q[start : hi + 1]
-        h += [0] * max(hi + 1 - start - len(h), 0)
-        for j in range(1, d + 1):
-            h = list(accumulate(h, initial=_binomial_sum(q[:start], start - 1, j)))[1:]
-        sign = -1 if d % 2 == 0 else 1
-        top = len(q) - 1 - d
-        rows = []
-        for n in range(lo, hi + 1):
-            h_n = h[n - start] if n >= 0 else 0
-            if not d:
-                p_n = 0
-            elif n > top:
-                p_n = h_n
-            else:
-                first = max(n + d, 0)
-                tail = enumerate(q[first:], first)
-                p_n = h_n + sign * sum(c * comb(i - n - 1, d - 1) for i, c in tail)
-            rows.append((n, h_n, p_n))
-        return rows
+        h, tail = expansions({e: a for e, a in enumerate(q) if a}, d, lo, hi)
+        return [(n, h_n, h_n - t_n) for n, h_n, t_n in zip(range(lo, hi + 1), h, tail)]
 
     def __eq__(self, other):
         return (

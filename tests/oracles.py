@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, prod
 from operator import add
 
 from monograded.errors import ComputationError, NotAReduction, ZeroRing
@@ -101,6 +101,37 @@ def binomial_poly(shift: int, m: int) -> list[Fraction]:
         coeffs = out
     inv = Fraction(1, factorial(m))
     return [c * inv for c in coeffs]
+
+
+def binomial(x: int, m: int) -> int:
+    """C(x, m) = x(x-1)...(x-m+1)/m! as a polynomial in x, read at any integer
+    x; exact, since a product of m consecutive integers is divisible by m!."""
+    return prod(range(x - m + 1, x + 1)) // factorial(m)
+
+
+def binomial_sum(terms: list[int], n: int, d: int) -> int:
+    """Sum of terms[i] * C(n - i + d - 1, d - 1), for any integer n: over the
+    terms with i <= n the coefficient of lambda^n in
+    sum(terms[i] * lambda^i) / (1-lambda)^d, over all of them its Hilbert
+    polynomial at n."""
+    return sum(c * binomial(n - i + d - 1, d - 1) for i, c in enumerate(terms))
+
+
+def reference_window(series: HilbertSeries, lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """(n, H(n), P(n)) for lo <= n <= hi, each a binomial sum over the
+    numerator N of N/(1-lambda)^k: H over the terms of degree at most n, P over
+    all of them (P = 0 when k = 0)."""
+    n_terms, k = series.numerator, series.k
+    rows = []
+    for n in range(lo, hi + 1):
+        if n < 0:
+            h = 0
+        elif k == 0:
+            h = n_terms[n] if n < len(n_terms) else 0
+        else:
+            h = binomial_sum(n_terms[: n + 1], n, k)
+        rows.append((n, h, binomial_sum(n_terms, n, k) if k else 0))
+    return rows
 
 
 def poly_value(coeffs, n: int) -> Fraction:

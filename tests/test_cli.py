@@ -343,6 +343,23 @@ def test_hilbert_window_over_the_width_cap_is_usage_error(window, monkeypatch):
                        f"--window lo:hi spans at most {cli.MAX_WINDOW} degrees")
 
 
+def test_cohomology_window_at_the_width_cap_answers():
+    # R/(x*y) has h^1(R)_n = 2 for n < 0 and h^1(R)_0 = 1, and nothing above 0
+    lo = -(cli.MAX_WINDOW - 1)
+    code, out = run_cli(["cohomology", "--ring", "x,y", "--ideal", "x*y", f"--window={lo}:0"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["h"] == [[1, n, 2] for n in range(lo, 0)] + [[1, 0, 1]]
+    assert result["window"] == [lo, 0]
+
+
+@pytest.mark.parametrize("window", ["-200000:0", "-100001:0", "-100001:10000000"])
+def test_cohomology_window_over_the_width_cap_is_usage_error(window):
+    # the width is counted up to the top degree 0 of the cohomology of R/(x*y)
+    assert_usage_error(["cohomology", "--ring", "x,y", "--ideal", "x*y", f"--window={window}"],
+                       f"--window lo:hi spans at most {cli.MAX_WINDOW} degrees up to the top degree 0")
+
+
 def test_unknown_variable_is_usage_error():
     assert_usage_error(["cohomology", "--ring", "x,y", "--ideal", "x^2, q"], "unknown variable 'q'")
     # a --ring piece that the ideal grammar cannot write is no variable name

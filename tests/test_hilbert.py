@@ -7,8 +7,8 @@ from monograded.errors import ZeroRing
 from monograded.bounds import random_m_primary_ideal
 from monograded.hilbert import (
     TAYLOR_GENS,
-    _binomial,
     _classes,
+    expansions,
     hilbert_series,
     reconstruct_numerator,
     reconstruct_series,
@@ -16,11 +16,13 @@ from monograded.hilbert import (
 from monograded.monomials import MonomialIdeal, parse_ideal
 
 from oracles import (
+    binomial,
     binomial_poly,
     fraction_hilbert_polynomial,
     lexfirst_numerator,
     poly_value,
     postulation_degree,
+    reference_window,
     serre_difference,
     serre_difference_table,
 )
@@ -164,9 +166,10 @@ def test_window_matches_coefficient_and_polynomial_value(text, names, d):
     windows = [(-6, top + 6), (-9, -2), (top, top), (top + 1, top + 1), (3, 3), (-1, -1),
                (0, top - 1), (-2, top - 2), (10**20, 10**20 + 3), (-10**20 - 3, -10**20)]
     for lo, hi in windows:
-        assert series.window(lo, hi) == [
-            (n, series.coefficient(n), series.polynomial_value(n)) for n in range(lo, hi + 1)
-        ], (lo, hi)
+        expected = reference_window(series, lo, hi)
+        assert series.window(lo, hi) == expected, (lo, hi)
+        assert [(n, series.coefficient(n), series.polynomial_value(n))
+                for n in range(lo, hi + 1)] == expected, (lo, hi)
 
 
 def test_series_coefficients_match_graded_length():
@@ -256,12 +259,57 @@ def test_polynomial_value_matches_fraction_reference():
 
 
 def test_binomial_matches_comb():
+    # the zero ideal in m + 1 variables has 1/(1-lambda)^(m+1) as its series,
+    # so its Hilbert polynomial at x - m is C(x, m) as a polynomial in x
     for m in range(6):
+        series = hilbert_series(MonomialIdeal.zero(m + 1))
         reference = binomial_poly(0, m)  # C(n, m) as a polynomial in n
         for x in range(-10, 12):
-            assert _binomial(x, m) == poly_value(reference, x)
+            assert series.polynomial_value(x - m) == poly_value(reference, x) == binomial(x, m)
             if x >= 0:
-                assert _binomial(x, m) == comb(x, m)
+                assert series.polynomial_value(x - m) == comb(x, m)
+
+
+def _closed_forms(terms: dict[int, int], t: int, n: int) -> tuple[int, int]:
+    """The coefficients of lambda^n in the expansions of N/(1-lambda)^t at 0
+    and at infinity, as direct sums over the terms a * lambda^e of N."""
+    if t == 0:
+        return terms.get(n, 0), terms.get(n, 0)
+    at_zero = sum(a * comb(n - e + t - 1, t - 1) for e, a in terms.items() if e <= n)
+    at_infinity = sum(a * comb(e - n - 1, t - 1) for e, a in terms.items() if e >= n + t)
+    return at_zero, (-1) ** t * at_infinity
+
+
+def test_expansions_match_the_binomial_sums():
+    rng = random.Random(43)
+    for _ in range(120):
+        base = rng.choice((0, 5, 10**9, 10**18))
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            e = base + rng.randint(0, 12)
+            terms[e] = terms.get(e, 0) + rng.choice((-1, 1)) * rng.randint(1, 9)
+        first, last = min(terms), max(terms)
+        for t in range(7):
+            width = rng.randint(0, 8)
+            windows = [
+                (first - 30 - width, first - 30),  # below the terms
+                (first - 4, last + 4 + width),  # straddling them
+                (last + 1, last + 1 + width),  # above them
+                (last + t + 40, last + t + 40 + width),
+                (first - 10**18, first - 10**18 + width), (last + 10**18, last + 10**18 + width),
+                (first, first), (last, last), (last - t, last - t),
+            ]
+            for lo, hi in windows:
+                at_zero, at_infinity = expansions(terms, t, lo, hi)
+                expected = [_closed_forms(terms, t, n) for n in range(lo, hi + 1)]
+                assert at_zero == [z for z, _ in expected], (terms, t, lo, hi)
+                assert at_infinity == [f for _, f in expected], (terms, t, lo, hi)
+                # their difference is the Hilbert polynomial of N/(1-lambda)^t,
+                # of degree below t, so its t-th finite difference vanishes
+                values = [z - f for z, f in zip(at_zero, at_infinity)]
+                for _ in range(t):
+                    values = [b - a for a, b in zip(values, values[1:])]
+                assert not any(values), (terms, t, lo, hi)
 
 
 def test_serre_difference_table_matches_pointwise():
