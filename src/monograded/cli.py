@@ -14,9 +14,11 @@ numeric options and a `verify` instance flag without --ideal), 3
 reproduction mismatch.  Every failure but argparse's own is a JSON error
 document.
 
-`main` hands an argv that starts with a subcommand name to that subcommand's
-parser alone; any other argv, and one with words left over, goes to the
-top-level parser, so usage errors and help read as argparse writes them.
+`build_parser` compiles each subcommand's argparse actions into a flag table,
+and `main` reads an argv that starts with a subcommand name with that table
+when each word is an exact option string and its value, an `--option=value`
+or the next positional.  argparse reads any other argv, so help,
+abbreviations and usage errors read as argparse writes them.
 JSON output has the bytes of `json.dumps(doc, indent=2, sort_keys=True)`.
 """
 
@@ -61,11 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     # dest -> the least value the integer option accepts; main checks it.
     parser.option_minimum = {}
-    # subcommand name -> its parser, which main calls directly.
-    parser.commands = {}
+    commands = {}
 
     def add_command(name, summary):
-        parser.commands[name] = p = sub.add_parser(name, help=summary)
+        commands[name] = p = sub.add_parser(name, help=summary)
         return p
 
     def add_int(p, flag, default, least, **kwargs):
@@ -111,7 +112,70 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("reproduce", "re-run a worked example and compare values")
     p.add_argument("example", choices=EXAMPLES)
     p.add_argument("--format", choices=REPORT_FORMATS, default="json")
+    # subcommand name -> the flag table `_read` reads its words with.
+    parser.tables = {name: _compile(p) for name, p in commands.items()}
     return parser
+
+
+def _compile(parser: argparse.ArgumentParser):
+    """(options, positionals, defaults) of a subcommand's parser: each option
+    string -> its store action (None for help, which argparse answers), the
+    positional actions in order, and each dest -> its default, a string
+    default converted through the action's type as argparse converts it.
+    None when the parser has an action that `_read` cannot read as argparse
+    does, so that every argv of the subcommand goes to argparse."""
+    options, positionals, defaults = {}, [], dict(parser._defaults)
+    for action in parser._actions:
+        if action.default is argparse.SUPPRESS and not action.required:
+            options.update(dict.fromkeys(action.option_strings))  # -h, --help
+            continue
+        if type(action) is not argparse._StoreAction or action.nargs is not None or (
+                action.option_strings and action.required):
+            return None
+        default = action.default
+        if isinstance(default, str) and action.type is not None:
+            default = action.type(default)
+        defaults[action.dest] = default
+        if action.option_strings:
+            options.update(dict.fromkeys(action.option_strings, action))
+        else:
+            positionals.append(action)
+    return options, positionals, defaults
+
+
+def _read(table, words: list[str]) -> argparse.Namespace | None:
+    """The namespace the subcommand's parser gives for `words` when every
+    word is an exact option string followed by a value that does not start
+    with '-', an `--option=value`, or the next positional; a repeated option
+    keeps its last value.  None, for argparse to answer, on anything else:
+    help, `--`, an abbreviated or unknown option, a missing value, a value
+    its type or choices refuse, a leftover word or an unfilled positional."""
+    options, positionals, values = table[0], iter(table[1]), dict(table[2])
+    words = iter(words)
+    for word in words:
+        if word in options:
+            action, value = options[word], next(words, "-")
+            if value[:1] == "-":
+                return None
+        elif word[:1] == "-":
+            flag, equals, value = word.partition("=")
+            # argparse versions differ on `--option=--`
+            action = options.get(flag) if equals and value != "--" else None
+        else:
+            action, value = next(positionals, None), word
+        if action is None:
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (ValueError, TypeError, argparse.ArgumentTypeError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if next(positionals, None) is not None:
+        return None
+    return argparse.Namespace(**values)
 
 
 def check_option_ranges(args, option_minimum: dict[str, int]) -> None:
@@ -523,24 +587,23 @@ _parser: argparse.ArgumentParser | None = None
 
 
 def _parse_argv(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """The namespace `parser.parse_args(argv)` gives, read by the named
-    subcommand's parser alone when argv starts with a subcommand name and no
-    word is left over; otherwise the top-level parser reads the whole argv
-    and reports any usage error itself."""
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, extras = command.parse_known_args(argv[1:])
-        if not extras:
-            args.subcommand = argv[0]
-            return args
-    return parser.parse_args(argv)
+    """The namespace `parser.parse_args(attach_windows(argv))` gives, read
+    with the named subcommand's flag table (`_read`) when that table takes
+    the whole argv.  argparse reads any other argv, and so answers help,
+    abbreviations and usage errors itself."""
+    table = parser.tables.get(argv[0]) if argv else None
+    args = _read(table, argv[1:]) if table else None
+    if args is None:
+        return parser.parse_args(attach_windows(argv))
+    args.subcommand = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
     global _parser
     if _parser is None:  # one parser per process
         _parser = build_parser()
-    args = _parse_argv(_parser, attach_windows(sys.argv[1:] if argv is None else argv))
+    args = _parse_argv(_parser, sys.argv[1:] if argv is None else argv)
     doc = {"schema": SCHEMA, "config": config_dict(args)}
     try:
         check_option_ranges(args, _parser.option_minimum)

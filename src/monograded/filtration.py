@@ -402,17 +402,34 @@ def mu(ideal: MonomialIdeal, n: int) -> int:
     return power_cache(ideal).power(n).num_generators()
 
 
+def _self_check(name: str, series: HilbertSeries, dim: int, multiplicity=None) -> HilbertSeries:
+    """`series` once it has dimension `dim` and, when one is given,
+    multiplicity `multiplicity`; a ComputationError otherwise, since a
+    reconstruction's stopping rule is not a proof."""
+    if series.dim != dim or multiplicity not in (None, series.multiplicity):
+        expected = "" if multiplicity is None else f", multiplicity {multiplicity}"
+        raise ComputationError(
+            f"self-check failed: the reconstructed {name} series has dim {series.dim},"
+            f" multiplicity {series.multiplicity}; expected dim {dim}{expected}")
+    return series
+
+
 def fiber_cone_series(ideal: MonomialIdeal) -> HilbertSeries:
-    """Hilbert series of the fiber cone, reconstructed from the mu(I^n) counts."""
+    """Hilbert series of the fiber cone, reconstructed from the mu(I^n) counts
+    and checked to have dimension k, the analytic spread of an m-primary
+    ideal."""
     cache = power_cache(ideal)
-    return reconstruct_series(lambda n: cache.power(n).num_generators(), ideal.k)
+    series = reconstruct_series(lambda n: cache.power(n).num_generators(), ideal.k)
+    return _self_check("fiber cone", series, ideal.k)
 
 
 def G_hilbert_series(ideal: MonomialIdeal) -> HilbertSeries:
     """Hilbert series of the associated graded ring, reconstructed from the
-    colength differences ell(I^n / I^(n+1))."""
+    colength differences ell(I^n / I^(n+1)) and checked to have dimension k
+    and multiplicity e(I), which `newton_multiplicity` computes apart."""
     cache = power_cache(ideal)
-    return reconstruct_series(lambda n: cache.colength(n + 1) - cache.colength(n), ideal.k)
+    series = reconstruct_series(lambda n: cache.colength(n + 1) - cache.colength(n), ideal.k)
+    return _self_check("G", series, ideal.k, newton_multiplicity(ideal))
 
 
 # -- reductions ---------------------------------------------------------

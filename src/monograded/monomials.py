@@ -38,7 +38,7 @@ def ring_names(k: int, names=None) -> tuple[str, ...]:
         if len(names) != k:
             raise DimensionMismatch(f"{len(names)} names for {k} variables")
         for name in names:
-            if not re.fullmatch(_NAME, name):
+            if not _NAME_RE.fullmatch(name):
                 raise ValueError(f"{name!r} is not a variable name"
                                  " (a letter or _, then letters, digits or _)")
         if len(set(names)) != len(names):
@@ -301,6 +301,7 @@ def compositions(n: int, k: int):
 
 # -- parsing ------------------------------------------------------------
 
+_NAME_RE = re.compile(_NAME)
 _FACTOR_RE = re.compile(rf"^({_NAME})(?:\^(\d+))?$")
 
 

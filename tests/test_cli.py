@@ -1,11 +1,14 @@
+import argparse
 import hashlib
 import io
 import json
 import sys
+from operator import sub
 
 import pytest
 
 from monograded import cli, filtration
+from monograded.hilbert import HilbertSeries
 
 
 def run_cli(argv):
@@ -591,6 +594,33 @@ def test_the_trials_of_reduction_check_a_kept_colength_verdict(monkeypatch, boun
     assert error["message"].startswith("self-check failed: r_J = ")
 
 
+HARD_A = ["--ring", "x,y,z", "--ideal", "x^5, y^5, z^5, x^2*y^2, y^2*z^2, x*z^3"]
+
+
+@pytest.mark.parametrize("argv, name, mutate, message", [
+    # one coefficient of G's numerator shifted by 1: the multiplicity is off by one
+    (["reduction", *HARD_A], "G", lambda n: [n[0] + 1, *n[1:]],
+     "dim 3, multiplicity 77; expected dim 3, multiplicity 76"),
+    # a fiber-cone numerator times (1 - lambda): the dimension drops by one
+    (["reproduce", "example-2.2"], "fiber cone", lambda n: [*map(sub, [*n, 0], [0, *n])],
+     "dim 1, multiplicity 3; expected dim 2"),
+], ids=["G", "fiber-cone"])
+@pytest.mark.usefixtures("cold_power_caches")
+def test_self_check_of_a_reconstructed_series_fails_with_exit_1(monkeypatch, argv, name,
+                                                                 mutate, message):
+    real = filtration.reconstruct_series
+
+    def shifted(value_fn, k):
+        return HilbertSeries(k, mutate(real(value_fn, k).numerator))
+
+    monkeypatch.setattr(filtration, "reconstruct_series", shifted)
+    code, out = run_cli(argv)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "ComputationError",
+        "message": f"self-check failed: the reconstructed {name} series has {message}"}
+
+
 def test_cohomology_with_many_variables_not_in_the_ideal():
     # x1 in 1,100 variables: one class per coordinate choice, without recursing
     # through the 1,099 coordinates that no generator involves
@@ -771,6 +801,10 @@ XY = ["--ring", "x,y", "--ideal", "x^2, y^3"]
     ["verify", "--bound", "prop3.4", "--vars", "3", "--count", "2", "--corpus-seed", "1"],
     ["verify", "--semigroup", "4,5,6,7", "--ideal", "4,5,6", "--format", "table"],
     ["--ring", "x", "hilbert"], ["hilbert", "hilbert"],
+    ["reduction", *XY, "--seed=-4"], ["hilbert", "--ring=", "--ideal", "x"],
+    ["reduction", *XY, "--trials", " 2"], ["reduction", *XY, "--trials", "2", "--trials", "3"],
+    ["hilbert", "--ring", "--ideal", "x"], ["hilbert", *XY, "-"], ["verify", "--format", ""],
+    ["reproduce", "example-2.2", "--format=csv"],
 ], ids=lambda argv: " ".join(argv) or "empty")
 def test_subcommand_dispatch_parses_as_the_top_level_parser(argv):
     # the subcommand's own parser must give the namespace, or the exit code,
@@ -780,6 +814,65 @@ def test_subcommand_dispatch_parses_as_the_top_level_parser(argv):
     assert parse_outcome(lambda words: cli._parse_argv(parser, words), argv) == expected
     if expected[0] == "args":
         assert expected[1].subcommand == argv[0]
+
+
+# Every option of each subcommand, with a value its flag table reads.
+WELL_FORMED = {
+    "hilbert": {"--ring": "x,y", "--ideal": "x^2, y^3", "--window": "0:3", "--format": "table"},
+    "cohomology": {"--ring": "x,y,z", "--ideal": "x*y, z^2", "--window": "2:5",
+                   "--format": "json"},
+    "reduction": {"--ring": "x,y", "--ideal": "x^3, y^2", "--format": "table", "--seed": "4",
+                  "--trials": "2", "--coeff-bound": "50", "--n-bound": "3", "--powers": "1"},
+    "verify": {"--ring": "x,y", "--ideal": "4,5,6", "--format": "csv", "--semigroup": "4,5,6,7",
+               "--bound": "prop3.1", "--corpus-seed": "1", "--count": "2", "--vars": "3",
+               "--degree-bound": "3"},
+    "reproduce": {"--format": "csv"},
+}
+
+
+@pytest.mark.parametrize("spelling", ["spaced", "attached"])
+@pytest.mark.parametrize("command", sorted(WELL_FORMED))
+def test_well_formed_argv_are_read_without_argparse(monkeypatch, command, spelling):
+    # the flag table reads these alone; a silent fall back to argparse would
+    # give the same namespace, so argparse is made to raise
+    flags = WELL_FORMED[command]
+    words = [word for flag, value in flags.items()
+             for word in ([flag, value] if spelling == "spaced" else [f"{flag}={value}"])]
+    argv = [command, *(["example-3.2"] if command == "reproduce" else []), *words]
+    expected = cli.build_parser().parse_args(argv)
+    parser = cli.build_parser()
+    assert set(flags) == {flag for flag, action in parser.tables[command][0].items() if action}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse was called")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    assert cli._parse_argv(parser, argv) == expected
+
+
+@pytest.mark.parametrize("flag", ["--window", "--win"])
+def test_negative_window_after_a_space_is_attached_before_argparse(flag):
+    # the flag table refuses a value that starts with '-'; argparse then
+    # reads the argv with its window attached
+    parser = cli.build_parser()
+    argv = ["cohomology", *XY, flag, "-6:3"]
+    assert cli._read(parser.tables["cohomology"], argv[1:]) is None
+    args = cli._parse_argv(parser, argv)
+    assert args == parser.parse_args(cli.attach_windows(argv)) and args.window == "-6:3"
+
+
+def test_flag_table_converts_string_defaults_and_refuses_other_actions():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--n", type=int, default="3")
+    parser.add_argument("--m", type=int, default="4", choices=[4, 5])
+    table = cli._compile(parser)
+    for words in ([], ["--n", "5"], ["--m=5"], ["--m", "5", "--n=0"]):
+        assert cli._read(table, words) == parser.parse_args(words)
+    assert cli._read(table, ["--m", "6"]) is None
+    # an action that takes no value, or several, leaves the parser to argparse
+    parser.add_argument("--on", action="store_true")
+    assert cli._compile(parser) is None
 
 
 def test_unrecognized_arguments_are_reported_by_the_top_level_parser(capsys):
