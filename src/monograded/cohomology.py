@@ -33,10 +33,13 @@ complex is computed once: its maps are sparse rows, one signed entry per
 coface, ranked exactly over Q by `truncation.Echelon`, the package's one
 rank engine.
 A class weighs its dimensions by prod_j (x^lo_j + ... + x^hi_j), whose
-coefficients count its multidegrees by the sum of their coordinates outside
-T; the a-invariant and depth are read off the classes.  The graded lengths
-h^i(R)_n have one evaluator, `CohomologyTable.rows`, which reads each class's
-(-1)^|T| lambda^s/(1-lambda)^|T| expanded at infinity from
+coefficients count its multidegrees by the sum s of their coordinates
+outside T.  The table keeps these weights as sparse terms: for each
+cohomological degree i and t = |T|, the sum v of h^i over the classes of
+each clamp sum s, nonzero v only.  Dimension, depth and the a-invariant are
+read from the keys and the largest s of each group.  The graded lengths
+h^i(R)_n have one evaluator, `CohomologyTable.rows`, which reads each group's
+(-1)^t sum v lambda^s/(1-lambda)^t expanded at infinity from
 `hilbert.expansions`; a single h^i(R)_n and the binomial-weighted invariant
 EG(R) are read from its rows.
 """
@@ -150,32 +153,22 @@ def _class_dims(k: int, up: int) -> tuple[int, ...]:
 
 
 class CohomologyTable:
-    """The nonzero local cohomology of a monomial quotient, by clamp sum and
-    negative-support size, with derived invariants."""
+    """The nonzero local cohomology of a monomial quotient, as sparse terms per
+    cohomological degree and negative-support size, with derived invariants."""
 
     __slots__ = ("k", "rho", "classes", "dim", "depth", "reach")
 
-    def __init__(self, k: int, rho: tuple[int, ...], classes):
+    def __init__(self, k: int, rho: tuple[int, ...], classes: dict[tuple[int, int], dict[int, int]]):
         self.k = k
         self.rho = rho
-        # classes: (clamp_sum, t_size, dims) with some dims[i] > 0, where dims[i]
-        # sums h^i over the orthant classes with |T| = t_size whose coordinates
-        # outside T sum to clamp_sum.  One entry per orthant class is valid too:
-        # h is linear in the dims, and the other invariants only ask which dims
-        # are nonzero.
+        # classes: (i, t) -> {s: v} with v > 0, where v sums h^i over the
+        # orthant classes with |T| = t whose coordinates outside T sum to s.
         self.classes = classes
-        top = 0
-        bottom = k
-        for _, _, dims in classes:
-            for i, dim in enumerate(dims):
-                if dim:
-                    top = max(top, i)
-                    bottom = min(bottom, i)
-        self.dim = top
-        self.depth = bottom
+        self.dim = max(i for i, _ in classes)
+        self.depth = min(i for i, _ in classes)
         # The top degree of the cohomology: a class adds its dims at n = s - t
         # and nothing above.
-        self.reach = max(clamp_sum - t_size for clamp_sum, t_size, _ in classes)
+        self.reach = max(max(group) - t_size for (_, t_size), group in classes.items())
 
     def h(self, i: int, n: int) -> int:
         return sum(v for j, _, v in self.rows(n, n) if j == i)
@@ -183,11 +176,7 @@ class CohomologyTable:
     @property
     def a_invariant(self) -> int:
         d = self.dim
-        return max(
-            clamp_sum - t_size
-            for clamp_sum, t_size, dims in self.classes
-            if dims[d]
-        )
+        return max(max(group) - t_size for (i, t_size), group in self.classes.items() if i == d)
 
     @property
     def eg_invariant(self) -> int:
@@ -199,29 +188,24 @@ class CohomologyTable:
         by i and then n.  A class with clamp sum s and |T| = t adds
         dims * C(s - n - 1, t - 1) at each n <= s - t (dims at n = s when
         t = 0): (-1)^t times dims * lambda^s/(1-lambda)^t expanded at
-        infinity.  So each (i, t) feeds its classes' dims[i] per clamp sum to
-        `expansions`, at a cost that follows the width of the window, not its
-        distance from the classes.  The window is clipped at `reach`, and a
-        class with s - t < lo is left out."""
+        infinity.  So each (i, t) feeds its terms {s: v} to `expansions`, at
+        a cost that follows the width of the window, not its distance from
+        the classes.  The window is clipped at `reach`, and a term with
+        s - t < lo is left out."""
         hi = min(hi, self.reach)
-        terms: dict[tuple[int, int], dict[int, int]] = {}  # (i, t) -> {s: dims[i]}
-        for clamp_sum, t_size, dims in self.classes:
-            if clamp_sum - t_size >= lo:
-                for i, dim in enumerate(dims):
-                    if dim:
-                        group = terms.setdefault((i, t_size), {})
-                        group[clamp_sum] = group.get(clamp_sum, 0) + dim
         values = [[0] * (hi - lo + 1) for _ in range(self.k + 1)]
-        for (i, t_size), group in terms.items():
-            _, at_infinity = expansions(group, t_size, lo, hi)
-            values[i] = list(map(sub if t_size % 2 else add, values[i], at_infinity))
+        for (i, t_size), group in self.classes.items():
+            terms = {s: v for s, v in group.items() if s - t_size >= lo}
+            if terms:
+                _, at_infinity = expansions(terms, t_size, lo, hi)
+                values[i] = list(map(sub if t_size % 2 else add, values[i], at_infinity))
         return [[i, lo + m, v] for i, row in enumerate(values) for m, v in enumerate(row) if v]
 
 
 @lru_cache(maxsize=256)
 def cohomology_table(ideal: MonomialIdeal) -> CohomologyTable:
-    """Compute the breakpoint classes of R/I and aggregate those with nonzero
-    cohomology by clamp sum and negative-support size."""
+    """Compute the breakpoint classes of R/I and unpack their packed weights
+    into the terms {clamp sum: h^i} of each (i, |T|) with nonzero cohomology."""
     if ideal.is_unit:
         raise ZeroRing("the zero ring has no local cohomology")
     k = ideal.k
@@ -294,16 +278,14 @@ def cohomology_table(ideal: MonomialIdeal) -> CohomologyTable:
 
     recurse(0, 0, (1 << len(gen_exps)) - 1, 1)
 
-    totals: dict[tuple[int, int], list[int]] = {}
+    classes: dict[tuple[int, int], dict[int, int]] = {}
     for (t_size, dims), packed in weights.items():
-        if not any(dims):
-            continue
         digits = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
-        for clamp_sum, at in enumerate(range(0, len(digits), size)):
-            count = int.from_bytes(digits[at:at + size], "little")
-            if count:
-                total = totals.setdefault((clamp_sum, t_size), [0] * (k + 1))
-                for i, dim in enumerate(dims, t_size):
-                    total[i] += count * dim
-    classes = [(s, t, tuple(dims)) for (s, t), dims in sorted(totals.items())]
+        counts = [(clamp_sum, count) for clamp_sum, at in enumerate(range(0, len(digits), size))
+                  if (count := int.from_bytes(digits[at:at + size], "little"))]
+        for i, dim in enumerate(dims, t_size):
+            if dim:
+                group = classes.setdefault((i, t_size), {})
+                for clamp_sum, count in counts:
+                    group[clamp_sum] = group.get(clamp_sum, 0) + count * dim
     return CohomologyTable(k, rho, classes)

@@ -4,14 +4,16 @@ The series of R/I is computed exactly as N(lambda)/(1-lambda)^k from the short
 exact sequence 0 -> R/(I:p) -> R/I -> R/(I+(p)) -> 0 for a pivot monomial p
 (A. M. Bigatti, "Computation of Hilbert-Poincare series", JPAA 119, 1997).
 The recursion runs on minimal sets of exponent tuples, memoized by the set,
-and ends at a node with at most TAYLOR_GENS generators: there N is the Taylor
+on sparse numerators {degree: coefficient}, and ends at a node with at most
+TAYLOR_GENS generators or with pairwise-coprime ones: there N is the Taylor
 sum over the subsets S of the generators of (-1)^|S| lambda^(deg lcm S)
 (Miller-Sturmfels, *Combinatorial Commutative Algebra*, 2005, ch. 4), the
-product of the sums over the classes of generators that share no variable.  A
-larger node whose generators are pairwise coprime is the product of their
-factors 1 - lambda^(deg g).  `HilbertSeries` is the one entry point for the
-invariants: from the reduced form Q(lambda)/(1-lambda)^d it reads off
-dimension and multiplicity.  H(n) and the Hilbert polynomial P(n) come from
+product of the sums over the classes of generators that share no variable
+(for coprime generators, the product of the factors 1 - lambda^(deg g)).
+`hilbert_series` lays N out as a coefficient list once, at the end.
+`HilbertSeries` is the one entry point for the invariants: from the reduced
+form Q(lambda)/(1-lambda)^d it reads off dimension and multiplicity.  H(n)
+and the Hilbert polynomial P(n) come from
 `expansions`, the one evaluator of a rational function N/(1-lambda)^t read at
 both ends: H is its expansion at lambda = 0, and P - H is minus its
 expansion at lambda = infinity (Bruns-Herzog, *Cohen-Macaulay Rings*,
@@ -38,15 +40,6 @@ def pstrip(p: list[int]) -> list[int]:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def padd(p, q):
-    n = max(len(p), len(q))
-    return pstrip([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
-
-
-def pshift(p, s: int):
-    return [0] * s + list(p) if p else []
 
 
 def pdiv_one_minus(p):
@@ -247,10 +240,10 @@ def _taylor(gens: list) -> dict[int, int]:
     return by_degree
 
 
-def _taylor_numerator(gens) -> list[int]:
-    """The numerator for a small generator set: the product of the Taylor sums
-    of its classes that share no variable (the sum over a union of such
-    classes factors), as a dense list only at the end."""
+def _taylor_numerator(gens) -> dict[int, int]:
+    """{degree: coefficient} of the numerator for a small or pairwise-coprime
+    generator set: the product of the Taylor sums of its classes that share
+    no variable (the sum over a union of such classes factors)."""
     poly = {0: 1}
     for members in _classes(gens):
         factor = _taylor(members)
@@ -259,35 +252,31 @@ def _taylor_numerator(gens) -> list[int]:
             for j, b in factor.items():
                 product[i + j] = product.get(i + j, 0) + a * b
         poly = {i: c for i, c in product.items() if c}
-    if not poly:
-        return []
-    dense = [0] * (max(poly) + 1)
-    for i, c in poly.items():
-        dense[i] = c
-    return dense
+    return poly
 
 
-def _numerator(k: int, gens: tuple, memo: dict) -> list[int]:
-    """Numerator of the series of R/I for the minimal generator tuples `gens`
-    (Bigatti's pivot recursion: I + (p) and I : p for p = x_j^e, down to a
-    Taylor sum or a pairwise-coprime product)."""
+def _numerator(k: int, gens: tuple, memo: dict) -> dict[int, int]:
+    """{degree: coefficient} of the numerator of the series of R/I for the
+    minimal generator tuples `gens`, no zero coefficients (Bigatti's pivot
+    recursion: I + (p) and I : p for p = x_j^e, down to a Taylor sum, or to
+    the product of the factors 1 - lambda^(deg g) of pairwise-coprime
+    generators).  The memo's values are shared: never mutate a result."""
     cached = memo.get(gens)
     if cached is not None:
         return cached
-    if len(gens) <= TAYLOR_GENS:
+    if len(gens) <= TAYLOR_GENS or _pairwise_coprime(gens):
         result = _taylor_numerator(gens)
-    elif _pairwise_coprime(gens):
-        result = [1]
-        for g in gens:
-            result = padd(result, pshift([-c for c in result], sum(g)))
     else:
         j, e = _pivot(gens, k)
         pivot = tuple(e if i == j else 0 for i in range(k))
         colon = (g[:j] + (max(g[j] - e, 0),) + g[j + 1:] for g in gens)
-        result = padd(
-            _numerator(k, minimalize(gens + (pivot,)), memo),
-            pshift(_numerator(k, minimalize(colon), memo), e),
-        )
+        result = dict(_numerator(k, minimalize(gens + (pivot,)), memo))
+        for degree, c in _numerator(k, minimalize(colon), memo).items():
+            c += result.get(degree + e, 0)
+            if c:
+                result[degree + e] = c
+            else:
+                del result[degree + e]
     memo[gens] = result
     return result
 
@@ -297,7 +286,11 @@ def hilbert_series(ideal: MonomialIdeal) -> HilbertSeries:
     """Exact Hilbert series of R/I, computed once per ideal.  The unit ideal
     yields the flagged zero-ring series with numerator 1 - lambda^0 = 0, whose
     invariants raise `ZeroRing` when read."""
-    return HilbertSeries(ideal.k, _numerator(ideal.k, ideal.exps, {}))
+    terms = _numerator(ideal.k, ideal.exps, {})
+    numerator = [0] * (max(terms) + 1) if terms else []
+    for degree, c in terms.items():
+        numerator[degree] = c
+    return HilbertSeries(ideal.k, numerator)
 
 
 def hilbert_data_from_series(series: HilbertSeries) -> HilbertSeries:

@@ -593,31 +593,43 @@ def degree_box_top(table: CohomologyTable) -> int:
     return sum(r - 1 for r in table.rho)
 
 
+def aggregated(entries) -> dict[tuple[int, int], dict[int, int]]:
+    """Per-class entries (clamp sum, |T|, dims) summed into the shape of
+    CohomologyTable.classes: (i, |T|) -> {clamp sum: h^i}, nonzero values only."""
+    classes: dict[tuple[int, int], dict[int, int]] = {}
+    for clamp_sum, t_size, dims in entries:
+        for i, dim in enumerate(dims):
+            if dim:
+                group = classes.setdefault((i, t_size), {})
+                group[clamp_sum] = group.get(clamp_sum, 0) + dim
+    return classes
+
+
 def exhaustive_cohomology_table(ideal: MonomialIdeal) -> CohomologyTable:
-    """The cohomology table with one entry per orthant class: every negative
-    support T and every value 0..rho_j - 1 of each coordinate outside T."""
+    """The cohomology table summed over every orthant class one at a time:
+    every negative support T and every value 0..rho_j - 1 of each coordinate
+    outside T."""
     rho = ideal.max_exponents()
-    classes = []
+    entries = []
     for clamped in product(*([None, *range(r)] for r in rho)):
         negative = frozenset(j for j, v in enumerate(clamped) if v is None)
         dims = cech_class_cohomology(ideal, OrthantClass(negative, clamped))
-        if any(dims):
-            classes.append((sum(v for v in clamped if v is not None), len(negative), dims))
-    return CohomologyTable(ideal.k, rho, classes)
+        entries.append((sum(v for v in clamped if v is not None), len(negative), dims))
+    return CohomologyTable(ideal.k, rho, aggregated(entries))
 
 
 def reference_rows(table: CohomologyTable, lo: int, hi: int) -> list[list[int]]:
     """[i, n, h^i(R)_n] for the nonzero values with lo <= n <= hi, ordered by i
-    and then n, with one closed-form count per (class, n): the multidegrees of
+    and then n, with one closed-form count per (term, n): the multidegrees of
     total degree n in a class with clamp sum s and |T| = t number
     C(s - n - 1, t - 1) when s - n >= t > 0, and one at n = s when t = 0."""
     values: dict[tuple[int, int], int] = {}
-    for clamp_sum, t_size, dims in table.classes:
-        for n in range(lo, min(hi, clamp_sum - t_size) + 1):
-            s = clamp_sum - n
-            count = int(s == 0) if t_size == 0 else comb(s - 1, t_size - 1)
-            for i, dim in enumerate(dims):
-                values[i, n] = values.get((i, n), 0) + dim * count
+    for (i, t_size), group in table.classes.items():
+        for clamp_sum, v in group.items():
+            for n in range(lo, min(hi, clamp_sum - t_size) + 1):
+                s = clamp_sum - n
+                count = int(s == 0) if t_size == 0 else comb(s - 1, t_size - 1)
+                values[i, n] = values.get((i, n), 0) + v * count
     return [[i, n, v] for (i, n), v in sorted(values.items()) if v]
 
 

@@ -778,7 +778,7 @@ def parse_outcome(parse, argv):
     old = sys.stdout, sys.stderr
     sys.stdout, sys.stderr = out, err
     try:
-        return "args", parse(cli.attach_windows(argv))
+        return "args", parse(argv)
     except SystemExit as exc:
         return "exit", exc.code, out.getvalue(), err.getvalue()
     finally:
@@ -810,7 +810,7 @@ def test_subcommand_dispatch_parses_as_the_top_level_parser(argv):
     # the subcommand's own parser must give the namespace, or the exit code,
     # help text and usage error, that the top-level parser gives
     parser = cli.build_parser()
-    expected = parse_outcome(parser.parse_args, argv)
+    expected = parse_outcome(lambda words: parser.parse_args(cli.attach_windows(words)), argv)
     assert parse_outcome(lambda words: cli._parse_argv(parser, words), argv) == expected
     if expected[0] == "args":
         assert expected[1].subcommand == argv[0]

@@ -139,7 +139,7 @@ def test_seeded_argv_give_a_document_or_argparse_exit_2(alarm):
     codes = {}
     for _ in range(ARGVS):
         argv = draw_argv(rng)
-        parsed = parse_outcome(parser.parse_args, argv)
+        parsed = parse_outcome(lambda words: parser.parse_args(cli.attach_windows(words)), argv)
         # the subcommand dispatch agrees with the top-level parser
         assert parse_outcome(lambda words: cli._parse_argv(parser, words), argv) == parsed, argv
         code, out, err, seconds = run_capped(argv)
