@@ -122,9 +122,17 @@ def verify_eg_inequality(ideal: MonomialIdeal, instance_id: str = "") -> BoundRe
 
 
 def verify_prop_3_1(ideal: semigroup.SemigroupIdeal, instance_id: str = "") -> BoundReport:
-    """d = 1: r(I) <= e(I) - [ell(I/(I cap rr(I^2))) - 1] <= e(I)."""
-    r, j = semigroup.reduction_number_sg(ideal)
+    """d = 1: r(I) <= e(I) - [ell(I/(I cap rr(I^2))) - 1] <= e(I), from E^n for
+    n <= e + 4 (r <= e + 2, and rr(I^2) at E^(r+2)).  E^n contains n*e + S, so
+    its bitset has at most n*e + conductor bits; past MAX_ENTRY_BITS in all,
+    the instance is refused before any power is built."""
     e = semigroup.multiplicity_sg(ideal)
+    top = e + 4
+    bits = e * top * (top + 1) // 2 + (top + 1) * ideal.S.conductor
+    if bits > filtration.MAX_ENTRY_BITS:
+        raise ComputationError(f"prop3.1 reads the powers E^0..E^{top}, which can hold {bits}"
+                               f" bits, more than {filtration.MAX_ENTRY_BITS}")
+    r, j = semigroup.reduction_number_sg(ideal)
     inner = semigroup.intersection_sg(ideal, semigroup.rr_sg(ideal, 2))
     ell_mid = semigroup.length_between_sg(ideal, inner)
     mid = e - (ell_mid - 1)

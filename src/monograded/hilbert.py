@@ -4,24 +4,19 @@ The series of R/I is computed exactly as N(lambda)/(1-lambda)^k from the short
 exact sequence 0 -> R/(I:p) -> R/I -> R/(I+(p)) -> 0 for a pivot monomial p
 (A. M. Bigatti, "Computation of Hilbert-Poincare series", JPAA 119, 1997).
 The recursion runs on minimal sets of exponent tuples, memoized by the set,
-on sparse numerators {degree: coefficient}, and ends at a node with at most
-TAYLOR_GENS generators or with pairwise-coprime ones: there N is the Taylor
-sum over the subsets S of the generators of (-1)^|S| lambda^(deg lcm S)
-(Miller-Sturmfels, *Combinatorial Commutative Algebra*, 2005, ch. 4), the
-product of the sums over the classes of generators that share no variable
-(for coprime generators, the product of the factors 1 - lambda^(deg g)).
-`hilbert_series` lays N out as a coefficient list once, at the end.
-`HilbertSeries` is the one entry point for the invariants: from the reduced
-form Q(lambda)/(1-lambda)^d it reads off dimension and multiplicity.  H(n)
-and the Hilbert polynomial P(n) come from
-`expansions`, the one evaluator of a rational function N/(1-lambda)^t read at
-both ends: H is its expansion at lambda = 0, and P - H is minus its
-expansion at lambda = infinity (Bruns-Herzog, *Cohen-Macaulay Rings*,
-sec. 4.1 and 4.4), so both are exact integers for every n.
-`HilbertSeries.window` reads a table of (n, H(n), P(n)) from Q and d;
-`cohomology` reads its graded lengths from the same evaluator.
-`hilbert_series` is cached per ideal, so the CLI and the bounds run one
-recursion per ideal.
+on sparse numerators {degree: coefficient}.  It ends at a node with at most
+TAYLOR_GENS generators, at the product of the Taylor sums over the classes of
+generators that share no variable (Miller-Sturmfels, *Combinatorial
+Commutative Algebra*, 2005, ch. 4), or at pairwise-coprime generators, at the
+product of the factors 1 - lambda^(deg g).  `HilbertSeries` keeps N sparse:
+d and e are read at lambda = 1, from the least c with N = Q * (1-lambda)^c and
+Q(1) != 0, and H(n), P(n) and Q from `expansions`, the one evaluator of
+N/(1-lambda)^t read at both ends: H is its expansion at lambda = 0, and P - H
+is minus its expansion at lambda = infinity (Bruns-Herzog, *Cohen-Macaulay
+Rings*, sec. 4.1 and 4.4), so both are exact integers for every n.  A dense
+coefficient list is laid out only for a printed field; `cohomology` reads its
+graded lengths from the same evaluator.  `hilbert_series` is cached per
+ideal, so the CLI and the bounds run one recursion per ideal.
 """
 
 from __future__ import annotations
@@ -32,28 +27,6 @@ from math import comb
 
 from .errors import ReconstructionFailed, ZeroRing
 from .monomials import MonomialIdeal, minimalize
-
-# -- integer polynomials as coefficient lists (zero polynomial = []) -----
-
-
-def pstrip(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def pdiv_one_minus(p):
-    """Divide by (1 - lambda); requires p(1) == 0."""
-    if not p:
-        return []
-    acc = 0
-    out = []
-    for c in p[:-1]:
-        acc += c
-        out.append(acc)
-    if acc + p[-1] != 0:
-        raise ValueError("polynomial not divisible by (1 - lambda)")
-    return pstrip(out)
 
 
 def expansions(terms: dict[int, int], t: int, lo: int, hi: int) -> tuple[list[int], list[int]]:
@@ -90,74 +63,85 @@ def expansions(terms: dict[int, int], t: int, lo: int, hi: int) -> tuple[list[in
 
 
 class HilbertSeries:
-    """N(lambda)/(1-lambda)^k with cached reduced form Q(lambda)/(1-lambda)^d."""
+    """N(lambda)/(1-lambda)^k for the sparse terms N = {degree: coefficient},
+    with no zero coefficients.  On first read, N = Q * (1-lambda)^c with
+    Q(1) != 0 gives the dimension d = k - c and the multiplicity e = Q(1)."""
 
-    __slots__ = ("k", "numerator", "_reduced")
+    __slots__ = ("k", "terms", "_moment")
 
-    def __init__(self, k: int, numerator: list[int]):
+    def __init__(self, k: int, terms: dict[int, int]):
         self.k = k
-        self.numerator = pstrip(list(numerator))
-        self._reduced = None
+        self.terms = terms
+        self._moment = None
 
     @property
     def is_zero_ring(self) -> bool:
-        return not self.numerator
+        return not self.terms
 
-    def reduced(self) -> tuple[list[int], int]:
-        """(Q, d) with N = Q * (1-lambda)^(k-d) and Q(1) != 0."""
-        if self._reduced is None:
-            if self.is_zero_ring:
+    @property
+    def numerator(self) -> list[int]:
+        """N's coefficients up to its degree ([] for the zero ring), laid out
+        densely only for the fields that are printed."""
+        out = [0] * (max(self.terms) + 1) if self.terms else []
+        for e, a in self.terms.items():
+            out[e] = a
+        return out
+
+    def _cancelled(self) -> tuple[int, int]:
+        """(c, Q(1)) for N = Q * (1-lambda)^c, Q(1) != 0: the c-th derivative
+        of N at 1 over c! is the moment m_c = sum of a * C(e, c) over the terms,
+        so c is the least index with m_c != 0 and Q(1) = (-1)^c * m_c.  Each
+        term's binomial runs up exactly, b <- b * (e - c) // (c + 1)."""
+        if self._moment is None:
+            if not self.terms:
                 raise ZeroRing("invariants of the zero ring are undefined")
-            q = list(self.numerator)
-            cancelled = 0
-            while sum(q) == 0:
-                q = pdiv_one_minus(q)
-                cancelled += 1
-            if cancelled > self.k:
-                raise ValueError("numerator has more (1-lambda) factors than the ring allows")
-            self._reduced = (q, self.k - cancelled)
-        return self._reduced
+            degrees, moments = list(self.terms), list(self.terms.values())
+            c = 0
+            while not sum(moments):
+                if c == self.k:
+                    raise ValueError("numerator has more (1-lambda) factors than the ring allows")
+                moments = [b * (e - c) // (c + 1) for e, b in zip(degrees, moments)]
+                c += 1
+            self._moment = (c, (-1) ** c * sum(moments))
+        return self._moment
 
     @property
     def reduced_numerator(self) -> list[int]:
-        return list(self.reduced()[0])
+        """Q = N/(1-lambda)^c, of degree deg N - c."""
+        c = self._cancelled()[0]
+        return expansions(self.terms, c, 0, max(self.terms) - c)[0]
 
     @property
     def dim(self) -> int:
-        return self.reduced()[1]
+        return self.k - self._cancelled()[0]
 
     @property
     def multiplicity(self) -> int:
-        return sum(self.reduced()[0])
+        return self._cancelled()[1]
 
     def coefficient(self, n: int) -> int:
         """H(n): the coefficient of lambda^n in N/(1-lambda)^k expanded at 0,
         which reads only the terms of N of degree at most n."""
-        return expansions(dict(enumerate(self.numerator[: max(n + 1, 0)])), self.k, n, n)[0][0]
+        return expansions({e: a for e, a in self.terms.items() if e <= n}, self.k, n, n)[0][0]
 
     def polynomial_value(self, n: int) -> int:
         """P(n): H(n) minus the coefficient of lambda^n in N/(1-lambda)^k
         expanded at infinity, which vanishes for n > deg N - k."""
-        (h,), (tail,) = expansions(dict(enumerate(self.numerator)), self.k, n, n)
+        (h,), (tail,) = expansions(self.terms, self.k, n, n)
         return h - tail
 
     def window(self, lo: int, hi: int) -> list[tuple[int, int, int]]:
-        """(n, H(n), P(n)) for lo <= n <= hi from the two expansions of the
-        reduced form Q/(1-lambda)^d: H at 0, and P = H minus the expansion at
-        infinity, so P(n) = H(n) for n > deg Q - d and P = 0 when d = 0."""
-        q, d = self.reduced()
-        h, tail = expansions({e: a for e, a in enumerate(q) if a}, d, lo, hi)
+        """(n, H(n), P(n)) for lo <= n <= hi from the two expansions of
+        N/(1-lambda)^k: H at 0, and P = H minus the expansion at infinity, so
+        P(n) = H(n) for n > deg N - k and P = 0 when d = 0."""
+        h, tail = expansions(self.terms, self.k, lo, hi)
         return [(n, h_n, h_n - t_n) for n, h_n, t_n in zip(range(lo, hi + 1), h, tail)]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, HilbertSeries)
-            and self.k == other.k
-            and self.numerator == other.numerator
-        )
+        return isinstance(other, HilbertSeries) and self.k == other.k and self.terms == other.terms
 
     def __repr__(self):
-        return f"HilbertSeries({self.k}, {self.numerator})"
+        return f"HilbertSeries({self.k}, {self.terms})"
 
 
 # -- the divide-and-conquer recursion -------------------------------------
@@ -241,9 +225,9 @@ def _taylor(gens: list) -> dict[int, int]:
 
 
 def _taylor_numerator(gens) -> dict[int, int]:
-    """{degree: coefficient} of the numerator for a small or pairwise-coprime
-    generator set: the product of the Taylor sums of its classes that share
-    no variable (the sum over a union of such classes factors)."""
+    """{degree: coefficient} of the numerator for a small generator set: the
+    product of the Taylor sums of its classes that share no variable (the sum
+    over a union of such classes factors)."""
     poly = {0: 1}
     for members in _classes(gens):
         factor = _taylor(members)
@@ -255,6 +239,17 @@ def _taylor_numerator(gens) -> dict[int, int]:
     return poly
 
 
+def _add_shifted(result: dict[int, int], terms: dict[int, int], shift: int, sign: int) -> None:
+    """result += sign * lambda^shift * terms, in place, dropping zero terms."""
+    for degree, c in terms.items():
+        degree += shift
+        c = result.get(degree, 0) + sign * c
+        if c:
+            result[degree] = c
+        else:
+            del result[degree]
+
+
 def _numerator(k: int, gens: tuple, memo: dict) -> dict[int, int]:
     """{degree: coefficient} of the numerator of the series of R/I for the
     minimal generator tuples `gens`, no zero coefficients (Bigatti's pivot
@@ -264,19 +259,18 @@ def _numerator(k: int, gens: tuple, memo: dict) -> dict[int, int]:
     cached = memo.get(gens)
     if cached is not None:
         return cached
-    if len(gens) <= TAYLOR_GENS or _pairwise_coprime(gens):
+    if len(gens) <= TAYLOR_GENS:
         result = _taylor_numerator(gens)
+    elif _pairwise_coprime(gens):
+        result = {0: 1}
+        for g in gens:
+            _add_shifted(result, dict(result), sum(g), -1)
     else:
         j, e = _pivot(gens, k)
         pivot = tuple(e if i == j else 0 for i in range(k))
         colon = (g[:j] + (max(g[j] - e, 0),) + g[j + 1:] for g in gens)
         result = dict(_numerator(k, minimalize(gens + (pivot,)), memo))
-        for degree, c in _numerator(k, minimalize(colon), memo).items():
-            c += result.get(degree + e, 0)
-            if c:
-                result[degree + e] = c
-            else:
-                del result[degree + e]
+        _add_shifted(result, _numerator(k, minimalize(colon), memo), e, 1)
     memo[gens] = result
     return result
 
@@ -286,11 +280,7 @@ def hilbert_series(ideal: MonomialIdeal) -> HilbertSeries:
     """Exact Hilbert series of R/I, computed once per ideal.  The unit ideal
     yields the flagged zero-ring series with numerator 1 - lambda^0 = 0, whose
     invariants raise `ZeroRing` when read."""
-    terms = _numerator(ideal.k, ideal.exps, {})
-    numerator = [0] * (max(terms) + 1) if terms else []
-    for degree, c in terms.items():
-        numerator[degree] = c
-    return HilbertSeries(ideal.k, numerator)
+    return HilbertSeries(ideal.k, _numerator(ideal.k, ideal.exps, {}))
 
 
 def hilbert_data_from_series(series: HilbertSeries) -> HilbertSeries:
@@ -309,7 +299,8 @@ MAX_TERMS = 64
 
 
 def reconstruct_numerator(values: list[int], denom_power: int):
-    """Numerator of sum(values[n] * lambda^n) * (1-lambda)^denom_power, or None.
+    """{degree: coefficient} of the numerator of
+    sum(values[n] * lambda^n) * (1-lambda)^denom_power, or None.
 
     The values must be an initial segment of a sequence that is eventually
     polynomial of degree < denom_power; success requires the convolved
@@ -322,7 +313,7 @@ def reconstruct_numerator(values: list[int], denom_power: int):
         return None
     if any(c != 0 for c in coeffs[len(values) - TAIL_ZEROS:]):
         return None
-    return pstrip(coeffs)
+    return {e: c for e, c in enumerate(coeffs) if c}
 
 
 def initial_terms(k: int) -> int:

@@ -265,7 +265,7 @@ class MonomialIdeal:
 
         The series of R/I is a polynomial of degree s, the top degree of R/I,
         so its numerator N = H * (1 - lambda)^k has degree s + k, and t = s + 1."""
-        return len(self._artinian_series().numerator) - self.k
+        return max(self._artinian_series().terms) + 1 - self.k
 
     # -- dunder plumbing ---------------------------------------------------
 

@@ -117,21 +117,55 @@ def binomial_sum(terms: list[int], n: int, d: int) -> int:
     return sum(c * binomial(n - i + d - 1, d - 1) for i, c in enumerate(terms))
 
 
-def reference_window(series: HilbertSeries, lo: int, hi: int) -> list[tuple[int, int, int]]:
-    """(n, H(n), P(n)) for lo <= n <= hi, each a binomial sum over the
-    numerator N of N/(1-lambda)^k: H over the terms of degree at most n, P over
-    all of them (P = 0 when k = 0)."""
-    n_terms, k = series.numerator, series.k
+def reference_window(numerator: list[int], t: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """(n, H(n), P(n)) for lo <= n <= hi, each a binomial sum over the dense
+    numerator N of N/(1-lambda)^t: H over the terms of degree at most n, P over
+    all of them (P = 0 when t = 0)."""
     rows = []
     for n in range(lo, hi + 1):
         if n < 0:
             h = 0
-        elif k == 0:
-            h = n_terms[n] if n < len(n_terms) else 0
+        elif t == 0:
+            h = numerator[n] if n < len(numerator) else 0
         else:
-            h = binomial_sum(n_terms[: n + 1], n, k)
-        rows.append((n, h, binomial_sum(n_terms, n, k) if k else 0))
+            h = binomial_sum(numerator[: n + 1], n, t)
+        rows.append((n, h, binomial_sum(numerator, n, t) if t else 0))
     return rows
+
+
+def pstrip(p: list[int]) -> list[int]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def pdiv_one_minus(p: list[int]) -> list[int]:
+    """Divide a coefficient list by (1 - lambda); requires p(1) == 0."""
+    if not p:
+        return []
+    acc = 0
+    out = []
+    for c in p[:-1]:
+        acc += c
+        out.append(acc)
+    if acc + p[-1] != 0:
+        raise ValueError("polynomial not divisible by (1 - lambda)")
+    return pstrip(out)
+
+
+def reference_reduced(series: HilbertSeries) -> tuple[list[int], int]:
+    """(Q, d) with N = Q * (1-lambda)^(k-d) and Q(1) != 0, by dividing the
+    dense numerator by (1 - lambda) while its coefficients sum to zero."""
+    if series.is_zero_ring:
+        raise ZeroRing("invariants of the zero ring are undefined")
+    q = series.numerator
+    cancelled = 0
+    while sum(q) == 0:
+        q = pdiv_one_minus(q)
+        cancelled += 1
+    if cancelled > series.k:
+        raise ValueError("numerator has more (1-lambda) factors than the ring allows")
+    return q, series.k - cancelled
 
 
 def poly_value(coeffs, n: int) -> Fraction:
@@ -146,7 +180,7 @@ def poly_value(coeffs, n: int) -> Fraction:
 def fraction_hilbert_polynomial(series: HilbertSeries) -> list[Fraction]:
     """Coefficients of P(n), lowest degree first (empty for dimension zero):
     sum of Q_i * C(n - i + d - 1, d - 1) over the reduced numerator Q."""
-    q, d = series.reduced()
+    q, d = reference_reduced(series)
     acc = [Fraction(0)] * d
     for i, c in enumerate(q):
         if c and d:
@@ -157,7 +191,7 @@ def fraction_hilbert_polynomial(series: HilbertSeries) -> list[Fraction]:
 
 def postulation_degree(series: HilbertSeries) -> int:
     """H(n) = P(n) for all n strictly above deg Q - d."""
-    q, d = series.reduced()
+    q, d = reference_reduced(series)
     return len(q) - 1 - d
 
 

@@ -26,7 +26,7 @@ from monograded.bounds import (
 from monograded.errors import ComputationError
 from monograded.filtration import power_cache, reduction_number
 from monograded.monomials import MonomialIdeal, parse_ideal
-from monograded.semigroup import NumericalSemigroup, SemigroupIdeal
+from monograded.semigroup import NumericalSemigroup, SemigroupIdeal, ideal_power_sg
 
 from oracles import prop34_lengths
 
@@ -84,6 +84,23 @@ def test_prop31_examples():
     hand = verify_prop_3_1(SemigroupIdeal(NumericalSemigroup((3, 4, 5)), (3, 4, 5)), "m345")
     assert (hand.lhs, hand.rhs, hand.status) == (1, 1, SHARP)
     assert hand.witness["l_I_over_I_cap_rrI2"] == 3
+
+
+def test_prop31_refuses_powers_that_could_pass_the_bit_bound(monkeypatch):
+    # prop3.1 reads E^0..E^(e+4), and E^n contains n*e + S, so it holds at
+    # most n*e + conductor bits: for E = (4, 5, 6) in <4, 5, 6, 7>, e = 4 and
+    # the conductor is 4, so 180 bits in all
+    S = NumericalSemigroup((4, 5, 6, 7))
+    ideal = SemigroupIdeal(S, (4, 5, 6))
+    bits = sum(n * 4 + S.conductor for n in range(4 + 5))
+    assert (S.conductor, bits) == (4, 180)
+    ideal_power_sg.cache_clear()
+    monkeypatch.setattr(filtration, "MAX_ENTRY_BITS", bits - 1)
+    with pytest.raises(ComputationError, match=r"E\^0..E\^8, which can hold 180 bits, more than 179"):
+        verify_prop_3_1(ideal)
+    assert ideal_power_sg.cache_info().currsize == 0  # refused before any power is built
+    monkeypatch.setattr(filtration, "MAX_ENTRY_BITS", bits)
+    assert verify_prop_3_1(ideal).status == SHARP
 
 
 def test_prop33_examples():

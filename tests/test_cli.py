@@ -467,6 +467,19 @@ def test_an_exponent_too_large_to_compute_with_is_computation_failure(argv):
     assert error["type"] == "OverflowError" and error["message"]
 
 
+def test_prop31_on_a_semigroup_too_large_to_hold_its_powers_is_computation_error():
+    # E = (9973, 10007) has e = 9973 and S a conductor of 9972 * 10006, so
+    # E^0..E^9977 could hold about 1.5 * 10^12 bits: refused once S and E
+    # are built, before any power is
+    code, out = run_cli(["verify", "--bound", "prop3.1", "--semigroup", "9973,10007",
+                         "--ideal", "9973,10007"])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "ComputationError",
+        "message": "prop3.1 reads the powers E^0..E^9977, which can hold 1492011761865 bits,"
+                   " more than 4294967296"}
+
+
 @pytest.mark.parametrize("extra", [[], ["--n-bound", "2"]], ids=["default", "n-bound"])
 def test_reduction_of_the_zero_ideal_in_one_variable_is_computation_error(extra):
     # with a given --n-bound no multiplicity is read, but the powers are
@@ -611,7 +624,8 @@ def test_self_check_of_a_reconstructed_series_fails_with_exit_1(monkeypatch, arg
     real = filtration.reconstruct_series
 
     def shifted(value_fn, k):
-        return HilbertSeries(k, mutate(real(value_fn, k).numerator))
+        numerator = mutate(real(value_fn, k).numerator)
+        return HilbertSeries(k, {e: a for e, a in enumerate(numerator) if a})
 
     monkeypatch.setattr(filtration, "reconstruct_series", shifted)
     code, out = run_cli(argv)

@@ -3,10 +3,13 @@ from math import comb
 
 import pytest
 
+from monograded import hilbert
 from monograded.errors import ZeroRing
 from monograded.bounds import random_m_primary_ideal
+from monograded.filtration import G_hilbert_series
 from monograded.hilbert import (
     TAYLOR_GENS,
+    HilbertSeries,
     _classes,
     expansions,
     hilbert_series,
@@ -17,11 +20,13 @@ from monograded.monomials import MonomialIdeal, parse_ideal
 
 from oracles import (
     binomial,
+    _poly_mul,
     binomial_poly,
     fraction_hilbert_polynomial,
     lexfirst_numerator,
     poly_value,
     postulation_degree,
+    reference_reduced,
     reference_window,
     serre_difference,
     serre_difference_table,
@@ -59,7 +64,7 @@ def test_zero_and_unit_ideal_series():
     assert unit.is_zero_ring
     assert unit.numerator == []
     with pytest.raises(ZeroRing, match="invariants of the zero ring are undefined"):
-        unit.reduced()
+        unit.dim
     with pytest.raises(ZeroRing):
         unit.multiplicity
 
@@ -150,6 +155,82 @@ def test_taylor_base_matches_the_oracle_on_chosen_ideals(gens, k, classes):
     assert hilbert_series(ideal).numerator == lexfirst_numerator(ideal)
 
 
+def test_coprime_nodes_multiply_their_factors(monkeypatch):
+    # x1*x2, x3*x4, ..., x17*x18 and x19^2: more than TAYLOR_GENS
+    # pairwise-coprime generators, mixed and pure, end the recursion at the
+    # product of their factors 1 - lambda^(deg g), not at the Taylor base
+    k = 19
+    gens = [tuple(int(i in (2 * g, 2 * g + 1)) for i in range(k)) for g in range(9)]
+    ideal = MonomialIdeal(k, gens + [tuple(2 * (i == k - 1) for i in range(k))])
+    assert len(ideal.exps) > TAYLOR_GENS
+    expected = lexfirst_numerator(ideal)
+
+    def refuse(gens):
+        raise AssertionError("a coprime node reached the Taylor base")
+
+    monkeypatch.setattr(hilbert, "_classes", refuse)
+    hilbert_series.cache_clear()
+    assert hilbert_series(ideal).numerator == expected
+    hilbert_series.cache_clear()
+
+
+def _reference_cases(seed: int, count: int):
+    """Seeded series in 1..6 variables of every dimension from 0 to k: ideals
+    with the pure powers of a random set of variables dropped, the zero
+    ideal, and series reconstructed from values."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randint(1, 6)
+        ideal = random_m_primary_ideal(rng, k, 4 if k < 5 else 3)
+        free = set(rng.sample(range(k), rng.randint(0, k)))
+        kept = [g for g in ideal.exps if not any(g[j] == sum(g) for j in free)]
+        yield hilbert_series(MonomialIdeal(k, kept) if kept else MonomialIdeal.zero(k))
+    for k in (1, 4, 6):
+        yield hilbert_series(MonomialIdeal.zero(k))
+    yield reconstruct_series(lambda n: 3 * n + 1, 2)
+    yield reconstruct_series(lambda n: comb(n + 2, 2) - comb(n, 2), 3)  # d = 2 of k = 3
+    yield G_hilbert_series(parse_ideal("x^4, x^3*y, x*y^2, y^5", XY))
+    yield G_hilbert_series(parse_ideal("x^3, y^3, z^3, x*y*z", ("x", "y", "z")))
+
+
+def test_series_matches_the_dense_division_by_one_minus_lambda():
+    # d and e read from the moments of N's terms, Q and the window read
+    # through `expansions`, against Q and d from dividing the dense numerator
+    # by (1 - lambda) while its coefficients sum to zero
+    dims = set()
+    for series in _reference_cases(53, 100):
+        q, d = reference_reduced(series)
+        dims.add((series.k, d))
+        assert (series.dim, series.multiplicity, series.reduced_numerator) == (d, sum(q), q)
+        assert series.numerator == _poly_mul(q, [comb(series.k - d, i) * (-1) ** i
+                                                 for i in range(series.k - d + 1)])
+        top = len(q) - 1 - d  # P(n) = H(n) above deg Q - d
+        for lo, hi in ((-4, top + 4), (top + 10**6, top + 10**6 + 2), (-10**6, -10**6 + 2)):
+            assert series.window(lo, hi) == reference_window(q, d, lo, hi), (series, lo, hi)
+    assert {d for _, d in dims} >= set(range(7)) and (6, 6) in dims and (6, 0) in dims
+    unit = hilbert_series(MonomialIdeal.unit(3))
+    assert unit.numerator == [] and unit.terms == {}
+    for read in (reference_reduced, lambda s: s.dim, lambda s: s.multiplicity,
+                 lambda s: s.reduced_numerator):
+        with pytest.raises(ZeroRing):
+            read(unit)
+    # (1 - lambda)^2 over one (1 - lambda): more factors than the ring allows
+    for read in (reference_reduced, lambda s: s.dim):
+        with pytest.raises(ValueError, match="more"):
+            read(HilbertSeries(1, {0: 1, 1: -2, 2: 1}))
+
+
+def test_an_exponent_of_ten_to_the_twelve_reads_d_and_e_from_four_terms():
+    # N = (1 - lambda)(1 - lambda^(10^12)); no list of its 10^12 + 2
+    # coefficients is laid out to read d, e, H or P
+    series = hilbert_series(parse_ideal("x^1000000000000, y", XY))
+    assert series.terms == {0: 1, 1: -1, 10**12: -1, 10**12 + 1: 1}
+    assert (series.dim, series.multiplicity) == (0, 10**12)
+    top = 10**12 - 1
+    assert series.window(top - 1, top + 1) == [(top - 1, 1, 0), (top, 1, 0), (top + 1, 0, 0)]
+    assert (series.coefficient(5), series.polynomial_value(5)) == (1, 0)
+
+
 @pytest.mark.parametrize("text, names, d", [
     ("x^2, y^3", XY, 0),
     ("x^4*y^2, x*y^5, y^7", XY, 1),
@@ -160,13 +241,13 @@ def test_taylor_base_matches_the_oracle_on_chosen_ideals(gens, k, classes):
 def test_window_matches_coefficient_and_polynomial_value(text, names, d):
     ideal = MonomialIdeal.zero(len(names)) if text == "0" else parse_ideal(text, names)
     series = hilbert_series(ideal)
-    q, dim = series.reduced()
+    q, dim = series.reduced_numerator, series.dim
     assert dim == d
     top = len(q) - 1 - d  # P(n) = H(n) above deg Q - d
     windows = [(-6, top + 6), (-9, -2), (top, top), (top + 1, top + 1), (3, 3), (-1, -1),
                (0, top - 1), (-2, top - 2), (10**20, 10**20 + 3), (-10**20 - 3, -10**20)]
     for lo, hi in windows:
-        expected = reference_window(series, lo, hi)
+        expected = reference_window(series.numerator, series.k, lo, hi)
         assert series.window(lo, hi) == expected, (lo, hi)
         assert [(n, series.coefficient(n), series.polynomial_value(n))
                 for n in range(lo, hi + 1)] == expected, (lo, hi)
@@ -320,9 +401,9 @@ def test_serre_difference_table_matches_pointwise():
 
 def test_reconstruct_numerator():
     values = [3 * n + 1 for n in range(8)]
-    assert reconstruct_numerator(values, 2) == [1, 2]
+    assert reconstruct_numerator(values, 2) == {0: 1, 1: 2}
     # constant sequence over one (1 - lambda)
-    assert reconstruct_numerator([5] * 6, 1) == [5]
+    assert reconstruct_numerator([5] * 6, 1) == {0: 5}
     # not yet stabilized: too little data
     assert reconstruct_numerator([1, 10, 100], 2) is None
 
